@@ -68,6 +68,22 @@ class ComplexBall:
     def contains_zero(self) -> bool:
         return self.abs_bounds()[0] == 0
 
+    # Operators for generic formulas; a scalar right operand enters as exact_ball.
+    def __add__(self, other):
+        return badd(self, _as_ball(other))
+
+    def __sub__(self, other):
+        return bsub(self, _as_ball(other))
+
+    def __mul__(self, other):
+        return bmul(self, _as_ball(other))
+
+    def __truediv__(self, other):
+        return bdiv(self, _as_ball(other))
+
+    def __pow__(self, n: int):
+        return bpow_int(self, n)
+
     def __repr__(self) -> str:
         return f"ComplexBall({mp.nstr(self.center, 12)}, r={mp.nstr(self.radius, 3)})"
 
@@ -92,6 +108,10 @@ def exact_ball(x: Number) -> ComplexBall:
         return ComplexBall(c, r)
     c = mp.mpc(x)
     return ComplexBall(c, mp.mpf(0))
+
+
+def _as_ball(x) -> ComplexBall:
+    return x if isinstance(x, ComplexBall) else exact_ball(x)
 
 
 def ball(center: Number, radius: Number = 0) -> ComplexBall:
@@ -158,12 +178,6 @@ def bpow_int(a: ComplexBall, n: int) -> ComplexBall:
             base = bsqr(base)
         n >>= 1
     return result
-
-
-def bscale(a: ComplexBall, k: Number) -> ComplexBall:
-    """Multiply by an exact scalar."""
-    kb = exact_ball(k)
-    return bmul(a, kb)
 
 
 def dist_bounds(a: ComplexBall, b: ComplexBall) -> tuple[mp.mpf, mp.mpf]:

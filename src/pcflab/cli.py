@@ -34,6 +34,7 @@ from . import __version__
 from .cacheio import atomic_write_bytes, atomic_write_text
 from .critical_orbit import (
     DEFAULT_DEGREE_CAP,
+    check_degree_cap,
     enumerate_factors,
     factor_evaluator,
     gleason,
@@ -238,6 +239,7 @@ def cached_gleason_roots(cfg: RunConfig, n: int, bits: Optional[int] = None):
 
 def cmd_enumerate(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
     for n in range(1, cfg.max_n + 1):
         write_gleason_cache(cfg.cache_dir, cfg.d, n, cfg.degree_cap)
@@ -259,6 +261,7 @@ def cmd_enumerate(cfg: RunConfig, out=None) -> int:
 
 def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     alpha = parse_alpha(cfg.alpha_spec)
     result = census(
         cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes), cap=cfg.degree_cap
@@ -288,6 +291,8 @@ def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
 def cmd_equidist(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     alpha = parse_alpha(cfg.alpha_spec)
+    if not alpha.is_rational:  # the rational path builds no g_n
+        check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     reports = []
     for n in range(2, cfg.max_n + 1):
         roots = None
@@ -316,6 +321,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
 
 def cmd_bounds(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     lines = ["name\tbound\tempirical\tsatisfied"]
     for n in range(1, cfg.max_n + 1):
         lines.append(degree_lower_bound_check(cfg.d, n, 1).line())
@@ -466,6 +472,7 @@ def _discrepancy_svg(reports) -> str:
 
 def cmd_plot(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
     dots = _root_pixels(cfg, extent, size)

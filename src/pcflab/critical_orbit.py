@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
@@ -43,6 +42,7 @@ from .polynomials import (
     serialize,
     squarefree_part,
 )
+from .rootfinder import Evaluator, QuotientEvaluator
 
 DEFAULT_DEGREE_CAP = 4096
 
@@ -111,12 +111,17 @@ def _table(d: int) -> list[IntPolynomial]:
         return _tables[d]
 
 
+def check_degree_cap(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> None:
+    """Raise DegreeCapExceeded when deg g_n = d^(n-1) exceeds cap."""
+    if d ** (n - 1) > cap:
+        raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {cap}")
+
+
 def gleason(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> CriticalOrbitPolynomial:
     """g_n(c) = f^n_{d,c}(0) as an exact integer polynomial in c."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if d ** (n - 1) > cap:
-        raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {cap}")
+    check_degree_cap(d, n, cap)
     table = _table(d)
     with _lock:
         while len(table) <= n:
@@ -143,8 +148,7 @@ def exact_period_factor(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Factor
     key = (d, n)
     cached = _factor_cache.get(key)
     if cached is not None:
-        if d ** (n - 1) > cap:
-            raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {cap}")
+        check_degree_cap(d, n, cap)
         return cached
     gn = gleason(d, n, cap).poly
     quot = gn
@@ -330,40 +334,20 @@ def _orbit_f64(d: int, c: np.ndarray, depth: int):
     return U, DU, S
 
 
-def _orbit_mp(d: int, z, depth: int):
-    """Exact-recurrence orbit at the current mpmath precision (centers only)."""
-    u = z * 0
-    du = z * 0
+def _orbit(d: int, z, depth: int, num):
+    """Orbit values/derivatives u_k, u'_k for k = 0..depth in z's scalar type."""
+    u = du = num(0)
     us = [u]
     dus = [du]
     for _ in range(depth):
-        if d == 2:
-            upow = u
-        else:
-            upow = u ** (d - 1)
-        u, du = upow * u + z, d * upow * du + 1
+        upow = u ** (d - 1)
+        u, du = upow * u + z, upow * du * d + 1
         us.append(u)
         dus.append(du)
     return us, dus
 
 
-def _orbit_ball(d: int, zb: bl.ComplexBall, depth: int):
-    one = bl.exact_ball(1)
-    u = bl.exact_ball(0)
-    du = bl.exact_ball(0)
-    us = [u]
-    dus = [du]
-    for _ in range(depth):
-        upow = bl.bpow_int(u, d - 1)
-        u_next = bl.badd(bl.bmul(upow, u), zb)
-        du_next = bl.badd(bl.bscale(bl.bmul(upow, du), d), one)
-        u, du = u_next, du_next
-        us.append(u)
-        dus.append(du)
-    return us, dus
-
-
-class GleasonEvaluator:
+class GleasonEvaluator(Evaluator):
     """(value, derivative) of g_n via the orbit recurrence."""
 
     f64_ok = True
@@ -378,16 +362,12 @@ class GleasonEvaluator:
         with np.errstate(all="ignore"):
             return U[self.n] / DU[self.n]
 
-    def newton_mp(self, z):
-        us, dus = _orbit_mp(self.d, z, self.n)
-        return us[self.n] / dus[self.n]
-
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        us, dus = _orbit_ball(self.d, zb, self.n)
+    def value_deriv(self, z, num):
+        us, dus = _orbit(self.d, z, self.n, num)
         return us[self.n], dus[self.n]
 
 
-class ExactPeriodEvaluator:
+class ExactPeriodEvaluator(Evaluator):
     """Evaluates the exact-period factor as the Möbius product of g_k's."""
 
     f64_ok = True
@@ -406,11 +386,11 @@ class ExactPeriodEvaluator:
                 inv = inv + e * (DU[k] / U[k])
             return 1.0 / inv
 
-    def newton_mp(self, z):
-        # same split as the ball path: the u_n factor vanishes at the roots,
-        # so it enters through the product rule rather than a log-derivative
-        us, dus = _orbit_mp(self.d, z, self.n)
-        rest = z * 0 + 1
+    def value_deriv(self, z, num):
+        # the u_n factor vanishes at the roots, so it enters through the
+        # product rule rather than a log-derivative
+        us, dus = _orbit(self.d, z, self.n, num)
+        rest = num(1)
         for k, e in self.exps:
             if k == self.n:
                 continue
@@ -419,26 +399,11 @@ class ExactPeriodEvaluator:
         der = dus[self.n] * rest
         for k, e in self.exps:
             if k != self.n:
-                der = der + e * (dus[k] / us[k]) * val
-        return val / der
-
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        us, dus = _orbit_ball(self.d, zb, self.n)
-        rest = bl.exact_ball(1)
-        for k, e in self.exps:
-            if k == self.n:
-                continue
-            rest = bl.bmul(rest, us[k]) if e > 0 else bl.bdiv(rest, us[k])
-        val = bl.bmul(rest, us[self.n])
-        der = bl.bmul(dus[self.n], rest)
-        for k, e in self.exps:
-            if k != self.n:
-                term = bl.bscale(bl.bmul(bl.bdiv(dus[k], us[k]), val), e)
-                der = bl.badd(der, term)
+                der = der + (dus[k] / us[k]) * val * e
         return val, der
 
 
-class MisiurewiczEvaluator:
+class MisiurewiczEvaluator(Evaluator):
     """Evaluates sum_j g_{n-1}^j g_{m-1}^{d-1-j} (m >= 2) via orbit values.
 
     The float64 Newton ratio is computed from scale-free quantities
@@ -474,53 +439,26 @@ class MisiurewiczEvaluator:
                     qpow = qpow * q
             return val / der
 
-    def newton_mp(self, z):
-        val, der = self._value_deriv_mp(z)
-        return val / der
-
-    def _value_deriv_mp(self, z):
+    def value_deriv(self, z, num):
         d, m, n = self.d, self.m, self.n
-        us, dus = _orbit_mp(d, z, n - 1)
+        us, dus = _orbit(d, z, n - 1, num)
         a, da = us[n - 1], dus[n - 1]
         b, db = us[m - 1], dus[m - 1]
-        val = z * 0
-        der = z * 0
+        val = num(0)
+        der = num(0)
         for j in range(d):
             apj = a**j
             bpj = b ** (d - 1 - j)
             val = val + apj * bpj
-            term = 0
             if j > 0:
-                term = term + j * a ** (j - 1) * da * bpj
+                der = der + a ** (j - 1) * da * bpj * j
             if d - 1 - j > 0:
-                term = term + (d - 1 - j) * b ** (d - 2 - j) * db * apj
-            der = der + term
-        return val, der
-
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        d, m, n = self.d, self.m, self.n
-        us, dus = _orbit_ball(d, zb, n - 1)
-        a, da = us[n - 1], dus[n - 1]
-        b, db = us[m - 1], dus[m - 1]
-        val = bl.exact_ball(0)
-        der = bl.exact_ball(0)
-        for j in range(d):
-            apj = bl.bpow_int(a, j)
-            bpj = bl.bpow_int(b, d - 1 - j)
-            val = bl.badd(val, bl.bmul(apj, bpj))
-            if j > 0:
-                t = bl.bscale(bl.bmul(bl.bmul(bl.bpow_int(a, j - 1), da), bpj), j)
-                der = bl.badd(der, t)
-            if d - 1 - j > 0:
-                t = bl.bscale(bl.bmul(bl.bmul(bl.bpow_int(b, d - 2 - j), db), apj), d - 1 - j)
-                der = bl.badd(der, t)
+                der = der + b ** (d - 2 - j) * db * apj * (d - 1 - j)
         return val, der
 
 
 def factor_evaluator(desc: FactorDescriptor):
     """Stable evaluator for a factor's poly, or None when only Horner applies."""
-    from .rootfinder import QuotientEvaluator  # local import to avoid a cycle
-
     if desc.kind == "exact-period":
         if desc.n == 1:
             return GleasonEvaluator(desc.d, 1)

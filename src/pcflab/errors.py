@@ -48,11 +48,3 @@ class HypothesisViolated(PcfLabError):
 class HypothesisUndecided(PcfLabError):
     """The post-critically-finite gate could not be decided within its budget."""
 
-
-class UndecidedAtCutoff(PcfLabError):
-    """A p-adic meeting test ran out of certified precision.
-
-    Kept for interface completeness: the shipped residue-field gcd decision
-    procedure is complete for the monic/primitive inputs this package
-    produces, so the error is defined but never raised by it.
-    """

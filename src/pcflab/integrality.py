@@ -21,7 +21,7 @@ from .critical_orbit import FactorDescriptor, enumerate_factors
 from .errors import HypothesisViolated
 from .heights import AlgebraicNumber, as_algebraic, is_pcf_parameter
 from .numtheory import factorize, is_prime, valuation
-from .polynomials import IntPolynomial, resultant
+from .polynomials import IntPolynomial, gcd_degree_mod, resultant
 
 
 @dataclass(frozen=True)
@@ -87,29 +87,6 @@ def meeting_primes_fast(B: IntPolynomial, A: IntPolynomial) -> set[int]:
     return out
 
 
-def _poly_mod(p: IntPolynomial, prime: int) -> list[int]:
-    coeffs = [c % prime for c in p.coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
-    while b:
-        inv = pow(b[-1], prime - 2, prime)
-        while len(a) >= len(b):
-            f = a[-1] * inv % prime
-            if f:
-                off = len(a) - len(b)
-                for i, c in enumerate(b):
-                    a[off + i] = (a[off + i] - f * c) % prime
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return a
-
-
 def meeting_test_exact(B: IntPolynomial, A: IntPolynomial, p: int) -> bool:
     """Whether some integral conjugate pair meets at p (residue-field gcd).
 
@@ -123,14 +100,9 @@ def meeting_test_exact(B: IntPolynomial, A: IntPolynomial, p: int) -> bool:
         raise ValueError("factor polynomial must be monic")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    bbar = _poly_mod(B, p)
-    abar = _poly_mod(A, p)
-    if len(abar) <= 1:
-        # every conjugate of the base is non-integral at p (or A is a unit):
-        # a monic factor stays integral, so the residue classes never collide
-        return False
-    g = _gcd_mod(bbar, abar, p)
-    return len(g) > 1
+    # A mod p constant (every base conjugate non-integral at p) gives degree 0,
+    # A mod p zero gives -1: neither is a meeting
+    return gcd_degree_mod(B, A, p) >= 1
 
 
 def is_S_integral(

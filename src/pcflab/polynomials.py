@@ -233,10 +233,6 @@ ONE = IntPolynomial([1])
 ZERO = IntPolynomial([])
 
 
-def from_int_coeffs(coeffs: Iterable[int]) -> IntPolynomial:
-    return IntPolynomial(coeffs)
-
-
 # -- spec operations --------------------------------------------------------
 
 
@@ -252,12 +248,20 @@ def compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return result
 
 
+def horner(coeffs: Sequence, z, acc):
+    """sum_i coeffs[i] z^i by Horner's rule, accumulated onto acc (a zero of z's type).
+
+    The one Horner loop of the package: exact here, float64 arrays, mpc
+    numbers and balls in the root finder.
+    """
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def evaluate_exact(p: IntPolynomial, a: Union[int, Fraction]):
     """Exact Horner evaluation at an integer or rational point."""
-    acc: Union[int, Fraction] = 0
-    for c in reversed(p.coeffs):
-        acc = acc * a + c
-    return acc
+    return horner(p.coeffs, a, 0)
 
 
 def divmod_exact(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -396,15 +400,17 @@ _SQFREE_WITNESS_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 214748
 def gcd_degree_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> int:
     """deg gcd(p mod prime, q mod prime); -1 when either reduces to zero.
 
-    Vectorized Euclid over F_prime (int64 arithmetic, prime < 2^31). Used as a
-    one-sided certificate: the modular gcd degree upper-bounds nothing, but a
-    *trivial* modular gcd proves the rational gcd is trivial whenever prime
-    divides neither leading coefficient.
+    Vectorized Euclid over F_prime: int64 arithmetic for prime < 2^31, whose
+    products fit, and Python integers (object arrays) for any larger prime.
+    Used as a one-sided certificate: the modular gcd degree upper-bounds
+    nothing, but a *trivial* modular gcd proves the rational gcd is trivial
+    whenever prime divides neither leading coefficient.
     """
     import numpy as np
 
-    a = np.array([c % prime for c in p.coeffs], dtype=np.int64)
-    b = np.array([c % prime for c in q.coeffs], dtype=np.int64)
+    dtype = np.int64 if prime < 2**31 else object
+    a = np.array([c % prime for c in p.coeffs], dtype=dtype)
+    b = np.array([c % prime for c in q.coeffs], dtype=dtype)
 
     def trim(v):
         nz = np.nonzero(v)[0]

@@ -29,14 +29,41 @@ import numpy as np
 from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
-from .polynomials import IntPolynomial, is_squarefree, serialize
+from .polynomials import IntPolynomial, horner, is_squarefree, serialize
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 
 
-class CoefficientEvaluator:
+def _near_zero(s) -> bool:
+    # the ball test is rigorous; the mpc one only steers polishing
+    if isinstance(s, bl.ComplexBall):
+        return s.contains_zero()
+    return abs(s) < mp.mpf(2) ** (-(mp.mp.prec // 2))
+
+
+class Evaluator:
+    """(value, derivative) of one polynomial, each formula written once.
+
+    Subclasses write value_deriv(z, num) over any scalar type with + - * /
+    and ** by an int whose right operand may be an exact integer; num lifts
+    an exact integer into z's type. Newton polishing runs it on mpc numbers,
+    certification on ComplexBall (outward rounded). The vectorized float64
+    form newton_f64 is the one special case written separately. The order of
+    operations in each formula fixes the rounding, hence the certified disks
+    and the root-cache bytes.
+    """
+
+    def newton_mp(self, z):
+        val, der = self.value_deriv(z, mp.mpc)
+        return val / der
+
+    def value_deriv_ball(self, zb: bl.ComplexBall):
+        return self.value_deriv(zb, bl.exact_ball)
+
+
+class CoefficientEvaluator(Evaluator):
     """Horner evaluation from the exact coefficients.
 
     The float64 path scales the whole polynomial by a power of two (which
@@ -53,44 +80,25 @@ class CoefficientEvaluator:
         self.f64_ok = self.coeff_bits <= 900
         self.root_radius = None
         shift = max(0, self.coeff_bits - 500)
-        self._c64 = np.array(
-            [float(Fraction(c, 1 << shift)) for c in p.coeffs], dtype=np.float64
+        self._c64, self._d64 = (
+            np.array([float(Fraction(c, 1 << shift)) for c in q.coeffs], dtype=np.float64)
+            for q in (p, self.dpoly)
         )
-        self._d64 = np.array(
-            [float(Fraction(c, 1 << shift)) for c in self.dpoly.coeffs], dtype=np.float64
-        )
+
+    def value_deriv_f64(self, z: np.ndarray):
+        zero = np.zeros_like(z)
+        return horner(self._c64, z, zero), horner(self._d64, z, zero)
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            pv = np.zeros_like(z)
-            for c in self._c64[::-1]:
-                pv = pv * z + c
-            dv = np.zeros_like(z)
-            for c in self._d64[::-1]:
-                dv = dv * z + c
+            pv, dv = self.value_deriv_f64(z)
             return pv / dv
 
-    def newton_mp(self, z):
-        pv = mp.mpc(0)
-        for c in reversed(self.poly.coeffs):
-            pv = pv * z + c
-        dv = mp.mpc(0)
-        for c in reversed(self.dpoly.coeffs):
-            dv = dv * z + c
-        return pv / dv
-
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        return _ball_horner(self.poly.coeffs, zb), _ball_horner(self.dpoly.coeffs, zb)
+    def value_deriv(self, z, num):
+        return horner(self.poly.coeffs, z, num(0)), horner(self.dpoly.coeffs, z, num(0))
 
 
-def _ball_horner(coeffs: Sequence[int], zb: bl.ComplexBall) -> bl.ComplexBall:
-    acc = bl.exact_ball(0)
-    for c in reversed(coeffs):
-        acc = bl.badd(bl.bmul(acc, zb), bl.exact_ball(c))
-    return acc
-
-
-class QuotientEvaluator:
+class QuotientEvaluator(Evaluator):
     """Evaluator for target = base/cofactor with a small exact cofactor.
 
     The cofactor can share roots with the target (one multiplicity layer of a
@@ -101,64 +109,25 @@ class QuotientEvaluator:
 
     def __init__(self, base, cofactor: IntPolynomial, poly: IntPolynomial, root_radius):
         self.base = base
-        self.cofactor = cofactor
-        self.dcofactor = cofactor.derivative()
-        self.poly = poly
-        self.dpoly = poly.derivative()
+        self.cofactor = CoefficientEvaluator(cofactor)
+        self.direct = CoefficientEvaluator(poly)
         self.degree = poly.degree
         self.root_radius = root_radius
-        shift = max(0, cofactor.max_abs_coeff().bit_length() - 500)
-        self.f64_ok = base.f64_ok and cofactor.max_abs_coeff().bit_length() <= 900
-        self._s64 = np.array(
-            [float(Fraction(c, 1 << shift)) for c in cofactor.coeffs], dtype=np.float64
-        )
-        self._ds64 = np.array(
-            [float(Fraction(c, 1 << shift)) for c in self.dcofactor.coeffs], dtype=np.float64
-        )
+        self.f64_ok = base.f64_ok and self.cofactor.f64_ok
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             nb = self.base.newton_f64(z)
-            sv = np.zeros_like(z)
-            for c in self._s64[::-1]:
-                sv = sv * z + c
-            dsv = np.zeros_like(z)
-            for c in self._ds64[::-1]:
-                dsv = dsv * z + c
+            sv, dsv = self.cofactor.value_deriv_f64(z)
             return 1.0 / (1.0 / nb - dsv / sv)
 
-    def _direct_newton_mp(self, z):
-        pv = mp.mpc(0)
-        for c in reversed(self.poly.coeffs):
-            pv = pv * z + c
-        dv = mp.mpc(0)
-        for c in reversed(self.dpoly.coeffs):
-            dv = dv * z + c
-        return pv / dv
-
-    def newton_mp(self, z):
-        sv = mp.mpc(0)
-        for c in reversed(self.cofactor.coeffs):
-            sv = sv * z + c
-        if abs(sv) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
-            return self._direct_newton_mp(z)
-        dsv = mp.mpc(0)
-        for c in reversed(self.dcofactor.coeffs):
-            dsv = dsv * z + c
-        nb = self.base.newton_mp(z)
-        return 1 / (1 / nb - dsv / sv)
-
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        sval = _ball_horner(self.cofactor.coeffs, zb)
-        if sval.contains_zero():
-            return (
-                _ball_horner(self.poly.coeffs, zb),
-                _ball_horner(self.dpoly.coeffs, zb),
-            )
-        bval, bder = self.base.value_deriv_ball(zb)
-        sder = _ball_horner(self.dcofactor.coeffs, zb)
-        val = bl.bdiv(bval, sval)
-        der = bl.bdiv(bl.bsub(bder, bl.bmul(val, sder)), sval)
+    def value_deriv(self, z, num):
+        sval, sder = self.cofactor.value_deriv(z, num)
+        if _near_zero(sval):
+            return self.direct.value_deriv(z, num)
+        bval, bder = self.base.value_deriv(z, num)
+        val = bval / sval
+        der = (bder - val * sder) / sval
         return val, der
 
 
@@ -547,14 +516,22 @@ def read_roots_cache(path: Path, poly: IntPolynomial, bits: int, source=None):
         return None
     if lines[2] != f"# precision-bits={bits}":
         return None
-    count = int(lines[3].split("=")[1])
+    # anything truncated or garbled is a miss: the caller recomputes and rewrites
+    key, _, count = lines[3].partition("=")
+    body = lines[4:]
     balls = []
-    with mp.workprec(max(bits + 64, 128)):
-        for ln in lines[4 : 4 + count]:
-            re_t, im_t, r_t = ln.split()
-            balls.append(
-                bl.ComplexBall(
-                    mp.mpc(_mpf_from_token(re_t), _mpf_from_token(im_t)), _mpf_from_token(r_t)
+    try:
+        if key != "# count" or int(count) != len(body):
+            return None
+        with mp.workprec(max(bits + 64, 128)):
+            for ln in body:
+                re_t, im_t, r_t = ln.split()
+                balls.append(
+                    bl.ComplexBall(
+                        mp.mpc(_mpf_from_token(re_t), _mpf_from_token(im_t)),
+                        _mpf_from_token(r_t),
+                    )
                 )
-            )
+    except ValueError:
+        return None
     return PCFParameterSet(source if source is not None else poly, bits, tuple(balls))

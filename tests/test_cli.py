@@ -53,6 +53,17 @@ class TestCommands:
         for p, data in snapshot.items():
             assert p.read_bytes() == data
 
+    def test_enumerate_rewrites_damaged_root_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ["enumerate", "--d", "2", "--max-n", "4", "--bits", "128", "--cache", str(cache)]
+        assert run(args, capsys)[0] == 0
+        n3, n4 = (cache / "roots" / "d2" / f"n{n}.p128.roots" for n in (3, 4))
+        good3, good4 = n3.read_bytes(), n4.read_bytes()
+        n3.write_bytes(b"\n".join(good3.split(b"\n")[:6]) + b"\n")  # 2 of 4 root lines
+        n4.write_bytes(good4.replace(b":", b"!", 1))
+        assert run(args, capsys)[0] == 0
+        assert n3.read_bytes() == good3 and n4.read_bytes() == good4
+
     def test_integral_scan_output(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         code, out, _ = run(
@@ -103,11 +114,13 @@ class TestCommands:
 
 class TestExitCodes:
     def test_degree_cap(self, tmp_path, capsys):
-        code, _, err = run(
-            ["enumerate", "--d", "3", "--max-n", "20", "--cache", str(tmp_path / "c")],
-            capsys,
-        )
-        assert code == 3 and "DegreeCapExceeded" in err
+        # every command that builds g_max_n refuses before doing any work
+        for extra in (["enumerate"], ["bounds"], ["integral-scan"], ["plot"],
+                      ["equidist", "--alpha=-1,-1,1:1"]):
+            cache = tmp_path / extra[0]
+            code, _, err = run(extra + ["--d", "3", "--max-n", "20", "--cache", str(cache)], capsys)
+            assert code == 3 and "DegreeCapExceeded" in err, extra
+            assert not cache.exists(), extra
 
     def test_hypothesis_violated(self, tmp_path, capsys):
         code, _, err = run(

@@ -6,11 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+import mpmath as mp
+
+import pcflab.balls as bl
 from pcflab.critical_orbit import (
+    ExactPeriodEvaluator,
+    GleasonEvaluator,
+    MisiurewiczEvaluator,
     exact_period_factor,
     enumerate_factors,
+    factor_evaluator,
     gleason,
     gleason_cache_path,
+    gleason_evaluator,
     misiurewicz_factor,
     preperiodic_poly,
     write_gleason_cache,
@@ -18,6 +26,7 @@ from pcflab.critical_orbit import (
 from pcflab.errors import DegreeCapExceeded
 from pcflab.numtheory import divisors, mobius
 from pcflab.polynomials import IntPolynomial, evaluate_exact, resultant
+from pcflab.rootfinder import CoefficientEvaluator, QuotientEvaluator
 
 from oracles import naive_mul, horner_fraction
 
@@ -180,3 +189,47 @@ class TestConcurrency:
         for poly in results:
             assert poly in (ref3, ref4)
         assert ref4.degree == 343
+
+
+def _mpf_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestEvaluatorOracle:
+    """Each evaluator formula against exact rational evaluation of its polynomial."""
+
+    CASES = [
+        ("gleason", lambda: (gleason(3, 4).poly, gleason_evaluator(3, 4))),
+        ("period-6", lambda: _factor_case(exact_period_factor(2, 6), ExactPeriodEvaluator)),
+        ("period-4-d3", lambda: _factor_case(exact_period_factor(3, 4), ExactPeriodEvaluator)),
+        ("misiurewicz-1-5", lambda: _factor_case(misiurewicz_factor(2, 1, 5), GleasonEvaluator)),
+        ("misiurewicz-3-6", lambda: _factor_case(misiurewicz_factor(2, 3, 6), MisiurewiczEvaluator)),
+        ("misiurewicz-2-4-d3", lambda: _factor_case(misiurewicz_factor(3, 2, 4), QuotientEvaluator)),
+        ("coefficients", lambda: (exact_period_factor(2, 5).poly,
+                                  CoefficientEvaluator(exact_period_factor(2, 5).poly))),
+    ]
+
+    @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+    def test_ball_contains_exact_value_and_mp_agrees(self, name, make):
+        poly, ev = make()
+        dpoly = poly.derivative()
+        prec = 192
+        # odd dyadic points are never roots of a monic integer polynomial
+        for x in [Fraction(k, 16) for k in range(-33, 9, 2)] + [Fraction(-7, 4), Fraction(3, 8)]:
+            val, der = evaluate_exact(poly, x), evaluate_exact(dpoly, x)
+            with mp.workprec(prec):
+                z = mp.mpc(mp.mpf(x.numerator) / x.denominator)
+                for ball, exact in zip(ev.value_deriv_ball(bl.ComplexBall(z, mp.mpf(0))), (val, der)):
+                    re, im = _mpf_fraction(ball.center.real), _mpf_fraction(ball.center.imag)
+                    assert (re - exact) ** 2 + im**2 <= _mpf_fraction(ball.radius) ** 2, (name, x)
+                step = ev.newton_mp(z)
+                ratio = val / der
+                err = abs(_mpf_fraction(step.real) - ratio) + abs(_mpf_fraction(step.imag))
+                assert err <= abs(ratio) * Fraction(2) ** (24 - prec), (name, x)
+
+
+def _factor_case(desc, kind):
+    ev = factor_evaluator(desc)
+    assert type(ev) is kind
+    return desc.poly, ev

@@ -99,6 +99,15 @@ class TestMeetingTestExact:
                 assert (p in fast) == meeting_test_exact(b, a, p)
 
 
+    def test_prime_above_int64_range(self):
+        # products of residues mod 2^61 - 1 overflow int64; the gcd must still end
+        p = 2**61 - 1
+        a = P([p, -(1 + p), 1])  # (x - 1)(x - p) = x(x - 1) mod p
+        assert meeting_test_exact(P([-1, 1]), a, p)
+        assert not meeting_test_exact(P([-2, 1]), a, p)
+        assert not meeting_test_exact(P([1, 2, 3, 4, 1, 1]), P([3, 5, 7, 11, 1]), p)
+
+
 class TestIsSIntegral:
     def test_basilica_example(self):
         v = is_S_integral(P([1, 1]), 1, PrimeSet.of([2]))

@@ -184,6 +184,20 @@ class TestRootCache:
         other = exact_period_factor(2, 3).poly
         assert read_roots_cache(path, other, 128) is None
 
+    def test_cache_rejects_truncated_or_garbled(self, tmp_path):
+        p = exact_period_factor(2, 5).poly
+        path = roots_cache_path(tmp_path, 2, 5, 128)
+        write_roots_cache(path, p, all_roots(p, 128))
+        lines = path.read_text().splitlines()
+        assert lines[3] == "# count=15"
+        path.write_text("\n".join(lines[:14]) + "\n")  # 10 of 15 root lines
+        assert read_roots_cache(path, p, 128) is None
+        for bad in ("0:zz:-3 0:1:0 0:1:-200", "0:1:0 0:1:0", "0:1:0 0:1:0 1:1:-200"):
+            path.write_text("\n".join(lines[:5] + [bad] + lines[6:]) + "\n")
+            assert read_roots_cache(path, p, 128) is None
+        path.write_text("\n".join(lines[:3] + ["# count=fifteen"] + lines[4:]) + "\n")
+        assert read_roots_cache(path, p, 128) is None
+
 
 class TestFactorRootBounds:
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4)])
