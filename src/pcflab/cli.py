@@ -291,8 +291,9 @@ def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
 def cmd_equidist(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     alpha = parse_alpha(cfg.alpha_spec)
-    if not alpha.is_rational:  # the rational path builds no g_n
-        check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    # the rational path builds no g_n, but its exact Vieta values grow like
+    # d^(n-1) * h(alpha) bits, so the same cap bounds it
+    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     reports = []
     for n in range(2, cfg.max_n + 1):
         roots = None

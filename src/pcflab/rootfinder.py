@@ -3,12 +3,18 @@
 Pipeline: deterministic starting points on root-modulus annuli (fixed 0.4 rad
 offset, pure function of the coefficients, so cache files are
 byte-reproducible), a vectorized float64 Aberth-Ehrlich stage, per-root Newton
-polishing at escalating mpmath precision, then an outward-rounded
-certification pass. The certificate per approximation z is the classical
-inclusion disk of radius deg * |p(z)/p'(z)| (at least one root lies inside,
-because p'/p is the sum of reciprocal root distances); when all deg disks are
-pairwise disjoint, each contains exactly one root and the set is a complete
-isolation certificate.
+polishing in mpmath, then an outward-rounded inclusion disk per root. The
+certificate per approximation z is the classical inclusion disk of radius
+deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
+reciprocal root distances); when all deg disks are pairwise disjoint, each
+contains exactly one root and the set is a complete isolation certificate.
+
+Precision escalates locally: a root whose disk misses the radius target or is
+not proven disjoint from another disk goes to doubled working precision alone,
+gets a few Aberth corrections against the other points held fixed, is
+polished again and gets a new disk. Every other root keeps its disk. The
+pairwise disjointness check runs over the whole set after every round, so the
+set returned has passed it as a whole.
 
 Critical-orbit polynomials get orbit-recurrence evaluators from
 pcflab.critical_orbit; everything else goes through plain Horner on the exact
@@ -275,11 +281,16 @@ def _aberth_f64(evaluator, z0: np.ndarray, max_sweeps: int = 800, tol: float = 5
     return z
 
 
-def _aberth_mp(evaluator, zs: list, sweeps: int) -> list:
+def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
+    """Gauss-Seidel Aberth sweeps that move the points in idx, in that order.
+
+    Every other point stays fixed but still repels, so a sweep costs
+    O(len(idx) * n).
+    """
     n = len(zs)
     for _ in range(sweeps):
         moved = mp.mpf(0)
-        for j in range(n):
+        for j in idx:
             try:
                 nray = evaluator.newton_mp(zs[j])
             except ZeroDivisionError:
@@ -299,33 +310,55 @@ def _aberth_mp(evaluator, zs: list, sweeps: int) -> list:
     return zs
 
 
+def _polish(evaluator, z, step_tol):
+    """At most 10 Newton steps, stopping once a step falls below step_tol."""
+    for _ in range(10):
+        try:
+            w = evaluator.newton_mp(z)
+        except ZeroDivisionError:
+            break
+        if not mp.isfinite(w.real) or not mp.isfinite(w.imag):
+            break
+        z = z - w
+        if abs(w) <= step_tol * (1 + abs(z)):
+            break
+    return z
+
+
 # -- certification --------------------------------------------------------------
 
 
-def _certify(evaluator, zs: list, degree: int, precision_bits: int):
-    """Inclusion disks deg*|p/p'| per point, or None when any test fails."""
+def _inclusion_disk(evaluator, z, degree: int, precision_bits: int):
+    """Disk of radius deg*|p/p'| around z, or None when the test fails or the
+    radius misses the 2^-(bits/2) * (1 + |z|) target."""
+    zb = bl.ComplexBall(mp.mpc(z), mp.mpf(0))
+    try:
+        val, der = evaluator.value_deriv_ball(zb)
+    except ZeroDivisionError:
+        return None
+    der_lo = der.abs_bounds()[0]
+    if der_lo <= 0:
+        return None
+    rad = (degree * val.abs_bounds()[1] / der_lo) * mp.mpf("1.0000001")
     target_rel = mp.mpf(2) ** (-(precision_bits // 2))
-    out = []
-    for z in zs:
-        zb = bl.ComplexBall(mp.mpc(z), mp.mpf(0))
-        try:
-            val, der = evaluator.value_deriv_ball(zb)
-        except ZeroDivisionError:
-            return None
-        der_lo = der.abs_bounds()[0]
-        if der_lo <= 0:
-            return None
-        rad = (degree * val.abs_bounds()[1] / der_lo) * mp.mpf("1.0000001")
-        if not mp.isfinite(rad) or rad > target_rel * (1 + abs(zb.center)):
-            return None
-        out.append(bl.ComplexBall(zb.center, rad))
-    # pairwise disjointness: float64 prefilter with a margin that dominates
-    # the center-rounding error, exact ball recheck for anything close
-    cf = np.array([complex(b.center) for b in out], dtype=np.complex128)
-    rf = np.array([float(b.radius) for b in out], dtype=np.float64)
-    n = len(out)
+    if not mp.isfinite(rad) or rad > target_rel * (1 + abs(zb.center)):
+        return None
+    return bl.ComplexBall(zb.center, rad)
+
+
+def _overlapping(disks: list) -> set[int]:
+    """Indices of the disks not proven disjoint from every other disk.
+
+    None entries (failed disks) are skipped. A float64 prefilter with a margin
+    that dominates the center-rounding error picks the close pairs; each gets
+    the exact ball test.
+    """
+    live = [i for i, b in enumerate(disks) if b is not None]
+    cf = np.array([complex(disks[i].center) for i in live], dtype=np.complex128)
+    rf = np.array([float(disks[i].radius) for i in live], dtype=np.float64)
+    n = len(live)
     block = n if n <= 1024 else 512
-    suspects = []
+    bad: set[int] = set()
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         dist = np.abs(cf[i0:i1, None] - cf[None, :])
@@ -333,14 +366,11 @@ def _certify(evaluator, zs: list, degree: int, precision_bits: int):
         idx = np.arange(i0, i1)
         dist[idx - i0, idx] = np.inf
         close = (dist * (1 - 1e-7) <= rsum + 1e-290) | (dist < 1e-6)
-        ii, jj = np.nonzero(close)
-        suspects.extend(zip((ii + i0).tolist(), jj.tolist()))
-    for i, j in suspects:
-        if i >= j:
-            continue
-        if not bl.disjoint(out[i], out[j]):
-            return None
-    return out
+        for i, j in zip(*np.nonzero(close)):
+            a, b = live[i + i0], live[j]
+            if a < b and not bl.disjoint(disks[a], disks[b]):
+                bad.update((a, b))
+    return bad
 
 
 def _sort_key(b: bl.ComplexBall):
@@ -373,46 +403,42 @@ def all_roots(
             root = bl.exact_ball(Fraction(-a0, a1))
         return PCFParameterSet(source if source is not None else p, precision_bits, (root,))
 
+    every = range(degree)
     if evaluator.f64_ok:
         approx = _aberth_f64(evaluator, _starts_f64(p, evaluator))
-        zs0 = [mp.mpc(z) for z in approx]
+        zs = [mp.mpc(z) for z in approx]
         stage_a_prec = 53
     else:
         stage_a_prec = max(128, getattr(evaluator, "coeff_bits", 0) + 64)
         with mp.workprec(stage_a_prec):
-            zs0 = _aberth_mp(evaluator, _starts_mp(p, evaluator), sweeps=200)
+            zs = _aberth_mp(evaluator, _starts_mp(p, evaluator), 200, every)
 
     wp = max(precision_bits + 64, stage_a_prec + 16)
     wp_limit = max(max_precision + 64, wp)  # always at least one pass
-    zs = zs0
-    extra_sweeps = 0
+    step_tol = mp.mpf(2) ** (-(precision_bits + 24))
+    disks: list = [None] * degree
+    todo: Sequence[int] = every
+    repair = False
     while wp <= wp_limit:
         with mp.workprec(wp):
-            zs = [mp.mpc(z) for z in zs]
-            if extra_sweeps:
-                zs = _aberth_mp(evaluator, zs, sweeps=extra_sweeps)
-            step_tol = mp.mpf(2) ** (-(precision_bits + 24))
-            for j in range(degree):
-                z = zs[j]
-                for _ in range(10):
-                    try:
-                        w = evaluator.newton_mp(z)
-                    except ZeroDivisionError:
-                        break
-                    if not mp.isfinite(w.real) or not mp.isfinite(w.imag):
-                        break
-                    z = z - w
-                    if abs(w) <= step_tol * (1 + abs(z)):
-                        break
-                zs[j] = z
-            certified = _certify(evaluator, zs, degree, precision_bits)
-            if certified is not None:
-                certified.sort(key=_sort_key)
+            if repair:
+                # only the leftover roots move; the rest keep their points
+                # and their disks
+                _aberth_mp(evaluator, zs, 4, todo)
+            for j in todo:
+                zs[j] = _polish(evaluator, zs[j], step_tol)
+                disks[j] = _inclusion_disk(evaluator, zs[j], degree, precision_bits)
+            # the disjointness check always covers the whole set, so the set
+            # returned has passed it once as a whole
+            failed = {j for j, b in enumerate(disks) if b is None}
+            todo = sorted(failed | _overlapping(disks))
+            if not todo:
+                disks.sort(key=_sort_key)
                 return PCFParameterSet(
-                    source if source is not None else p, precision_bits, tuple(certified)
+                    source if source is not None else p, precision_bits, tuple(disks)
                 )
         wp *= 2
-        extra_sweeps = 4
+        repair = True
     raise PrecisionExhausted(
         f"could not certify {degree} disjoint root disks at {max_precision} bits"
     )

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pcflab
 from pcflab.cli import escape_time_grid, main, parse_alpha
 
 
@@ -114,9 +119,9 @@ class TestCommands:
 
 class TestExitCodes:
     def test_degree_cap(self, tmp_path, capsys):
-        # every command that builds g_max_n refuses before doing any work
+        # every command whose work grows with deg g_max_n refuses before doing any work
         for extra in (["enumerate"], ["bounds"], ["integral-scan"], ["plot"],
-                      ["equidist", "--alpha=-1,-1,1:1"]):
+                      ["equidist", "--alpha=-1,-1,1:1"], ["equidist", "--alpha", "1"]):
             cache = tmp_path / extra[0]
             code, _, err = run(extra + ["--d", "3", "--max-n", "20", "--cache", str(cache)], capsys)
             assert code == 3 and "DegreeCapExceeded" in err, extra
@@ -204,3 +209,25 @@ class TestPlotExtentD3:
         assert bound < xmax <= bound * 1.16
         assert bound < -xmin <= bound * 1.16
         assert counts.shape == (200, 200)
+
+
+class TestCrossProcessDeterminism:
+    def test_cache_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # fresh interpreters share no memo tables, and set/dict iteration
+        # order of str keys changes with PYTHONHASHSEED
+        src = str(Path(pcflab.__file__).resolve().parent.parent)
+        trees = []
+        for seed in ("1", "2"):
+            cache = tmp_path / f"seed{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            for args in (["enumerate", "--d", "2", "--max-n", "5"],
+                         ["bounds", "--d", "2", "--max-n", "4"]):
+                subprocess.run(
+                    [sys.executable, "-m", "pcflab.cli", *args, "--cache", str(cache)],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+            trees.append({
+                p.relative_to(cache): p.read_bytes() for p in cache.rglob("*") if p.is_file()
+            })
+        assert trees[0] and trees[0] == trees[1]

@@ -10,7 +10,8 @@ import pytest
 
 import pcflab.balls as bl
 from pcflab.critical_orbit import exact_period_factor, factor_evaluator, gleason, gleason_evaluator
-from pcflab.errors import NonSquarefreeInput
+from pcflab import rootfinder
+from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     all_roots,
@@ -197,6 +198,110 @@ class TestRootCache:
             assert read_roots_cache(path, p, 128) is None
         path.write_text("\n".join(lines[:3] + ["# count=fifteen"] + lines[4:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
+
+
+class Widening:
+    """Forwards to an evaluator and logs the working precision of each
+    newton_mp and value_deriv_ball call. While mp.prec < below, the value ball
+    at points within 1e-6 of a target is widened by 1, so that root's
+    inclusion disk misses its radius target."""
+
+    def __init__(self, inner, targets=(), below=0):
+        self.inner = inner
+        self.targets = [complex(t) for t in targets]
+        self.below = below
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def newton_mp(self, z):
+        self.calls.append(("newton_mp", mp.mp.prec))
+        return self.inner.newton_mp(z)
+
+    def value_deriv_ball(self, zb):
+        self.calls.append(("value_deriv_ball", mp.mp.prec))
+        val, der = self.inner.value_deriv_ball(zb)
+        if mp.mp.prec < self.below and any(abs(complex(zb.center) - t) < 1e-6 for t in self.targets):
+            val = bl.ComplexBall(val.center, val.radius + 1)
+        return val, der
+
+    def calls_above(self, prec):
+        """(newton_mp, value_deriv_ball) calls made above working precision prec."""
+        late = [name for name, wp in self.calls if wp > prec]
+        return late.count("newton_mp"), late.count("value_deriv_ball")
+
+
+def disk_key(b):
+    return (b.center, b.radius)
+
+
+def assert_pairwise_disjoint(pset):
+    with mp.workprec(512):
+        for i, a in enumerate(pset.roots):
+            for b in pset.roots[i + 1 :]:
+                assert bl.disjoint(a, b)
+
+
+class TestLocalizedRepair:
+    BITS = 128
+    FIRST_WP = BITS + 64  # working precision of the first pass
+
+    @pytest.fixture(scope="class")
+    def desc(self):
+        return exact_period_factor(2, 7)  # degree 63, no root escalates
+
+    @pytest.fixture(scope="class")
+    def plain(self, desc):
+        return all_roots(desc.poly, self.BITS, evaluator=factor_evaluator(desc))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_only_failing_roots_are_repaired(self, desc, plain, k):
+        targets = [plain.roots[i].center for i in (3, 17)[:k]]
+        ev = Widening(factor_evaluator(desc), targets, below=2 * self.FIRST_WP)
+        ps = all_roots(desc.poly, self.BITS, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        for b in ps.roots:
+            assert b.radius <= mp.mpf(2) ** (-self.BITS // 2) * (1 + abs(b.center))
+        assert_pairwise_disjoint(ps)
+        # untouched roots keep the disks of the unperturbed run, bit for bit
+        def near_target(b):
+            return any(abs(complex(b.center) - complex(t)) < 1e-6 for t in targets)
+        kept = {disk_key(b) for b in ps.roots if not near_target(b)}
+        assert len(kept) == desc.poly.degree - k
+        assert kept <= {disk_key(b) for b in plain.roots}
+        # the repair works on the k failing roots alone: at most 4 Aberth and
+        # 10 Newton steps plus one disk each, far below one call per root
+        newton, ball = ev.calls_above(self.FIRST_WP)
+        assert ball == k
+        assert 0 < newton <= 14 * k < desc.poly.degree / 2
+
+    def test_coincident_start_points_end_up_separated(self, desc, plain, monkeypatch):
+        starts = rootfinder._starts_f64
+
+        def doubled(p, evaluator):
+            z = starts(p, evaluator)
+            z[1] = z[0]
+            return z
+
+        monkeypatch.setattr(rootfinder, "_starts_f64", doubled)
+        ev = Widening(factor_evaluator(desc))
+        ps = all_roots(desc.poly, self.BITS, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        assert_pairwise_disjoint(ps)
+        # both copies were repaired, and each disk holds its own root
+        assert ev.calls_above(self.FIRST_WP)[1] == 2
+        with mp.workprec(512):
+            for b in ps.roots:
+                assert sum(not bl.disjoint(b, a) for a in plain.roots) == 1
+
+    def test_exhaustion_still_raises(self, desc, plain):
+        ev = Widening(factor_evaluator(desc), [plain.roots[5].center], below=10**9)
+        with pytest.raises(PrecisionExhausted):
+            all_roots(desc.poly, self.BITS, evaluator=ev, max_precision=1024)
+        # one pass per doubling up to the cap: 192, 384, 768 bits
+        assert sorted({wp for _, wp in ev.calls}) == [192, 384, 768]
+        assert ev.calls_above(self.FIRST_WP)[1] == 2
 
 
 class TestFactorRootBounds:
