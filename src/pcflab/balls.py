@@ -4,8 +4,11 @@ A ball is a center (mpc) plus a radius (mpf) guaranteed to contain the true
 value. mpmath rounds centers to nearest at the active working precision, so
 every operation adds a few-ulp slack term to the radius; radius arithmetic
 itself is padded by a fixed upward factor. This is deliberately simple rather
-than general: only the operations the root certifier, the escape-rate
-iteration and the kernel sums need.
+than general: only the operations the escape-rate iteration (pcflab.heights)
+and the kernel sums (pcflab.equidist) need, plus the reference the tests
+check results against. ComplexBall is also the type of certified root disks;
+the root finder evaluates polynomials on its own fixed-point kernel
+(pcflab.fixedball) and converts to ComplexBall at the end.
 
 All operations honor the *current* mpmath precision (use mp.workprec around
 call sites); the slack scales with it.

@@ -1,0 +1,163 @@
+"""Fixed-point midpoint-radius complex balls on Python integers.
+
+A ball is the closed disk with center (re + i*im) * 2^-prec and radius
+rad * 2^-prec, where re, im and rad are Python ints and rad is an upper
+bound (Rump, *Verification methods*, Acta Numerica 2010; van der Hoeven,
+*Ball arithmetic*, 2010). Every ball of one computation shares prec.
+
++ and - are exact and add the radii. * floors the product's center to the
+grid and takes the radius |a| r_b + |b| r_a + r_a r_b rounded up, plus 2 ulps
+for the center rounding; / does the same with the disk quotient bound and
+raises ZeroDivisionError when the divisor may contain 0. An int operand, of
+any width, enters exactly. A center off the grid is rounded to nearest on
+the way in and that rounding goes into the radius; the way back to a
+ComplexBall rounds outward. The root finder runs every evaluator formula on
+this type, both to polish (prec = mp.prec) and to certify.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+import mpmath as mp
+
+from .balls import ComplexBall
+
+
+def _abs_up(re: int, im: int) -> int:
+    """Integer upper bound on |re + i*im|, at most 6 % above it.
+
+    For x >= y >= 0, sqrt(x^2 + y^2) <= x + y^2/(2x) <= x + y/2.
+    """
+    x, y = abs(re), abs(im)
+    if x < y:
+        x, y = y, x
+    return x + ((y + 1) >> 1)
+
+
+def _ceil_shift(x: int, s: int) -> int:
+    """ceil(x / 2^s) for s >= 0."""
+    return -((-x) >> s)
+
+
+def _to_grid(x: mp.mpf, prec: int) -> tuple[int, int]:
+    """(x * 2^prec rounded to nearest, 1 if that was inexact else 0)."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError("cannot enclose a non-finite value")
+    if sign:
+        man = -man
+    s = exp + prec
+    if s >= 0:
+        return man << s, 0
+    v = (man + (1 << (-s - 1))) >> -s
+    return v, int((v << -s) != man)
+
+
+def _to_mpf(x: int, prec: int) -> tuple[mp.mpf, int]:
+    """x * 2^-prec floored to mp.prec bits, and the (nonnegative, integer)
+    error of that rounding in units of 2^-prec."""
+    s = max(0, abs(x).bit_length() - mp.mp.prec)
+    v = x >> s
+    return mp.mpf((v, s - prec)), x - (v << s)
+
+
+class FixedBall:
+    """Disk {(re + i*im) * 2^-prec + w : |w| <= rad * 2^-prec}."""
+
+    __slots__ = ("re", "im", "rad", "prec")
+
+    def __init__(self, re: int, im: int, rad: int, prec: int):
+        self.re, self.im, self.rad, self.prec = re, im, rad, prec
+
+    @classmethod
+    def from_mpc(cls, z: mp.mpc, prec: int, radius: mp.mpf = mp.mpf(0)) -> "FixedBall":
+        """Ball around z of the given radius, its center rounded to the grid."""
+        re, ere = _to_grid(z.real, prec)
+        im, eim = _to_grid(z.imag, prec)
+        rad, inexact = _to_grid(radius, prec)
+        return cls(re, im, rad + inexact + ere + eim, prec)
+
+    @classmethod
+    def from_ball(cls, b: ComplexBall, prec: int) -> "FixedBall":
+        return cls.from_mpc(b.center, prec, b.radius)
+
+    def lift(self, k: int) -> "FixedBall":
+        """The exact integer k, at this ball's precision."""
+        return FixedBall(k << self.prec, 0, 0, self.prec)
+
+    def center(self) -> mp.mpc:
+        """The center at the current mpmath precision (floored)."""
+        return mp.mpc(_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0])
+
+    def ball(self) -> ComplexBall:
+        """Outward-rounded ComplexBall at the current mpmath precision."""
+        re, ere = _to_mpf(self.re, self.prec)
+        im, eim = _to_mpf(self.im, self.prec)
+        rad = self.rad + ere + eim
+        s = max(0, rad.bit_length() - mp.mp.prec)
+        return ComplexBall(mp.mpc(re, im), mp.mpf((_ceil_shift(rad, s), s - self.prec)))
+
+    def contains_zero(self) -> bool:
+        return self.re * self.re + self.im * self.im <= self.rad * self.rad
+
+    def __add__(self, o):
+        if isinstance(o, int):
+            return FixedBall(self.re + (o << self.prec), self.im, self.rad, self.prec)
+        return FixedBall(self.re + o.re, self.im + o.im, self.rad + o.rad, self.prec)
+
+    def __sub__(self, o):
+        if isinstance(o, int):
+            return FixedBall(self.re - (o << self.prec), self.im, self.rad, self.prec)
+        return FixedBall(self.re - o.re, self.im - o.im, self.rad + o.rad, self.prec)
+
+    def __mul__(self, o):
+        if isinstance(o, int):
+            return FixedBall(self.re * o, self.im * o, self.rad * abs(o), self.prec)
+        p = self.prec
+        ar, ai, ra = self.re, self.im, self.rad
+        br, bi, rb = o.re, o.im, o.rad
+        err = 0
+        if rb:
+            err = _abs_up(ar, ai) * rb
+        if ra:
+            err += (_abs_up(br, bi) + rb) * ra
+        return FixedBall(
+            (ar * br - ai * bi) >> p, (ar * bi + ai * br) >> p, _ceil_shift(err, p) + 2, p
+        )
+
+    def __truediv__(self, o: "FixedBall"):
+        p = self.prec
+        ar, ai, ra = self.re, self.im, self.rad
+        br, bi, rb = o.re, o.im, o.rad
+        n = br * br + bi * bi
+        b_lo = isqrt(n)
+        if b_lo <= rb:
+            raise ZeroDivisionError("divisor ball may contain zero")
+        # |a/b - a_c/b_c| <= (r_a |b_c| + |a_c| r_b) / (|b_c| (|b_c| - r_b)),
+        # decreasing in |b_c|, so b_lo bounds it from above
+        err = (ra * b_lo + _abs_up(ar, ai) * rb) << p
+        return FixedBall(
+            ((ar * br + ai * bi) << p) // n,
+            ((ai * br - ar * bi) << p) // n,
+            -((-err) // (b_lo * (b_lo - rb))) + 2,
+            p,
+        )
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported; use /")
+        if n == 0:
+            return self.lift(1)
+        result = None
+        base = self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+    def __repr__(self) -> str:
+        return f"FixedBall({self.re}, {self.im}, r={self.rad}, prec={self.prec})"

@@ -3,11 +3,18 @@
 Pipeline: deterministic starting points on root-modulus annuli (fixed 0.4 rad
 offset, pure function of the coefficients, so cache files are
 byte-reproducible), a vectorized float64 Aberth-Ehrlich stage, per-root Newton
-polishing in mpmath, then an outward-rounded inclusion disk per root. The
+polishing, then an outward-rounded inclusion disk per root. The
 certificate per approximation z is the classical inclusion disk of radius
 deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
 reciprocal root distances); when all deg disks are pairwise disjoint, each
 contains exactly one root and the set is a complete isolation certificate.
+
+Polishing and certification evaluate p and p' on one arithmetic, the
+fixed-point midpoint-radius kernel of pcflab.fixedball at 2^-wp for working
+precision wp: Gaussian integers plus an integer radius. Polished points stay
+on that grid, so each disk's center enters the kernel exactly. The kernel
+floors every product and quotient, so the order of operations in each
+evaluator formula fixes the rounding, hence the disks and the cache bytes.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
@@ -35,6 +42,7 @@ import numpy as np
 from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
+from .fixedball import FixedBall
 from .polynomials import IntPolynomial, horner, is_squarefree, serialize
 
 DEFAULT_PRECISION_BITS = 256
@@ -42,11 +50,11 @@ MAX_PRECISION_BITS = 4096
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 
 
-def _near_zero(s) -> bool:
-    # the ball test is rigorous; the mpc one only steers polishing
-    if isinstance(s, bl.ComplexBall):
-        return s.contains_zero()
-    return abs(s) < mp.mpf(2) ** (-(mp.mp.prec // 2))
+def _near_zero(s: FixedBall) -> bool:
+    # a ball that may contain 0 must not divide; below 2^-(prec/2) the
+    # quotient form is close to 0/0 and steers polishing astray
+    half = s.prec - s.prec // 2
+    return s.contains_zero() or s.re * s.re + s.im * s.im < 1 << (2 * half)
 
 
 class Evaluator:
@@ -54,19 +62,24 @@ class Evaluator:
 
     Subclasses write value_deriv(z, num) over any scalar type with + - * /
     and ** by an int whose right operand may be an exact integer; num lifts
-    an exact integer into z's type. Newton polishing runs it on mpc numbers,
-    certification on ComplexBall (outward rounded). The vectorized float64
-    form newton_f64 is the one special case written separately. The order of
-    operations in each formula fixes the rounding, hence the certified disks
-    and the root-cache bytes.
+    an exact integer into z's type. Polishing and certification both run it
+    on the fixed-point kernel pcflab.fixedball at 2^-mp.prec: newton_mp
+    returns the mpc ratio of the two centers, value_deriv_ball the two
+    outward-rounded balls. The vectorized float64 form newton_f64 is the one
+    special case written separately. The kernel's operation order is the
+    formula's, so the formula fixes the rounding, hence the polished points,
+    the certified disks and the root-cache bytes.
     """
 
     def newton_mp(self, z):
-        val, der = self.value_deriv(z, mp.mpc)
-        return val / der
+        zf = FixedBall.from_mpc(z, mp.mp.prec)
+        val, der = self.value_deriv(zf, zf.lift)
+        return val.center() / der.center()
 
     def value_deriv_ball(self, zb: bl.ComplexBall):
-        return self.value_deriv(zb, bl.exact_ball)
+        zf = FixedBall.from_ball(zb, mp.mp.prec)
+        val, der = self.value_deriv(zf, zf.lift)
+        return val.ball(), der.ball()
 
 
 class CoefficientEvaluator(Evaluator):
@@ -310,8 +323,16 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
     return zs
 
 
+def _on_grid(z):
+    """z rounded to the kernel's 2^-mp.prec grid, where newton_mp evaluates."""
+    return FixedBall.from_mpc(z, mp.mp.prec).center()
+
+
 def _polish(evaluator, z, step_tol):
-    """At most 10 Newton steps, stopping once a step falls below step_tol."""
+    """At most 10 Newton steps on the kernel's grid, stopping once a step
+    falls below step_tol. A point on the grid enters the kernel with radius
+    0, so the disk around it is not widened by rounding its center."""
+    z = _on_grid(z)
     for _ in range(10):
         try:
             w = evaluator.newton_mp(z)
@@ -319,7 +340,7 @@ def _polish(evaluator, z, step_tol):
             break
         if not mp.isfinite(w.real) or not mp.isfinite(w.imag):
             break
-        z = z - w
+        z = _on_grid(z - w)
         if abs(w) <= step_tol * (1 + abs(z)):
             break
     return z

@@ -1,0 +1,201 @@
+"""Fixed-point kernel: every enclosure checked against exact Fraction arithmetic."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt
+
+import mpmath as mp
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import pcflab.balls as bl
+from pcflab.fixedball import FixedBall
+
+# points on the boundary and inside of the unit disk, as exact rationals
+F = Fraction
+UNIT = [(0, 0), (1, 0), (0, -1), (F(3, 5), F(4, 5)), (F(4, 5), F(3, 5)), (F(-4, 5), F(-3, 5))]
+
+precs = st.sampled_from([53, 64, 192])
+
+
+@st.composite
+def wide(draw, max_bits, signed=True):
+    """An integer of uniformly drawn bit length <= max_bits, random low bits."""
+    k = draw(st.integers(0, max_bits))
+    v = draw(st.randoms(use_true_random=False)).getrandbits(k) | ((1 << k) >> 1)
+    return -v if signed and draw(st.booleans()) else v
+
+
+@st.composite
+def balls(draw, prec=None):
+    # centers from below one ulp up to well past the binary point
+    p = draw(precs) if prec is None else prec
+    return FixedBall(draw(wide(p + 8)), draw(wide(p + 8)), draw(wide(40, signed=False)), p)
+
+
+def points(b: FixedBall):
+    """Exact complex points (re, im) inside b: its center and boundary points."""
+    s = Fraction(1, 2**b.prec)
+    return [((b.re + b.rad * u) * s, (b.im + b.rad * v) * s) for u, v in UNIT]
+
+
+def contains(b: FixedBall, z) -> bool:
+    s = Fraction(1, 2**b.prec)
+    dx, dy = z[0] - b.re * s, z[1] - b.im * s
+    return dx * dx + dy * dy <= (b.rad * s) ** 2
+
+
+def cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def cdiv(a, b):
+    n = b[0] ** 2 + b[1] ** 2
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def mpf_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def mpc_fraction(z):
+    return mpf_fraction(z.real), mpf_fraction(z.imag)
+
+
+@st.composite
+def pairs(draw):
+    a = draw(balls())
+    return a, draw(balls(a.prec))
+
+
+class TestOperations:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs())
+    def test_add_sub_mul(self, ab):
+        a, b = ab
+        s, d, m = a + b, a - b, a * b
+        assert s.rad == a.rad + b.rad and d.rad == a.rad + b.rad
+        for x in points(a):
+            for y in points(b):
+                assert contains(s, (x[0] + y[0], x[1] + y[1]))
+                assert contains(d, (x[0] - y[0], x[1] - y[1]))
+                assert contains(m, cmul(x, y))
+
+    @settings(max_examples=500, deadline=None)
+    @given(precs.flatmap(lambda p: st.tuples(wide(p + 8), balls(p))))
+    def test_mul_by_exact_real(self, kb):
+        # |a| is exact here, so the product radius has no slack beyond its
+        # rounding and the 2-ulp center term
+        k, b = kb
+        a = FixedBall(k, 0, 0, b.prec)
+        m = a * b
+        x = points(a)[0]
+        for y in points(b):
+            assert contains(m, cmul(x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs())
+    def test_div(self, ab):
+        a, b = ab
+        assume(b.re**2 + b.im**2 > (b.rad + 1) ** 2)  # else it may contain 0
+        q = a / b
+        for x in points(a):
+            for y in points(b):
+                assert contains(q, cdiv(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(balls(), st.integers(0, 6))
+    def test_pow(self, a, n):
+        p = a ** n
+        for x in points(a):
+            want = (Fraction(1), Fraction(0))
+            for _ in range(n):
+                want = cmul(want, x)
+            assert contains(p, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(balls(), wide(600))
+    def test_wide_integer_operands_are_exact(self, a, k):
+        # integers far wider than prec bits enter without rounding
+        assert a.lift(k).rad == 0 and contains(a.lift(k), (Fraction(k), Fraction(0)))
+        s, d, m = a + k, a - k, a * k
+        assert s.rad == d.rad == a.rad and m.rad == a.rad * abs(k)
+        for x in points(a):
+            assert contains(s, (x[0] + k, x[1]))
+            assert contains(d, (x[0] - k, x[1]))
+            assert contains(m, (x[0] * k, x[1] * k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(balls(), balls())
+    def test_div_by_ball_containing_zero(self, a, b):
+        z = FixedBall(b.re, b.im, _abs_ceil(b.re, b.im) + b.rad, a.prec)
+        assert z.contains_zero()
+        with pytest.raises(ZeroDivisionError):
+            a / z
+
+    @settings(max_examples=200, deadline=None)
+    @given(balls())
+    def test_contains_zero_is_exact(self, a):
+        assert a.contains_zero() == contains(a, (Fraction(0), Fraction(0)))
+
+
+def _abs_ceil(re, im):
+    n = re * re + im * im
+    return isqrt(n - 1) + 1 if n else 0
+
+
+# mpf values with a wide spread of exponents: far below and above the grid
+mpfs = st.builds(
+    lambda m, e: mp.mpf((m, e)),
+    st.integers(-(2**80), 2**80),
+    st.integers(-700, 40),
+)
+
+
+class TestConversions:
+    @settings(max_examples=300, deadline=None)
+    @given(precs, mpfs, mpfs, st.integers(0, 2**40), st.integers(-300, 0))
+    def test_ball_in_encloses_off_grid_center_and_radius(self, p, x, y, rm, re):
+        with mp.workprec(p + 64):
+            cb = bl.ComplexBall(mp.mpc(x, y), mp.mpf((rm, re)))
+        fb = FixedBall.from_ball(cb, p)
+        c = mpc_fraction(cb.center)
+        r = mpf_fraction(cb.radius)
+        # the whole input disk: center and four boundary points
+        for u, v in UNIT:
+            assert contains(fb, (c[0] + r * u, c[1] + r * v))
+
+    @example(p=192, below=256)
+    @settings(max_examples=100, deadline=None)
+    @given(precs, st.integers(3, 600))
+    def test_real_root_with_tiny_imaginary_part(self, p, below):
+        # real roots of g_6 (d=2) came out of mp polishing with imaginary
+        # parts near 1e-135, far below the 2^-192 grid
+        with mp.workprec(p):
+            z = mp.mpc(mp.mpf("-1.98542425305421"), mp.mpf(2) ** (-p - below) * 3)
+        fb = FixedBall.from_mpc(z, p)
+        assert fb.im == 0 and fb.rad == 1
+        assert contains(fb, mpc_fraction(z))
+
+    @settings(max_examples=300, deadline=None)
+    @given(balls(), st.sampled_from([24, 53, 128, 256]))
+    def test_round_trip_to_complex_ball_rounds_outward(self, fb, wp):
+        with mp.workprec(wp):
+            cb = fb.ball()
+        c, r = mpc_fraction(cb.center), mpf_fraction(cb.radius)
+        s = Fraction(1, 2**fb.prec)
+        dx, dy = c[0] - fb.re * s, c[1] - fb.im * s
+        # the ComplexBall holds the whole fixed-point disk
+        assert dx * dx + dy * dy <= (r - fb.rad * s) ** 2 and r >= fb.rad * s
+        back = FixedBall.from_ball(cb, fb.prec)
+        for z in points(fb):
+            assert contains(back, z)
+
+    def test_non_finite_input_is_refused(self):
+        with pytest.raises(ValueError):
+            FixedBall.from_mpc(mp.mpc(mp.inf, 0), 64)
+        with pytest.raises(ValueError):
+            FixedBall.from_mpc(mp.mpc(0, mp.nan), 64)

@@ -9,7 +9,13 @@ import mpmath as mp
 import pytest
 
 import pcflab.balls as bl
-from pcflab.critical_orbit import exact_period_factor, factor_evaluator, gleason, gleason_evaluator
+from pcflab.critical_orbit import (
+    exact_period_factor,
+    factor_evaluator,
+    gleason,
+    gleason_evaluator,
+    misiurewicz_factor,
+)
 from pcflab import rootfinder
 from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
 from pcflab.polynomials import IntPolynomial
@@ -302,6 +308,33 @@ class TestLocalizedRepair:
         # one pass per doubling up to the cap: 192, 384, 768 bits
         assert sorted({wp for _, wp in ev.calls}) == [192, 384, 768]
         assert ev.calls_above(self.FIRST_WP)[1] == 2
+
+
+class TestCofactorZeros:
+    """QuotientEvaluator at roots its cofactor shares, where the quotient form
+    is 0/0 and the evaluator falls back to Horner on the exact coefficients."""
+
+    @staticmethod
+    def ball_precisions(desc):
+        ev = Widening(factor_evaluator(desc))
+        ps = all_roots(desc.poly, 128, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        return [wp for name, wp in ev.calls if name == "value_deriv_ball"]
+
+    def test_polishing_steers_off_the_quotient_form(self):
+        # the cofactor of d=3 misiurewicz-2-4 is c. Without the 2^-(prec/2)
+        # threshold, polishing near its root 0 runs the 0/0 quotient form and
+        # the set exhausts precision
+        precs = self.ball_precisions(misiurewicz_factor(3, 2, 4))
+        assert len(precs) == 17 and max(precs) == 2 * 64 + 64
+
+    def test_roots_at_plus_minus_i_certify_on_first_pass(self):
+        # the cofactor vanishes at exactly +-i; polished onto the kernel's
+        # grid, Horner there multiplies by +-i exactly and needs no repair
+        desc = misiurewicz_factor(3, 3, 7)
+        precs = self.ball_precisions(desc)
+        assert len(precs) == desc.poly.degree == 483
+        assert max(precs) == 192
 
 
 class TestFactorRootBounds:
