@@ -25,8 +25,6 @@ from .equidist import (
     avg_log_distance_roots,
     avg_log_distance_vieta,
     discrepancy_report,
-    pairing_crosscheck,
-    truncated_kernel,
 )
 from .heights import (
     AlgebraicNumber,
@@ -109,13 +107,11 @@ __all__ = [
     "meeting_test_exact",
     "min_pairwise_distance",
     "misiurewicz_factor",
-    "pairing_crosscheck",
     "pcf_modulus_bound",
     "preperiodic_poly",
     "prop31_bound",
     "resultant",
     "squarefree_part",
     "thm15_threshold",
-    "truncated_kernel",
     "weil_height",
 ]

@@ -4,11 +4,11 @@ A ball is a center (mpc) plus a radius (mpf) guaranteed to contain the true
 value. mpmath rounds centers to nearest at the active working precision, so
 every operation adds a few-ulp slack term to the radius; radius arithmetic
 itself is padded by a fixed upward factor. This is deliberately simple rather
-than general: only the operations the escape-rate iteration (pcflab.heights)
-and the kernel sums (pcflab.equidist) need, plus the reference the tests
-check results against. ComplexBall is also the type of certified root disks;
-the root finder evaluates polynomials on its own fixed-point kernel
-(pcflab.fixedball) and converts to ComplexBall at the end.
+than general: it holds only the functions the escape-rate iteration
+(pcflab.heights) and the kernel sums (pcflab.equidist) need, and the tests
+use them as the reference for the fixed-point kernel. ComplexBall is also the
+type of certified root disks; the root finder evaluates polynomials on its
+own kernel (pcflab.fixedball) and converts to ComplexBall at the end.
 
 All operations honor the *current* mpmath precision (use mp.workprec around
 call sites); the slack scales with it.
@@ -71,22 +71,6 @@ class ComplexBall:
     def contains_zero(self) -> bool:
         return self.abs_bounds()[0] == 0
 
-    # Operators for generic formulas; a scalar right operand enters as exact_ball.
-    def __add__(self, other):
-        return badd(self, _as_ball(other))
-
-    def __sub__(self, other):
-        return bsub(self, _as_ball(other))
-
-    def __mul__(self, other):
-        return bmul(self, _as_ball(other))
-
-    def __truediv__(self, other):
-        return bdiv(self, _as_ball(other))
-
-    def __pow__(self, n: int):
-        return bpow_int(self, n)
-
     def __repr__(self) -> str:
         return f"ComplexBall({mp.nstr(self.center, 12)}, r={mp.nstr(self.radius, 3)})"
 
@@ -113,10 +97,6 @@ def exact_ball(x: Number) -> ComplexBall:
     return ComplexBall(c, mp.mpf(0))
 
 
-def _as_ball(x) -> ComplexBall:
-    return x if isinstance(x, ComplexBall) else exact_ball(x)
-
-
 def ball(center: Number, radius: Number = 0) -> ComplexBall:
     return ComplexBall(mp.mpc(center), mp.mpf(radius))
 
@@ -125,16 +105,6 @@ def badd(a: ComplexBall, b: ComplexBall) -> ComplexBall:
     c = a.center + b.center
     r = ((a.radius + b.radius) + abs(c) * _eps()) * _up()
     return ComplexBall(c, r)
-
-
-def bsub(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    c = a.center - b.center
-    r = ((a.radius + b.radius) + abs(c) * _eps()) * _up()
-    return ComplexBall(c, r)
-
-
-def bneg(a: ComplexBall) -> ComplexBall:
-    return ComplexBall(-a.center, a.radius)
 
 
 def bmul(a: ComplexBall, b: ComplexBall) -> ComplexBall:
@@ -220,8 +190,3 @@ def log_plus_interval(a: ComplexBall) -> tuple[mp.mpf, mp.mpf]:
     llo = mp.log(lo)
     return llo - abs(llo) * pad - pad, lhi
 
-
-def midpoint_interval(iv: tuple[mp.mpf, mp.mpf]) -> tuple[mp.mpf, mp.mpf]:
-    """(midpoint, half-width) of an interval."""
-    lo, hi = iv
-    return (lo + hi) / 2, (hi - lo) / 2

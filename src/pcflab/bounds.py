@@ -13,8 +13,7 @@ from typing import Optional, Union
 
 import mpmath as mp
 
-from .critical_orbit import enumerate_factors, factor_evaluator
-from .rootfinder import all_roots, min_pairwise_distance
+from .rootfinder import min_pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -165,28 +164,13 @@ def pcf_modulus_bound(d: int) -> mp.mpf:
         return mp.mpf(2) ** (mp.mpf(1) / (d - 1))
 
 
-def pcf_modulus_check(
-    d: int,
-    max_n: int,
-    precision_bits: int = 128,
-    tol: float = 1e-12,
-    include_misiurewicz: bool = True,
-    root_sets=None,
-) -> BoundReport:
-    """Batch check: every root of every level-<=max_n factor obeys the bound.
-
-    root_sets, when given, maps factor labels to precomputed PCFParameterSets
-    (lets callers reuse a cache instead of re-running the finder).
-    """
+def pcf_modulus_check(d: int, max_n: int, root_sets, tol: float = 1e-12) -> BoundReport:
+    """Batch check: every root of the given level-<=max_n factor root sets
+    obeys the bound."""
     bound = pcf_modulus_bound(d)
     worst = mp.mpf(0)
     count = 0
-    for desc in enumerate_factors(d, max_n, include_misiurewicz):
-        if desc.poly.degree < 1:
-            continue
-        ps = None if root_sets is None else root_sets.get(desc.label)
-        if ps is None:
-            ps = all_roots(desc.poly, precision_bits, evaluator=factor_evaluator(desc))
+    for ps in root_sets:
         for b in ps.roots:
             worst = max(worst, abs(b.center) + b.radius)
             count += 1
@@ -206,23 +190,23 @@ def thm15_threshold(C1: float, s_size: int, field_degree: int) -> float:
     return float(C1) * s_size**3 * field_degree**8
 
 
-def separation_check(
-    d: int, max_n: int, precision_bits: int = 128, root_sets=None
-) -> list[BoundReport]:
-    """Per-factor check: min pairwise root distance >= separation bound."""
+def separation_check(root_sets) -> list[BoundReport]:
+    """Per-factor check: min pairwise root distance >= separation bound.
+
+    Each root set's source is its FactorDescriptor; sets of degree < 2 have
+    no pair to check and are skipped.
+    """
     out = []
-    for desc in enumerate_factors(d, max_n, include_misiurewicz=True):
+    for ps in root_sets:
+        desc = ps.source
         if desc.poly.degree < 2:
             continue
-        ps = None if root_sets is None else root_sets.get(desc.label)
-        if ps is None:
-            ps = all_roots(desc.poly, precision_bits, evaluator=factor_evaluator(desc))
         sep = mahler_separation_bound(desc.poly.degree, desc.poly.max_abs_coeff())
         actual = min_pairwise_distance(ps)
         out.append(
             BoundReport(
                 name=f"separation-{desc.label}",
-                inputs={"d": d, "degree": desc.poly.degree},
+                inputs={"d": desc.d, "degree": desc.poly.degree},
                 bound_value=sep.value,
                 empirical_value=actual,
                 satisfied=actual >= sep.value,

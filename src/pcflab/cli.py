@@ -294,16 +294,15 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
     # the rational path builds no g_n, but its exact Vieta values grow like
     # d^(n-1) * h(alpha) bits, so the same cap bounds it
     check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
-    reports = []
-    for n in range(2, cfg.max_n + 1):
-        roots = None
-        if not alpha.is_rational:
-            roots = cached_gleason_roots(cfg, n)
-        reports.append(
-            discrepancy_report(
-                cfg.d, n, alpha, tau=cfg.tau, C=cfg.C, precision_bits=cfg.bits, roots=roots
-            )
-        )
+    reports = discrepancy_report(
+        cfg.d,
+        range(2, cfg.max_n + 1),
+        alpha,
+        tau=cfg.tau,
+        C=cfg.C,
+        precision_bits=cfg.bits,
+        roots=lambda n: cached_gleason_roots(cfg, n),
+    )
     fit = fitted_min_constant(reports)
     lines = [TSV_HEADER]
     lines.extend(r.tsv_row() for r in reports)
@@ -329,14 +328,13 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
     lines.append(
         f"pcf-modulus-value-d{cfg.d}\t{mp.nstr(pcf_modulus_bound(cfg.d), 10)}\t-\t-"
     )
-    root_sets = {
-        desc.label: cached_factor_roots(cfg, desc, min(cfg.bits, 128))
+    root_sets = [
+        cached_factor_roots(cfg, desc, min(cfg.bits, 128))
         for desc in enumerate_factors(cfg.d, cfg.max_n, cap=cfg.degree_cap)
         if desc.poly.degree >= 1
-    }
-    lines.append(pcf_modulus_check(cfg.d, cfg.max_n, 128, root_sets=root_sets).line())
-    for rep in separation_check(cfg.d, cfg.max_n, 128, root_sets=root_sets):
-        lines.append(rep.line())
+    ]
+    lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
+    lines.extend(rep.line() for rep in separation_check(root_sets))
     s_size = max(1, len(cfg.s_primes) + 1)
     alpha = parse_alpha(cfg.alpha_spec)
     lines.append(
@@ -397,18 +395,14 @@ def _ppm_bytes(counts: np.ndarray, max_iter: int, dots: Sequence[tuple[int, int]
     return header + rgb.tobytes()
 
 
-def _root_pixels(cfg: RunConfig, extent, size: int) -> list[tuple[int, int]]:
+def _root_pixels(centers, extent, size: int) -> list[tuple[int, int]]:
     xmin, xmax, ymin, ymax = extent
     dots = []
-    for n in range(1, cfg.max_n + 1):
-        ps = cached_gleason_roots(cfg, n, bits=min(cfg.bits, 128))
-        for b in ps.roots:
-            x = float(b.center.real)
-            y = float(b.center.imag)
-            px = int(round((x - xmin) / (xmax - xmin) * (size - 1)))
-            py = int(round((ymax - y) / (ymax - ymin) * (size - 1)))
-            if 0 <= px < size and 0 <= py < size:
-                dots.append((px, py))
+    for x, y in centers:
+        px = int(round((x - xmin) / (xmax - xmin) * (size - 1)))
+        py = int(round((ymax - y) / (ymax - ymin) * (size - 1)))
+        if 0 <= px < size and 0 <= py < size:
+            dots.append((px, py))
     return sorted(set(dots))
 
 
@@ -476,17 +470,15 @@ def cmd_plot(cfg: RunConfig, out=None) -> int:
     check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
-    dots = _root_pixels(cfg, extent, size)
-    ppm = _ppm_bytes(counts, max_iter, dots)
+    centers = [
+        (float(b.center.real), float(b.center.imag))
+        for n in range(1, cfg.max_n + 1)
+        for b in cached_gleason_roots(cfg, n, bits=min(cfg.bits, 128)).roots
+    ]
+    ppm = _ppm_bytes(counts, max_iter, _root_pixels(centers, extent, size))
     ppm_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.ppm"
     atomic_write_bytes(ppm_path, ppm)
-    dots_xy = []
-    for n in range(1, cfg.max_n + 1):
-        ps = cached_gleason_roots(cfg, n, bits=min(cfg.bits, 128))
-        dots_xy.extend(
-            (float(b.center.real), float(b.center.imag)) for b in ps.roots
-        )
-    svg = _mandel_svg(cfg, extent, sorted(set(dots_xy)))
+    svg = _mandel_svg(cfg, extent, sorted(set(centers)))
     svg_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.svg"
     atomic_write_text(svg_path, svg)
     print(f"wrote {ppm_path}\nwrote {svg_path}", file=out)

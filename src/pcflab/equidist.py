@@ -18,20 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import mpmath as mp
 
 from . import balls as bl
 from .critical_orbit import gleason, gleason_evaluator
 from .errors import HypothesisViolated, KernelSingular
-from .heights import (
-    as_algebraic,
-    critical_canonical_height,
-    escape_rate_arch,
-    green_nonarch,
-    is_pcf_parameter,
-)
+from .heights import as_algebraic, escape_rate_arch, is_pcf_parameter
 from .rootfinder import PCFParameterSet, all_roots
 
 
@@ -77,32 +71,6 @@ def avg_log_distance_vieta(
         num = abs(value.numerator)
         den = value.denominator
         return (mp.log(mp.mpf(num)) - mp.log(mp.mpf(den))) / mp.mpf(d) ** (n - 1)
-
-
-def truncated_kernel(x, alpha, tau: float) -> mp.mpf:
-    """log^+|x| + log^+|alpha| - log max(tau, |x - alpha|) at ball centers."""
-    if not 0 < tau < 1:
-        raise ValueError("need 0 < tau < 1")
-
-    def to_ball(v):
-        if isinstance(v, bl.ComplexBall):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return bl.exact_ball(v)
-        return bl.ball(v)
-
-    xb = to_ball(x)
-    ab = to_ball(alpha)
-    ax = abs(xb.center)
-    aa = abs(ab.center)
-    dist = abs(xb.center - ab.center)
-    out = mp.mpf(0)
-    if ax > 1:
-        out += mp.log(ax)
-    if aa > 1:
-        out += mp.log(aa)
-    out -= mp.log(max(mp.mpf(tau), dist))
-    return out
 
 
 def avg_log_distance_roots(
@@ -183,59 +151,76 @@ TSV_HEADER = "d\tn\tN\talpha\tempirical\tgreen\tdiscrepancy\trhs_bound\ttau\tC\t
 
 def discrepancy_report(
     d: int,
-    n: int,
+    levels: Iterable[int],
     alpha,
     tau: float = 0.5,
     C: float = 1.0,
     precision_bits: int = 256,
-    roots: Optional[PCFParameterSet] = None,
-) -> DiscrepancyReport:
-    """Empirical kernel average at level n vs the escape rate of alpha,
-    against the rate shape C (log N / N)^(1/2) (log^+|alpha| + 1/tau)."""
+    roots: Optional[Callable[[int], PCFParameterSet]] = None,
+) -> list[DiscrepancyReport]:
+    """Empirical kernel average at each level n vs the escape rate of alpha,
+    against the rate shape C (log N / N)^(1/2) (log^+|alpha| + 1/tau).
+
+    The PCF gate, the escape rate and the alpha ball depend on (d, alpha)
+    only, so they are computed once for the whole table. For an irrational
+    alpha, roots(n) returns the certified root set of g_n (default: isolate
+    it); it is called one level at a time, after the gate.
+    """
     if not 0 < tau < 1:
         raise ValueError("need 0 < tau < 1")
     alg = as_algebraic(alpha)
     if is_pcf_parameter(d, alg):
         raise HypothesisViolated("alpha is a PCF parameter")
-    big_n = d ** (n - 1)
+    roots = roots or (
+        lambda n: all_roots(gleason(d, n).poly, precision_bits, evaluator=gleason_evaluator(d, n))
+    )
+    reports = []
     with mp.workprec(max(64, precision_bits) + 16):
         if alg.is_rational:
             a = alg.as_fraction()
-            empirical = avg_log_distance_vieta(d, n, a, precision_bits)
-            green = escape_rate_arch(d, a, target_error=1e-14, precision_bits=precision_bits)
             alpha_ball = bl.exact_ball(a)
+            green = escape_rate_arch(d, a, target_error=1e-14, precision_bits=precision_bits)
             path = "vieta-exact"
             label = str(a)
+
+            def empirical_at(n):
+                return avg_log_distance_vieta(d, n, a, precision_bits)
+
         else:
-            if roots is None:
-                roots = all_roots(
-                    gleason(d, n).poly, precision_bits, evaluator=gleason_evaluator(d, n)
-                )
             alpha_ball = alg.selected_conjugate(precision_bits)
-            empirical = avg_log_distance_roots(roots, alpha_ball).value
             green = escape_rate_arch(
                 d, alpha_ball, target_error=1e-14, precision_bits=precision_bits
             )
             path = "roots-numeric"
             label = "deg%d:%s" % (alg.degree, ",".join(str(c) for c in alg.min_poly.coeffs))
-        disc = abs(empirical - green.value)
+
+            def empirical_at(n):
+                return avg_log_distance_roots(roots(n), alpha_ball).value
+
         logplus = max(mp.mpf(0), mp.log(max(abs(alpha_ball.center), mp.mpf(1))))
-        rhs = mp.mpf(C) * mp.sqrt(mp.log(big_n) / big_n) * (logplus + 1 / mp.mpf(tau))
-        return DiscrepancyReport(
-            d=d,
-            n=n,
-            N=big_n,
-            alpha=alg,
-            alpha_label=label,
-            empirical_avg=empirical,
-            green_value=green.value,
-            discrepancy=disc,
-            rhs_bound=rhs,
-            tau=tau,
-            C=C,
-            passed=bool(disc <= rhs),
-            path=path,
-        )
+        for n in levels:
+            big_n = d ** (n - 1)
+            empirical = empirical_at(n)
+            disc = abs(empirical - green.value)
+            rhs = mp.mpf(C) * mp.sqrt(mp.log(big_n) / big_n) * (logplus + 1 / mp.mpf(tau))
+            reports.append(
+                DiscrepancyReport(
+                    d=d,
+                    n=n,
+                    N=big_n,
+                    alpha=alg,
+                    alpha_label=label,
+                    empirical_avg=empirical,
+                    green_value=green.value,
+                    discrepancy=disc,
+                    rhs_bound=rhs,
+                    tau=tau,
+                    C=C,
+                    passed=bool(disc <= rhs),
+                    path=path,
+                )
+            )
+    return reports
 
 
 def fitted_min_constant(reports: Sequence[DiscrepancyReport]) -> float:
@@ -245,61 +230,3 @@ def fitted_min_constant(reports: Sequence[DiscrepancyReport]) -> float:
         scale = r.rhs_bound / r.C
         worst = max(worst, r.discrepancy / scale)
     return float(worst)
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    """Place-by-place pairing sum versus the critical canonical height."""
-
-    value: mp.mpf
-    canonical_height: mp.mpf
-    difference: mp.mpf
-    tolerance: mp.mpf
-    agrees: Optional[bool]  # None when S misses contributing finite places
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def pairing_crosscheck(d: int, alpha, S, precision_bits: int = 256) -> PairingResult:
-    """Sum over the places in S of the closed-form kernel integrals.
-
-    Archimedean places contribute per-embedding escape rates (the kernel
-    integral against the bifurcation measure is the escape rate); finite
-    places contribute log max(1, |alpha|_p) masses. When S covers every
-    prime dividing lead(min_poly), the total must match the critical
-    canonical height within the numeric tolerances.
-    """
-    from .integrality import PrimeSet
-
-    alg = as_algebraic(alpha)
-    if is_pcf_parameter(d, alg):
-        raise HypothesisViolated("alpha is a PCF parameter")
-    primes = tuple(S.primes) if isinstance(S, PrimeSet) else tuple(sorted(set(S)))
-    with mp.workprec(max(64, precision_bits) + 16):
-        total = mp.mpf(0)
-        err = mp.mpf(0)
-        for b in alg.conjugates(precision_bits):
-            res = escape_rate_arch(d, b, target_error=1e-14, precision_bits=precision_bits)
-            total += res.value / alg.degree
-            err += res.error_bound / alg.degree
-        for p in primes:
-            total += green_nonarch(alg, p, precision_bits)
-        ch = critical_canonical_height(d, alg, precision_bits, target_error=1e-14)
-        lead = abs(alg.min_poly.lead)
-        covered = all(lead % p != 0 or p in primes for p in _prime_support(lead))
-        diff = abs(total - ch.value)
-        tol = err + ch.error_bound + mp.mpf(2) ** (-(precision_bits // 2))
-        return PairingResult(
-            value=total,
-            canonical_height=ch.value,
-            difference=diff,
-            tolerance=tol,
-            agrees=bool(diff <= tol) if covered else None,
-        )
-
-
-def _prime_support(n: int) -> tuple[int, ...]:
-    from .numtheory import factorize
-
-    return tuple(sorted(factorize(n))) if n > 1 else ()

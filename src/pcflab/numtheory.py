@@ -30,19 +30,6 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n (simple sieve)."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -193,12 +193,6 @@ class IntPolynomial:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> IntPolynomial:
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def derivative(self) -> IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 

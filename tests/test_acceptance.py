@@ -136,8 +136,7 @@ class TestAcceptance:
     def test_05_rate_shape(self):
         reports = []
         for alpha in (1, 3):
-            for n in range(3, 13):
-                reports.append(discrepancy_report(2, n, alpha, tau=0.5, C=1.0))
+            reports.extend(discrepancy_report(2, range(3, 13), alpha, tau=0.5, C=1.0))
         fitted = fitted_min_constant(reports)
         report(
             5,

@@ -1,0 +1,46 @@
+"""The public names and the benchmark's traced entry points exist.
+
+perfbench/tracer.py wraps the entry points it lists by name and reports a
+per-layer metric as null when one is missing, so a deletion or rename here
+would otherwise go unnoticed until a benchmark run.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pcflab
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_constant(name):
+    """Literal value of a module-level assignment in perfbench/tracer.py."""
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in {TRACER}")
+
+
+def test_all_names_resolve():
+    missing = [name for name in pcflab.__all__ if not hasattr(pcflab, name)]
+    assert missing == []
+
+
+def test_traced_entry_points_exist():
+    entry_points = [
+        (mod, name) for mod, names in tracer_constant("LAYERS") for name in names
+    ]
+    entry_points += tracer_constant("EVALUATOR_FACTORIES")
+    assert entry_points
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in entry_points
+        if not callable(getattr(importlib.import_module(f"pcflab.{mod}"), name, None))
+    ]
+    assert missing == []

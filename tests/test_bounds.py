@@ -19,8 +19,10 @@ from pcflab.bounds import (
     pcf_modulus_check,
     prop31_bound,
     prop31_empirical,
+    separation_check,
     thm15_threshold,
 )
+from pcflab.critical_orbit import enumerate_factors, factor_evaluator
 from pcflab.heights import weil_height
 from pcflab.rootfinder import all_roots
 from pcflab.polynomials import IntPolynomial
@@ -167,12 +169,28 @@ class TestDegreeAndModulus:
         assert float(pcf_modulus_bound(3)) == pytest.approx(2**0.5)
         assert float(pcf_modulus_bound(4)) == pytest.approx(2 ** (1 / 3))
 
+    @staticmethod
+    def lattice_root_sets(d, max_n):
+        return [
+            all_roots(desc.poly, 128, evaluator=factor_evaluator(desc), source=desc)
+            for desc in enumerate_factors(d, max_n)
+            if desc.poly.degree >= 1
+        ]
+
     def test_modulus_batch_small(self):
-        rep = pcf_modulus_check(2, 4, precision_bits=128)
+        rep = pcf_modulus_check(2, 4, self.lattice_root_sets(2, 4))
         assert rep.satisfied
         assert rep.inputs["roots_checked"] > 0
         # the level-3 Misiurewicz parameter -2 sits exactly on the circle
         assert float(rep.empirical_value) == pytest.approx(2.0, abs=1e-20)
+
+    def test_separation_per_factor_in_lattice_order(self):
+        root_sets = self.lattice_root_sets(2, 4)
+        reps = separation_check(root_sets)
+        # one report per set with a pair of roots, named after its descriptor
+        want = [ps.source.label for ps in root_sets if len(ps.roots) >= 2]
+        assert [r.name for r in reps] == [f"separation-{label}" for label in want]
+        assert reps and all(r.satisfied for r in reps)
 
 
 class TestThm15Threshold:

@@ -117,6 +117,65 @@ class TestCommands:
         assert "NO" not in out  # every bound satisfied
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a counting wrapper in every loaded pcflab module
+    that binds it (modules that imported it by name included); returns the
+    list the wrapper appends each call's arguments to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "pcflab" or mod_name.startswith("pcflab.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestOncePerRun:
+    # work that depends on (d, alpha) or on the factor lattice, not on the
+    # level, is done once per command
+
+    def test_equidist_decides_pcf_once(self, tmp_path, capsys, monkeypatch):
+        import pcflab.heights
+
+        calls = count_calls(monkeypatch, pcflab.heights, "is_pcf_parameter")
+        code, out, _ = run(
+            ["equidist", "--d", "2", "--max-n", "6", "--alpha=-1,-1,1:1",
+             "--cache", str(tmp_path / "cache")],
+            capsys,
+        )
+        assert code == 0 and out.count("roots-numeric") == 5  # n = 2..6
+        assert len(calls) == 1
+
+    def test_bounds_enumerates_lattice_once(self, tmp_path, capsys, monkeypatch):
+        import pcflab.critical_orbit
+
+        calls = count_calls(monkeypatch, pcflab.critical_orbit, "enumerate_factors")
+        code, out, _ = run(
+            ["bounds", "--d", "2", "--max-n", "4", "--cache", str(tmp_path / "cache")],
+            capsys,
+        )
+        assert code == 0 and "separation-" in out
+        assert len(calls) == 1
+
+    def test_equidist_pcf_alpha_fails_before_root_lookup(self, tmp_path, capsys):
+        # a root of c^3 + 2c^2 + c + 1 has critical period 3
+        cache = tmp_path / "cache"
+        code, _, err = run(
+            ["equidist", "--d", "2", "--max-n", "4", "--alpha=1,1,2,1:0",
+             "--cache", str(cache)],
+            capsys,
+        )
+        assert code == 4 and "HypothesisViolated" in err
+        assert not cache.exists()
+
+
 class TestExitCodes:
     def test_degree_cap(self, tmp_path, capsys):
         # every command whose work grows with deg g_max_n refuses before doing any work

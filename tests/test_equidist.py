@@ -1,4 +1,4 @@
-"""Kernel averages, discrepancy reports, and the pairing cross-check."""
+"""Kernel averages and discrepancy reports."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from pcflab.equidist import (
     discrepancy_report,
     exact_orbit_value,
     fitted_min_constant,
-    pairing_crosscheck,
-    truncated_kernel,
 )
 from pcflab.errors import HypothesisViolated, KernelSingular
 from pcflab.heights import AlgebraicNumber, escape_rate_arch
@@ -84,25 +82,34 @@ class TestRootsAverage:
 
 
 class TestTruncatedKernel:
+    # log^+|x| + log^+|alpha| - log max(tau, |x - alpha|), as the truncated
+    # kernel average over a one-root set
+    @staticmethod
+    def kernel(x, alpha, tau):
+        one_root = [bl.exact_ball(Fraction(x))]
+        return avg_log_distance_roots(
+            one_root, bl.exact_ball(Fraction(alpha)), KernelSpec("truncated", tau)
+        ).value
+
     def test_truncation_active(self):
         with mp.workprec(128):
-            v = truncated_kernel(Fraction(1, 2), Fraction(1, 2), 0.1)
+            v = self.kernel(Fraction(1, 2), Fraction(1, 2), 0.1)
             # tau arrives as a float64 literal, so compare at float accuracy
             assert abs(v - mp.log(10)) < 1e-15
 
     def test_inactive(self):
         with mp.workprec(128):
-            assert abs(truncated_kernel(2, 0, 0.5)) < 1e-25
+            assert abs(self.kernel(2, 0, 0.5)) < 1e-25
 
     def test_negative_value(self):
         with mp.workprec(128):
-            v = truncated_kernel(-1, 1, 0.5)
+            v = self.kernel(-1, 1, 0.5)
             assert abs(v + mp.log(2)) < 1e-25
 
 
 class TestDiscrepancyReport:
     def test_level_4_alpha_one(self):
-        rep = discrepancy_report(2, 4, 1, tau=0.5, C=1.0)
+        [rep] = discrepancy_report(2, [4], 1, tau=0.5, C=1.0)
         assert rep.N == 8
         assert rep.passed
         with mp.workprec(200):
@@ -115,25 +122,46 @@ class TestDiscrepancyReport:
         )
 
     def test_level_2_alpha_three(self):
-        rep = discrepancy_report(2, 2, 3)
+        [rep] = discrepancy_report(2, [2], 3)
         want_green = escape_rate_oracle(2, 3)
         assert abs(rep.green_value - want_green) < 1e-10
         assert rep.passed  # 5.2e-3 discrepancy under a ~1.8 bound
 
     def test_rejects_pcf_alpha(self):
         with pytest.raises(HypothesisViolated):
-            discrepancy_report(2, 4, 0)
+            discrepancy_report(2, [4], 0)
+        # a root of c^3 + 2c^2 + c + 1 has critical period 3; the gate runs
+        # before any root set is looked up
+        period3 = AlgebraicNumber.from_min_poly([1, 1, 2, 1], 0)
+        looked_up = []
+        with pytest.raises(HypothesisViolated):
+            discrepancy_report(2, range(2, 5), period3, roots=looked_up.append)
+        assert looked_up == []
 
     def test_algebraic_alpha_numeric_path(self):
         golden = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
-        rep = discrepancy_report(2, 5, golden, precision_bits=192)
+        [rep] = discrepancy_report(2, [5], golden, precision_bits=192)
         assert rep.path == "roots-numeric"
         want = escape_rate_oracle(2, mp.mpf("1.61803398874989484820458683436563811772"))
         assert abs(rep.green_value - want) < 1e-9
         assert rep.passed
 
+    def test_roots_looked_up_once_per_level(self):
+        golden = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
+        looked_up = []
+
+        def roots(n):
+            looked_up.append(n)
+            return all_roots(gleason(2, n).poly, 128)
+
+        reports = discrepancy_report(2, [3, 4], golden, precision_bits=128, roots=roots)
+        assert looked_up == [3, 4]
+        assert [r.n for r in reports] == [3, 4]
+        default = discrepancy_report(2, [3, 4], golden, precision_bits=128)
+        assert [r.tsv_row() for r in reports] == [r.tsv_row() for r in default]
+
     def test_fitted_constant(self):
-        reports = [discrepancy_report(2, n, 1) for n in range(3, 9)]
+        reports = discrepancy_report(2, range(3, 9), 1)
         fit = fitted_min_constant(reports)
         assert 0 < fit < 1
 
@@ -160,28 +188,3 @@ class TestZeroHeightWitness:
         vals = [abs(float(avg_log_distance_vieta(2, n, eps))) for n in range(1, 13)]
         assert max(vals) <= abs(float(mp.log(mp.mpf(1e-9)))) + 1
         assert vals[-1] < vals[0]
-
-
-class TestPairingCrosscheck:
-    def test_integer_alpha_arch_only(self):
-        res = pairing_crosscheck(2, 1, [])
-        want = escape_rate_oracle(2, 1)
-        assert abs(res.value - want) < 1e-10
-        assert res.agrees is True
-
-    def test_half_includes_two(self):
-        res = pairing_crosscheck(2, Fraction(1, 2), [2])
-        arch = escape_rate_oracle(2, Fraction(1, 2))
-        with mp.workprec(200):
-            assert abs(res.value - (arch + mp.log(2))) < 1e-10
-        assert res.agrees is True
-
-    def test_half_without_two_disagrees(self):
-        res = pairing_crosscheck(2, Fraction(1, 2), [])
-        assert res.agrees is None  # S misses a contributing place
-        with mp.workprec(200):
-            assert abs(res.canonical_height - res.value - mp.log(2)) < 1e-10
-
-    def test_pcf_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            pairing_crosscheck(2, 0, [2])
