@@ -1,16 +1,16 @@
-"""Outward-rounded complex ball arithmetic on top of mpmath.
+"""Outward-rounded complex disks on top of mpmath, without arithmetic.
 
 A ball is a center (mpc) plus a radius (mpf) guaranteed to contain the true
-value. mpmath rounds centers to nearest at the active working precision, so
-every operation adds a few-ulp slack term to the radius; radius arithmetic
-itself is padded by a fixed upward factor. This is deliberately simple rather
-than general: it holds only the functions the escape-rate iteration
-(pcflab.heights) and the kernel sums (pcflab.equidist) need, and the tests
-use them as the reference for the fixed-point kernel. ComplexBall is also the
-type of certified root disks; the root finder evaluates polynomials on its
-own kernel (pcflab.fixedball) and converts to ComplexBall at the end.
+value. ComplexBall is the type of certified root disks, algebraic-number
+selectors and conjugates. Ball arithmetic runs only on the fixed-point
+kernel (pcflab.fixedball), which converts to and from this type; its tests
+check it against exact Fraction arithmetic, not against this module. What
+is left here reads disks: exact_ball/ball make one, and the rest bound |z|,
+the distance between two disks (hence disjointness), log|z| and log^+|z|.
+mpmath rounds to nearest at the active working precision, so each bound is
+padded by a few-ulp slack term and a fixed upward factor.
 
-All operations honor the *current* mpmath precision (use mp.workprec around
+All functions honor the *current* mpmath precision (use mp.workprec around
 call sites); the slack scales with it.
 """
 
@@ -68,9 +68,6 @@ class ComplexBall:
         hi = (m + self.radius) * _up()
         return (lo if lo > 0 else mp.mpf(0)), hi
 
-    def contains_zero(self) -> bool:
-        return self.abs_bounds()[0] == 0
-
     def __repr__(self) -> str:
         return f"ComplexBall({mp.nstr(self.center, 12)}, r={mp.nstr(self.radius, 3)})"
 
@@ -99,58 +96,6 @@ def exact_ball(x: Number) -> ComplexBall:
 
 def ball(center: Number, radius: Number = 0) -> ComplexBall:
     return ComplexBall(mp.mpc(center), mp.mpf(radius))
-
-
-def badd(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    c = a.center + b.center
-    r = ((a.radius + b.radius) + abs(c) * _eps()) * _up()
-    return ComplexBall(c, r)
-
-
-def bmul(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    c = a.center * b.center
-    ma, mb = abs(a.center), abs(b.center)
-    r = ((ma * b.radius + mb * a.radius + a.radius * b.radius) + abs(c) * _eps()) * _up()
-    return ComplexBall(c, r)
-
-
-def bsqr(a: ComplexBall) -> ComplexBall:
-    c = a.center * a.center
-    ma = abs(a.center)
-    r = ((2 * ma * a.radius + a.radius * a.radius) + abs(c) * _eps()) * _up()
-    return ComplexBall(c, r)
-
-
-def bdiv(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    lo_b, _ = b.abs_bounds()
-    if lo_b <= 0:
-        raise ZeroDivisionError("divisor ball contains zero")
-    c = a.center / b.center
-    ma, mb = abs(a.center), abs(b.center)
-    r = (((a.radius * mb + ma * b.radius) / (lo_b * mb)) + abs(c) * _eps()) * _up()
-    return ComplexBall(c, r)
-
-
-def bpow_int(a: ComplexBall, n: int) -> ComplexBall:
-    if n < 0:
-        raise ValueError("negative powers not supported; use bdiv")
-    if n == 0:
-        return exact_ball(1)
-    if n == 1:
-        return a
-    if n == 2:
-        return bsqr(a)
-    if n == 3:
-        return bmul(bsqr(a), a)
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else bmul(result, base)
-        if n > 1:
-            base = bsqr(base)
-        n >>= 1
-    return result
 
 
 def dist_bounds(a: ComplexBall, b: ComplexBall) -> tuple[mp.mpf, mp.mpf]:

@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError("--d must be >= 2")
         if self.max_n < 1:
             raise ValueError("--max-n must be >= 1")
+        if self.command == "equidist" and self.max_n < 2:
+            raise ValueError("equidist needs --max-n >= 2 (its levels start at n = 2)")
         if not 16 <= self.bits <= 4096:
             raise ValueError("--bits must lie in [16, 4096]")
         if not 0 < self.tau < 1:

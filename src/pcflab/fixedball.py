@@ -11,8 +11,10 @@ for the center rounding; / does the same with the disk quotient bound and
 raises ZeroDivisionError when the divisor may contain 0. An int operand, of
 any width, enters exactly. A center off the grid is rounded to nearest on
 the way in and that rounding goes into the radius; the way back to a
-ComplexBall rounds outward. The root finder runs every evaluator formula on
-this type, both to polish (prec = mp.prec) and to certify.
+ComplexBall rounds outward. This is the package's one ball arithmetic: the
+root finder runs every evaluator formula on it, both to polish
+(prec = mp.prec) and to certify, and the escape-rate iteration of
+pcflab.heights runs on it too, with abs_bounds for its bail and tail tests.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ class FixedBall:
 
     def contains_zero(self) -> bool:
         return self.re * self.re + self.im * self.im <= self.rad * self.rad
+
+    def abs_bounds(self) -> tuple[int, int]:
+        """Integer lower and upper bounds on |z| over the disk, in units of 2^-prec."""
+        n = self.re * self.re + self.im * self.im
+        s = isqrt(n)
+        return max(0, s - self.rad), s + (s * s != n) + self.rad
 
     def __add__(self, o):
         if isinstance(o, int):

@@ -6,7 +6,10 @@ bail radius B = max(2, (2|c|)^(1/d), 2^(1/(d-1))), the normalized logarithm
 d^-k log|z_k| is within log(2)/(d^k (d-1)) of the limit, and the bound
 tightens geometrically with every extra step (see _escape_attempt for the
 derivation). Non-escape within the iteration budget is reported as a verdict
-("bounded after N steps"), never as set membership.
+("bounded after N steps"), never as set membership. The iteration runs on
+fixed-point balls (pcflab.fixedball) at the working precision, which doubles
+whenever a pass cannot decide; at the precision cap, N is the window the
+last pass certified.
 
 Finite places never need iteration: the escape rate there is log max(1, |c|_p),
 so everything reduces to Newton polygons of minimal polynomials, computed
@@ -23,6 +26,7 @@ import mpmath as mp
 
 from . import balls as bl
 from .errors import HypothesisUndecided
+from .fixedball import FixedBall
 from .numtheory import factorize, valuation
 from .polynomials import IntPolynomial, divmod_exact, is_squarefree
 from .rootfinder import all_roots
@@ -41,7 +45,9 @@ class EscapeRateResult:
 
     escaped=False means the orbit stayed below the bail radius for
     iterations_used certified steps; value is then 0 (a lower bound for the
-    true rate, exact whenever the point really has a bounded orbit).
+    true rate, exact whenever the point really has a bounded orbit). That is
+    max_iter, or, when no precision up to the cap decides, the bounded
+    window of the last pass, at the cap.
     """
 
     value: mp.mpf
@@ -50,12 +56,11 @@ class EscapeRateResult:
     escaped: bool
 
 
-def _as_ball(x) -> bl.ComplexBall:
-    if isinstance(x, bl.ComplexBall):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return bl.exact_ball(x)
-    return bl.ball(x)
+def _as_fixed(x) -> FixedBall:
+    """x as a FixedBall on the grid of the current mpmath precision."""
+    if not isinstance(x, bl.ComplexBall):
+        x = bl.exact_ball(x) if isinstance(x, (int, Fraction)) else bl.ball(x)
+    return FixedBall.from_ball(x, mp.mp.prec)
 
 
 def _bail_radius(d: int, c_abs_hi: mp.mpf) -> mp.mpf:
@@ -65,7 +70,10 @@ def _bail_radius(d: int, c_abs_hi: mp.mpf) -> mp.mpf:
 
 
 def _escape_attempt(d, cb, z0b, target_error, max_iter):
-    """One fixed-precision pass; returns EscapeRateResult or None to escalate.
+    """One fixed-precision pass on FixedBalls at precision P = cb.prec.
+
+    Returns an EscapeRateResult, or, when this precision cannot decide, the
+    number of steps the orbit was certified to stay below the bail radius.
 
     After escape at step k (z_0 counts as step 0), the remaining tail is
       sum_{j>=k} d^-(j+1) log|1 + c z_j^-d|,
@@ -73,9 +81,10 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
     never shrinks), each term is at most d^-(j+1) eps_k log 4, giving
       |G - d^-k log|z_k|| <= eps_k log4 / (d^k (d-1)) <= log2 / (d^k (d-1)).
     """
+    P = cb.prec
     log4 = mp.log(4)
-    c_lo, c_hi = cb.abs_bounds()
-    bail = _bail_radius(d, c_hi)
+    c_hi = mp.mpf((cb.abs_bounds()[1], -P))
+    bail = int(mp.ceil(mp.ldexp(_bail_radius(d, c_hi), P)))  # in units of 2^-P
     z = z0b
     escaped_at: Optional[int] = None
     dk = mp.mpf(1)  # d^k
@@ -84,13 +93,13 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
         if escaped_at is None and lo >= bail:
             escaped_at = k
         if escaped_at is not None:
-            eps = c_hi / lo**d
+            eps = c_hi / mp.mpf((lo, -P)) ** d
             tail = (eps * log4) / (dk * (d - 1))
-            llo, lhi = bl.log_abs_interval(z)
-            half = (lhi - llo) / 2
             if tail <= target_error / 2:
+                llo, lhi = bl.log_abs_interval(z.ball())
+                half = (lhi - llo) / 2
                 if half > target_error / 2:
-                    return None  # ball too wide at this precision
+                    return escaped_at  # ball too wide at this precision
                 value = (llo + lhi) / 2 / dk
                 return EscapeRateResult(
                     value=value,
@@ -98,14 +107,15 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
                     iterations_used=k,
                     escaped=True,
                 )
-        if hi > 0 and z.radius > (1 + hi) * mp.mpf(2) ** (-16):
-            return None  # enclosure degenerated before a decision
+        # enclosure degenerated before a decision: radius > (1 + |z|) 2^-16
+        if z.rad << 16 > (1 << P) + hi:
+            return k if escaped_at is None else escaped_at
         if k == max_iter:
             break
-        z = bl.badd(bl.bpow_int(z, d), cb)
+        z = z**d + cb
         dk *= d
     if escaped_at is not None:
-        return None
+        return escaped_at
     return EscapeRateResult(
         value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=max_iter, escaped=False
     )
@@ -123,31 +133,20 @@ def _escape_rate_seeded(
     if d < 2:
         raise ValueError("d must be >= 2")
     wp = max(64, precision_bits)
-    while wp <= _ESCAPE_PREC_CAP:
+    while True:
         with mp.workprec(wp + 32):
-            cb = _as_ball(c)
-            zb = _as_ball(z0) if seed_map is None else seed_map(_as_ball(z0), cb)
+            cb = _as_fixed(c)
+            zb = _as_fixed(z0) if seed_map is None else seed_map(_as_fixed(z0), cb)
             res = _escape_attempt(d, cb, zb, mp.mpf(target_error), max_iter)
-            if res is not None:
-                return res
+        if isinstance(res, EscapeRateResult):
+            return res
         wp *= 2
-    # never certified escape, never survived max_iter at the precision cap:
-    # report the longest certified bounded window at the top precision
-    with mp.workprec(_ESCAPE_PREC_CAP + 32):
-        cb = _as_ball(c)
-        zb = _as_ball(z0) if seed_map is None else seed_map(_as_ball(z0), cb)
-        bail = _bail_radius(d, cb.abs_bounds()[1])
-        z = zb
-        k = 0
-        while k < max_iter:
-            lo, hi = z.abs_bounds()
-            if z.radius > (1 + hi) * mp.mpf(2) ** (-16) or lo >= bail:
-                break
-            z = bl.badd(bl.bpow_int(z, d), cb)
-            k += 1
-        return EscapeRateResult(
-            value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=k, escaped=False
-        )
+        if wp > _ESCAPE_PREC_CAP:
+            # never certified escape, never survived max_iter at the precision
+            # cap: report the last pass's certified bounded window
+            return EscapeRateResult(
+                value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=res, escaped=False
+            )
 
 
 def escape_rate_arch(
@@ -190,7 +189,7 @@ def local_height_functional_check(
         target_error,
         max_iter,
         precision_bits,
-        seed_map=lambda zb, cb: bl.badd(bl.bpow_int(zb, d), cb),
+        seed_map=lambda zb, cb: zb**d + cb,
     )
     with mp.workprec(max(64, precision_bits)):
         return abs(lam_fz.value - d * lam_z.value) + lam_fz.error_bound + d * lam_z.error_bound

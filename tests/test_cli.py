@@ -194,6 +194,18 @@ class TestExitCodes:
         )
         assert code == 4 and "HypothesisViolated" in err
 
+    def test_equidist_needs_two_levels(self, tmp_path, capsys):
+        # equidist's levels start at n = 2: --max-n 1 has no level to report
+        # or plot, and is refused before anything is written
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            ["equidist", "--d", "2", "--max-n", "1", "--alpha", "1", "--plot",
+             "--cache", str(cache)],
+            capsys,
+        )
+        assert code == 2 and "config error" in err and "--max-n" in err
+        assert out == "" and not cache.exists()
+
     def test_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
         bad.write_text("d=2\n")  # missing version key

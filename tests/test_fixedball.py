@@ -141,6 +141,16 @@ class TestOperations:
     def test_contains_zero_is_exact(self, a):
         assert a.contains_zero() == contains(a, (Fraction(0), Fraction(0)))
 
+    @example(FixedBall(1, 1, 0, 53))  # |center| = sqrt(2) ulps: isqrt is inexact
+    @settings(max_examples=300, deadline=None)
+    @given(balls())
+    def test_abs_bounds_enclose_modulus(self, a):
+        lo, hi = a.abs_bounds()
+        s = Fraction(1, 2**a.prec)
+        assert 0 <= lo <= hi
+        for x, y in points(a):
+            assert (lo * s) ** 2 <= x * x + y * y <= (hi * s) ** 2
+
 
 def _abs_ceil(re, im):
     n = re * re + im * im

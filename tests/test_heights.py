@@ -75,6 +75,41 @@ class TestEscapeRate:
             assert a.escaped and b.escaped
             assert abs(a.value - b.value) < 1e-4
 
+    def test_complex_c_matches_oracle_degree_two(self):
+        # off the real axis the kernel's |z| upper bound carries up to 6 %
+        # slack in every product radius; the values must not move
+        for c in (0.5 + 0.5j, -0.75 + 0.25j, 0.375 + 0.375j, -0.75 + 0.0625j):
+            want = escape_rate_oracle(2, c)
+            res = escape_rate_arch(2, c, target_error=1e-12)
+            assert res.escaped, c
+            assert abs(res.value - want) <= res.error_bound < 1e-11, c
+
+    def test_complex_c_matches_oracle_degree_three(self):
+        for c in (0.5 + 0.75j, -0.25 + 1j, -0.25 + 0.8125j):
+            want = escape_rate_oracle(3, c)
+            res = escape_rate_arch(3, c, target_error=1e-12)
+            assert res.escaped, c
+            assert abs(res.value - want) <= res.error_bound < 1e-11, c
+
+    def test_bounded_orbit_at_precision_cap_runs_one_pass_per_level(self, monkeypatch):
+        # c = -2 from z = 1/2 stays in [-2, 2], but its enclosure degenerates
+        # at every precision up to the cap; each pass computes its bail
+        # radius once, and the last pass's window is the verdict
+        import pcflab.heights as H
+
+        precs = []
+        bail = H._bail_radius
+
+        def counted(d, c_abs_hi):
+            precs.append(mp.mp.prec)
+            return bail(d, c_abs_hi)
+
+        monkeypatch.setattr(H, "_bail_radius", counted)
+        res = local_height_arch(2, -2, Fraction(1, 2))
+        assert not res.escaped and res.value == 0
+        assert 0 < res.iterations_used < H.DEFAULT_MAX_ITER
+        assert precs == [wp + 32 for wp in (256, 512, 1024, 2048, 4096)]
+
 
 class TestLocalHeightFunctional:
     def test_fixed_point_zero(self):

@@ -18,6 +18,7 @@ from pcflab.critical_orbit import (
 )
 from pcflab import rootfinder
 from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
+from pcflab.fixedball import FixedBall
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     all_roots,
@@ -88,11 +89,13 @@ class TestAllRoots:
                 continue
             ps = all_roots(p, 128)
             with mp.workprec(192):
-                ssum = bl.exact_ball(0)
-                prod = bl.exact_ball(1)
+                ssum = FixedBall(0, 0, 0, 192)
+                prod = ssum.lift(1)
                 for b in ps.roots:
-                    ssum = bl.badd(ssum, b)
-                    prod = bl.bmul(prod, b)
+                    fb = FixedBall.from_ball(b, 192)
+                    ssum = ssum + fb
+                    prod = prod * fb
+                ssum, prod = ssum.ball(), prod.ball()
                 a = p.coeffs
                 want_sum = mp.mpf(Fraction(-a[-2], a[-1]).numerator) / Fraction(
                     -a[-2], a[-1]
