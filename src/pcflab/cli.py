@@ -63,7 +63,13 @@ from .bounds import (
     thm15_threshold,
 )
 from .polynomials import serialize
-from .rootfinder import all_roots, read_roots_cache, write_roots_cache
+from .rootfinder import (
+    all_roots,
+    factor_roots_cache_path,
+    read_roots_cache,
+    roots_cache_path,
+    write_roots_cache,
+)
 
 CONFIG_VERSION = "1"
 
@@ -209,31 +215,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- shared cache-backed root lookup ---------------------------------------------
 
 
-def _factor_cache_path(cfg: RunConfig, label: str, n: int, bits: int) -> Path:
-    return cfg.cache_dir / "roots" / f"d{cfg.d}" / f"n{n}-{label}.p{bits}.roots"
-
-
-def cached_factor_roots(cfg: RunConfig, desc, bits: Optional[int] = None):
-    bits = bits or cfg.bits
-    path = _factor_cache_path(cfg, desc.label, desc.n, bits)
-    ps = read_roots_cache(path, desc.poly, bits, source=desc)
+def cached_roots(path: Path, poly, bits: int, evaluator, source=None):
+    """Certified roots of poly, read from path, or computed and written there."""
+    ps = read_roots_cache(path, poly, bits, source=source)
     if ps is None:
-        ps = all_roots(desc.poly, bits, evaluator=factor_evaluator(desc), source=desc)
-        write_roots_cache(path, desc.poly, ps)
-    return ps
-
-
-def cached_gleason_roots(cfg: RunConfig, n: int, bits: Optional[int] = None):
-    from .rootfinder import roots_cache_path
-
-    bits = bits or cfg.bits
-    poly = gleason(cfg.d, n, cfg.degree_cap).poly
-    path = roots_cache_path(cfg.cache_dir, cfg.d, n, bits)
-    ps = read_roots_cache(path, poly, bits)
-    if ps is None:
-        ps = all_roots(poly, bits, evaluator=gleason_evaluator(cfg.d, n))
+        ps = all_roots(poly, bits, evaluator=evaluator, source=source)
         write_roots_cache(path, poly, ps)
     return ps
+
+
+def _gleason_roots(cfg: RunConfig, n: int, bits: int):
+    path = roots_cache_path(cfg.cache_dir, cfg.d, n, bits)
+    poly = gleason(cfg.d, n, cfg.degree_cap).poly
+    return cached_roots(path, poly, bits, gleason_evaluator(cfg.d, n))
 
 
 # -- commands -----------------------------------------------------------------------
@@ -245,7 +239,7 @@ def cmd_enumerate(cfg: RunConfig, out=None) -> int:
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
     for n in range(1, cfg.max_n + 1):
         write_gleason_cache(cfg.cache_dir, cfg.d, n, cfg.degree_cap)
-        ps = cached_gleason_roots(cfg, n)
+        ps = _gleason_roots(cfg, n, cfg.bits)
         lines.append(
             f"gleason\tn={n}\tdeg={gleason(cfg.d, n).poly.degree}\troots={len(ps.roots)}"
         )
@@ -303,7 +297,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
         tau=cfg.tau,
         C=cfg.C,
         precision_bits=cfg.bits,
-        roots=lambda n: cached_gleason_roots(cfg, n),
+        roots=lambda n: _gleason_roots(cfg, n, cfg.bits),
     )
     fit = fitted_min_constant(reports)
     lines = [TSV_HEADER]
@@ -330,8 +324,12 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
     lines.append(
         f"pcf-modulus-value-d{cfg.d}\t{mp.nstr(pcf_modulus_bound(cfg.d), 10)}\t-\t-"
     )
+    bits = min(cfg.bits, 128)
     root_sets = [
-        cached_factor_roots(cfg, desc, min(cfg.bits, 128))
+        cached_roots(
+            factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
+            desc.poly, bits, factor_evaluator(desc), source=desc,
+        )
         for desc in enumerate_factors(cfg.d, cfg.max_n, cap=cfg.degree_cap)
         if desc.poly.degree >= 1
     ]
@@ -475,7 +473,7 @@ def cmd_plot(cfg: RunConfig, out=None) -> int:
     centers = [
         (float(b.center.real), float(b.center.imag))
         for n in range(1, cfg.max_n + 1)
-        for b in cached_gleason_roots(cfg, n, bits=min(cfg.bits, 128)).roots
+        for b in _gleason_roots(cfg, n, min(cfg.bits, 128)).roots
     ]
     ppm = _ppm_bytes(counts, max_iter, _root_pixels(centers, extent, size))
     ppm_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.ppm"

@@ -11,9 +11,12 @@ Preperiodic (Misiurewicz-type) factors come from the algebraic identity
 
     g_n - g_m  =  (g_{n-1} - g_{m-1}) * sum_{j<d} g_{n-1}^j g_{m-1}^{d-1-j},
 
-so the level-(m, n) factor is the squarefree part of that cofactor sum; its
-purely periodic roots (period dividing n-m) are then split off by one gcd with
-g_{n-m}, leaving the strictly preperiodic part.
+With a = g_{n-1}, b = g_{m-1} and q = gcd(n-1, m-1), the cofactor sum
+vanishes to order exactly d-1 on the roots of g_q (its only purely periodic
+roots) and simply at every strictly preperiodic parameter (Hutz-Towsley,
+Misiurewicz points for polynomial maps and transversality, NYJM 2015). So one
+exact division by g_q^(d-1) leaves the strictly preperiodic part, and the
+level-(m, n) factor is that part times g_q.
 
 The module also provides numerically stable (value, derivative) evaluators for
 all of these, driven by the orbit recurrence u <- u^d + c instead of the
@@ -23,6 +26,7 @@ from float64 sweeps to outward-rounded certification.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,15 +37,7 @@ import numpy as np
 from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
-from .polynomials import (
-    ONE,
-    IntPolynomial,
-    X,
-    divide_exact,
-    is_squarefree,
-    serialize,
-    squarefree_part,
-)
+from .polynomials import ONE, ZERO, IntPolynomial, X, divide_exact, is_squarefree, serialize
 from .rootfinder import Evaluator, QuotientEvaluator
 
 DEFAULT_DEGREE_CAP = 4096
@@ -171,94 +167,41 @@ def exact_period_factor(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Factor
 def misiurewicz_factor(d: int, m: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> FactorDescriptor:
     """Level-(m, n) preperiodic factor, with its strictly-preperiodic part.
 
-    Uses the exact cofactor identity quoted in the module docstring; for m = 1
-    the cofactor is g_{n-1}^{d-1}, whose squarefree part is g_{n-1} itself
-    (there are no strictly preperiodic parameters with preperiod 1: the only
-    preimage of the critical value is the critical point).
+    With a = g_{n-1}, b = g_{m-1} (b = 0 for m = 1) and q = gcd(n-1, m-1),
+    the cofactor raw = sum_j a^j b^(d-1-j) vanishes to order exactly d-1 on
+    the roots of g_q and simply everywhere else, so strict = raw / g_q^(d-1)
+    and poly = strict * g_q. The exact division and the squarefree
+    certificate of poly are asserted hard. For m = 1, raw = g_{n-1}^(d-1), so
+    poly = g_{n-1} and strict = 1 (the only preimage of the critical value is
+    the critical point).
     """
     if not (n > m >= 1):
         raise ValueError("need n > m >= 1")
     a = gleason(d, n - 1, cap).poly
-    if m == 1:
-        poly = a  # squarefree part of a^(d-1); g_{n-1} is squarefree
-        strict = ONE
-        return FactorDescriptor(
-            kind="misiurewicz", d=d, n=n, m=m, poly=poly,
-            expected_degree=poly.degree, strict_poly=strict,
-        )
-    b = gleason(d, m - 1, cap).poly
-    raw = _misiurewicz_raw(d, a, b)
-    # safety: raw * P_{m-1,n-1} must reassemble P_{m,n}
-    if raw * (a - b) != preperiodic_poly(d, m, n, cap):
+    b = gleason(d, m - 1, cap).poly if m > 1 else ZERO
+    gq = gleason(d, math.gcd(n - 1, m - 1), cap).poly
+    try:
+        strict = divide_exact(_misiurewicz_raw(d, a, b), gq ** (d - 1))
+    except NotDivisible as exc:
         raise FactorizationStructureViolated(
-            f"misiurewicz cofactor identity failed for (d={d}, m={m}, n={n})"
+            f"misiurewicz cofactor (d={d}, m={m}, n={n}) not divisible by g_q^(d-1)"
+        ) from exc
+    poly = strict * gq
+    if not is_squarefree(poly):
+        raise FactorizationStructureViolated(
+            f"misiurewicz factor (d={d}, m={m}, n={n}) is not squarefree"
         )
-    poly = _misiurewicz_squarefree(d, m, n, raw, cap)
-    strict = _remove_periodic(d, n - m, poly, cap)
     return FactorDescriptor(
         kind="misiurewicz", d=d, n=n, m=m, poly=poly,
         expected_degree=poly.degree, strict_poly=strict,
     )
 
 
-def _misiurewicz_squarefree(d, m, n, raw: IntPolynomial, cap: int) -> IntPolynomial:
-    """squarefree_part(raw) with the structural fast path for d >= 3.
-
-    The repeated roots of the cofactor sit exactly where g_{n-1} and g_{m-1}
-    vanish together, i.e. on the roots of g_q with q = gcd(n-1, m-1), each at
-    multiplicity d-1 (the local expansion of (a^d - b^d)/(a - b) at a common
-    simple zero). Dividing by g_q^(d-2) is verified by exact division and a
-    squarefree certificate; anything unexpected falls back to the generic
-    exact computation.
-    """
-    import math
-
-    if d >= 3:
-        q = math.gcd(n - 1, m - 1)
-        cand = gleason(d, q, cap).poly ** (d - 2)
-        try:
-            quot = divide_exact(raw, cand)
-        except NotDivisible:
-            quot = None
-        if quot is not None and is_squarefree(quot):
-            return quot.primitive_part()
-    return squarefree_part(raw)
-
-
-def _remove_periodic(d: int, k: int, poly: IntPolynomial, cap: int) -> IntPolynomial:
-    """poly with every exact-period-j factor (j | k) that divides it removed.
-
-    Equivalent to poly / gcd(poly, g_k) for squarefree poly, but via per-factor
-    exact divisions (with a cheap integer-evaluation divisibility pre-test)
-    instead of a large-degree gcd.
-    """
-    out = poly
-    probe = 5
-    for j in divisors(k):
-        fac = exact_period_factor(d, j, cap).poly
-        if fac.degree > out.degree:
-            continue
-        fv = fac(probe)
-        if fv != 0 and out(probe) % fv != 0:
-            continue
-        try:
-            out = divide_exact(out, fac).primitive_part()
-        except NotDivisible:
-            continue
-    return out
-
-
 def _misiurewicz_raw(d: int, a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """sum_{j=0}^{d-1} a^j b^(d-1-j) — the cofactor of (a - b) in a^d - b^d."""
-    total = IntPolynomial([])
-    apow = ONE
-    bpows = [ONE]
-    for _ in range(d - 1):
-        bpows.append(bpows[-1] * b)
-    for j in range(d):
-        total = total + apow * bpows[d - 1 - j]
-        if j < d - 1:
-            apow = apow * a
+    total = ONE
+    for k in range(1, d):
+        total = a * total + b**k
     return total
 
 
@@ -354,7 +297,6 @@ class GleasonEvaluator(Evaluator):
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
-        self.degree = d ** (n - 1)
         self.root_radius = float(2.0 ** (1.0 / (d - 1)))
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
@@ -372,9 +314,8 @@ class ExactPeriodEvaluator(Evaluator):
 
     f64_ok = True
 
-    def __init__(self, d: int, n: int, degree: int):
+    def __init__(self, d: int, n: int):
         self.d, self.n = d, n
-        self.degree = degree
         self.root_radius = float(2.0 ** (1.0 / (d - 1)))
         self.exps = [(k, mobius(n // k)) for k in divisors(n) if mobius(n // k) != 0]
 
@@ -413,11 +354,10 @@ class MisiurewiczEvaluator(Evaluator):
 
     f64_ok = True
 
-    def __init__(self, d: int, m: int, n: int, degree: int):
+    def __init__(self, d: int, m: int, n: int):
         if m < 2:
             raise ValueError("use GleasonEvaluator for m = 1 factors")
         self.d, self.m, self.n = d, m, n
-        self.degree = degree
         self.root_radius = float(2.0 ** (1.0 / (d - 1)))
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
@@ -462,18 +402,16 @@ def factor_evaluator(desc: FactorDescriptor):
     if desc.kind == "exact-period":
         if desc.n == 1:
             return GleasonEvaluator(desc.d, 1)
-        return ExactPeriodEvaluator(desc.d, desc.n, desc.expected_degree)
+        return ExactPeriodEvaluator(desc.d, desc.n)
     if desc.kind == "misiurewicz":
         if desc.m == 1:
             return GleasonEvaluator(desc.d, desc.n - 1)
-        a = gleason(desc.d, desc.n - 1).poly
-        b = gleason(desc.d, desc.m - 1).poly
-        raw = _misiurewicz_raw(desc.d, a, b)
-        base = MisiurewiczEvaluator(desc.d, desc.m, desc.n, raw.degree)
-        if raw == desc.poly:
+        base = MisiurewiczEvaluator(desc.d, desc.m, desc.n)
+        if desc.d == 2:
             return base
-        cofactor = divide_exact(raw, desc.poly)
-        return QuotientEvaluator(base, cofactor, desc.poly, base.root_radius)
+        # raw = poly * g_q^(d-2) by the construction in misiurewicz_factor
+        gq = gleason(desc.d, math.gcd(desc.n - 1, desc.m - 1)).poly
+        return QuotientEvaluator(base, gq ** (desc.d - 2), desc.poly, base.root_radius)
     return None
 
 

@@ -8,8 +8,9 @@ tightens geometrically with every extra step (see _escape_attempt for the
 derivation). Non-escape within the iteration budget is reported as a verdict
 ("bounded after N steps"), never as set membership. The iteration runs on
 fixed-point balls (pcflab.fixedball) at the working precision, which doubles
-whenever a pass cannot decide; at the precision cap, N is the window the
-last pass certified.
+whenever a pass cannot decide, up to the precision cap or until the input
+ball's own radius, not rounding, is what limits the pass; N is then the
+window the last pass certified.
 
 Finite places never need iteration: the escape rate there is log max(1, |c|_p),
 so everything reduces to Newton polygons of minimal polynomials, computed
@@ -28,7 +29,7 @@ from . import balls as bl
 from .errors import HypothesisUndecided
 from .fixedball import FixedBall
 from .numtheory import factorize, valuation
-from .polynomials import IntPolynomial, divmod_exact, is_squarefree
+from .polynomials import IntPolynomial, divmod_exact, is_squarefree, lower_hull
 from .rootfinder import all_roots
 
 DEFAULT_BITS = 256
@@ -46,8 +47,9 @@ class EscapeRateResult:
     escaped=False means the orbit stayed below the bail radius for
     iterations_used certified steps; value is then 0 (a lower bound for the
     true rate, exact whenever the point really has a bounded orbit). That is
-    max_iter, or, when no precision up to the cap decides, the bounded
-    window of the last pass, at the cap.
+    max_iter, or, when no pass decides, the bounded window of the last pass:
+    at the precision cap, or where the input ball is too wide for a doubled
+    precision to help.
     """
 
     value: mp.mpf
@@ -141,9 +143,11 @@ def _escape_rate_seeded(
         if isinstance(res, EscapeRateResult):
             return res
         wp *= 2
-        if wp > _ESCAPE_PREC_CAP:
-            # never certified escape, never survived max_iter at the precision
-            # cap: report the last pass's certified bounded window
+        # undecided: report this pass's certified bounded window when it is
+        # the last one, at the precision cap or when an input ball is 2^16
+        # ulps wide (the degeneracy test's margin), so that its own radius,
+        # not rounding, limits the window and a doubled pass starts as wide
+        if max(cb.rad, zb.rad) >> 16 or wp > _ESCAPE_PREC_CAP:
             return EscapeRateResult(
                 value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=res, escaped=False
             )
@@ -206,17 +210,7 @@ def newton_polygon_slopes(p: IntPolynomial, prime: int) -> list[tuple[Fraction, 
     """
     if p.is_zero:
         raise ValueError("newton polygon of the zero polynomial is undefined")
-    pts = [(i, valuation(c, prime)) for i, c in enumerate(p.coeffs) if c != 0]
-    hull: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # lower hull: drop the middle point unless strictly below the chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    hull = lower_hull([(i, valuation(c, prime)) for i, c in enumerate(p.coeffs) if c != 0])
     return [
         (Fraction(y2 - y1, x2 - x1), x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull[:-1], hull[1:])

@@ -203,7 +203,7 @@ def census(
     rows = []
     for desc in enumerate_factors(d, max_n, include_misiurewicz, cap):
         poly = desc.poly if desc.kind == "exact-period" else desc.strict_poly
-        if poly is None or poly.degree < 1:
+        if poly.degree < 1:
             continue
         verdict = is_S_integral(poly, alpha, S)
         rows.append(

@@ -253,6 +253,24 @@ def horner(coeffs: Sequence, z, acc):
     return acc
 
 
+def lower_hull(points: Sequence[tuple]) -> list[tuple]:
+    """Lower convex hull of points sorted by x (monotone chain).
+
+    A middle point stays only when it lies strictly below the chord, so
+    collinear points never do.
+    """
+    hull: list[tuple] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
 def evaluate_exact(p: IntPolynomial, a: Union[int, Fraction]):
     """Exact Horner evaluation at an integer or rational point."""
     return horner(p.coeffs, a, 0)

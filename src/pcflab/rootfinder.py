@@ -43,7 +43,7 @@ from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
 from .fixedball import FixedBall
-from .polynomials import IntPolynomial, horner, is_squarefree, serialize
+from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
@@ -94,7 +94,6 @@ class CoefficientEvaluator(Evaluator):
     def __init__(self, p: IntPolynomial):
         self.poly = p
         self.dpoly = p.derivative()
-        self.degree = p.degree
         self.coeff_bits = p.max_abs_coeff().bit_length()
         self.f64_ok = self.coeff_bits <= 900
         self.root_radius = None
@@ -130,7 +129,6 @@ class QuotientEvaluator(Evaluator):
         self.base = base
         self.cofactor = CoefficientEvaluator(cofactor)
         self.direct = CoefficientEvaluator(poly)
-        self.degree = poly.degree
         self.root_radius = root_radius
         self.f64_ok = base.f64_ok and self.cofactor.f64_ok
 
@@ -200,17 +198,9 @@ def _start_points(p: IntPolynomial, evaluator) -> list[tuple[float, float]]:
     """
     n = p.degree
     cap = _start_radius_log2(p, evaluator)
-    pts = [(i, _log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0]
-    hull: list[tuple[int, float]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # pop the middle point unless it lies strictly above the chord
-            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    # the upper hull, as the mirrored lower hull; float negation is exact
+    lower = lower_hull([(i, -_log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0])
+    hull = [(i, -y) for i, y in lower]
     out: list[tuple[float, float]] = []
     for (i0, y0), (i1, y1) in zip(hull[:-1], hull[1:]):
         k = i1 - i0
@@ -532,6 +522,10 @@ def _mpf_from_token(tok: str) -> mp.mpf:
 
 def roots_cache_path(root: Path, d: int, n: int, bits: int) -> Path:
     return Path(root) / "roots" / f"d{d}" / f"n{n}.p{bits}.roots"
+
+
+def factor_roots_cache_path(root: Path, d: int, n: int, label: str, bits: int) -> Path:
+    return Path(root) / "roots" / f"d{d}" / f"n{n}-{label}.p{bits}.roots"
 
 
 def write_roots_cache(path: Path, poly: IntPolynomial, pset: PCFParameterSet) -> Path:

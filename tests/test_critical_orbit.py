@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,10 @@ from pcflab.critical_orbit import (
 )
 from pcflab.errors import DegreeCapExceeded
 from pcflab.numtheory import divisors, mobius
-from pcflab.polynomials import IntPolynomial, evaluate_exact, resultant
+from pcflab.polynomials import IntPolynomial, evaluate_exact, resultant, serialize
 from pcflab.rootfinder import CoefficientEvaluator, QuotientEvaluator
 
-from oracles import naive_mul, horner_fraction
+from oracles import horner_fraction, naive_divmod, naive_gcd, naive_mul
 
 P = IntPolynomial
 
@@ -153,6 +155,73 @@ class TestMisiurewiczFactor:
         desc = misiurewicz_factor(3, 2, 4)
         assert evaluate_exact(desc.poly, 0) == 0
         assert evaluate_exact(desc.strict_poly, 0) != 0
+
+
+def _naive_add(p: list, q: list) -> list:
+    n = max(len(p), len(q))
+    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _naive_pow(p: list, k: int) -> list:
+    out = [1]
+    for _ in range(k):
+        out = naive_mul(out, p)
+    return out
+
+
+def _small_levels():
+    for d, max_n in ((2, 7), (3, 5), (4, 4)):
+        for n in range(2, max_n + 1):
+            for m in range(1, n):
+                yield d, m, n
+
+
+class TestMisiurewiczOracle:
+    """The factor construction against schoolbook arithmetic on small levels."""
+
+    @pytest.mark.parametrize("d,m,n", list(_small_levels()))
+    def test_against_naive_cofactor(self, d, m, n):
+        desc = misiurewicz_factor(d, m, n)
+        a = list(gleason(d, n - 1).poly.coeffs)
+        b = list(gleason(d, m - 1).poly.coeffs) if m > 1 else []
+        raw = []
+        for j in range(d):
+            raw = _naive_add(raw, naive_mul(_naive_pow(a, j), _naive_pow(b, d - 1 - j)))
+        # the cofactor identity g_n - g_m = (a - b) * raw
+        assert naive_mul(raw, _naive_add(a, [-c for c in b])) == list(
+            preperiodic_poly(d, m, n).coeffs
+        )
+        # poly is the primitive squarefree part of raw
+        draw = [i * c for i, c in enumerate(raw)][1:]
+        quot, rem = naive_divmod(raw, naive_gcd(raw, draw))
+        assert not rem
+        den = math.lcm(*(c.denominator for c in quot))
+        ints = [int(c * den) for c in quot]
+        g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        assert list(desc.poly.coeffs) == [c // g for c in ints]
+        # strict_poly shares no root with any period-j factor, j | n - m
+        strict = list(desc.strict_poly.coeffs)
+        for j in divisors(n - m):
+            assert len(naive_gcd(strict, list(exact_period_factor(d, j).poly.coeffs))) == 1
+
+
+class TestFactorBytes:
+    # sha256 over the serialized factors of two enumerations: the factor
+    # exports of `enumerate` must not change by a byte when the construction does
+    GOLDEN = "63550e2792cf33d04e090daba6611ad9f0a59cdae94441bff51cf1ee29da39db"
+
+    def test_serialized_factors_are_pinned(self):
+        h = hashlib.sha256()
+        for d, max_n in ((2, 9), (3, 6)):
+            for desc in enumerate_factors(d, max_n):
+                h.update(f"d={d} {desc.label}\n".encode())
+                h.update(serialize(desc.poly).encode())
+                if desc.strict_poly is not None:
+                    h.update(serialize(desc.strict_poly).encode())
+        assert h.hexdigest() == self.GOLDEN
 
 
 class TestEnumerateAndCache:

@@ -110,6 +110,27 @@ class TestEscapeRate:
         assert 0 < res.iterations_used < H.DEFAULT_MAX_ITER
         assert precs == [wp + 32 for wp in (256, 512, 1024, 2048, 4096)]
 
+    def test_wide_input_ball_stops_doubling(self, monkeypatch):
+        # the -sqrt(2) conjugate as a 256-bit root disk (radius ~3.6e-96): from
+        # 544 bits on, its own radius, not rounding, limits the window, so a
+        # third pass would certify the same 1951 steps again
+        import pcflab.heights as H
+        from pcflab.rootfinder import all_roots
+
+        c = min(all_roots(P([-2, 0, 1]), 256).roots, key=lambda b: b.center.real)
+        precs = []
+        bail = H._bail_radius
+
+        def counted(d, c_abs_hi):
+            precs.append(mp.mp.prec)
+            return bail(d, c_abs_hi)
+
+        monkeypatch.setattr(H, "_bail_radius", counted)
+        res = escape_rate_arch(2, c, target_error=1e-6, max_iter=4096)
+        assert not res.escaped and res.value == 0
+        assert res.iterations_used == 1951
+        assert precs == [288, 544]
+
 
 class TestLocalHeightFunctional:
     def test_fixed_point_zero(self):
