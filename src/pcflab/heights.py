@@ -19,6 +19,7 @@ exactly over Fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -29,7 +30,14 @@ from . import balls as bl
 from .errors import HypothesisUndecided
 from .fixedball import FixedBall
 from .numtheory import factorize, valuation
-from .polynomials import IntPolynomial, divmod_exact, is_squarefree, lower_hull
+from .polynomials import (
+    IntPolynomial,
+    divide_exact,
+    divmod_exact,
+    evaluate_exact,
+    is_squarefree,
+    lower_hull,
+)
 from .rootfinder import all_roots
 
 DEFAULT_BITS = 256
@@ -252,10 +260,11 @@ class AlgebraicNumber:
     """A number given by its primitive minimal-candidate polynomial plus an
     isolating ball selecting one root.
 
-    The polynomial must be squarefree with positive leading coefficient;
-    irreducibility is not required (heights and Newton polygon masses are
-    computed from the full root multiset either way, which is what the
-    engine needs).
+    The polynomial must be squarefree with positive leading coefficient.
+    from_min_poly divides out every linear factor over Z and keeps the
+    factor the selected root lies on, so input of degree <= 3 is certified
+    irreducible. A higher-degree polynomial may still be reducible; heights
+    and Newton polygon masses are then computed from its full root multiset.
     """
 
     min_poly: IntPolynomial
@@ -278,12 +287,21 @@ class AlgebraicNumber:
         poly = poly.primitive_part()
         if not is_squarefree(poly):
             raise ValueError("minimal polynomial must be squarefree")
-        roots = all_roots(poly, precision_bits)
-        if not 0 <= root_index < len(roots.roots):
+        # from 4 * height + 64 bits on, a root disk holds at most one
+        # candidate k/lead of _rational_root (|root| <= 1 + height / lead)
+        bits = max(precision_bits, 4 * poly.max_abs_coeff().bit_length() + 64)
+        roots = all_roots(poly, bits).roots
+        if not 0 <= root_index < len(roots):
             raise ValueError(f"root index {root_index} out of range")
-        return cls(
-            min_poly=poly, root_selector=roots.roots[root_index], degree=poly.degree
-        )
+        selected = roots[root_index]
+        for b in roots:
+            x = _rational_root(poly, b)
+            if x is None:
+                continue
+            if b is selected:
+                return cls.from_rational(x)
+            poly = divide_exact(poly, IntPolynomial([-x.numerator, x.denominator]))
+        return cls(min_poly=poly, root_selector=selected, degree=poly.degree)
 
     @property
     def is_rational(self) -> bool:
@@ -304,6 +322,28 @@ class AlgebraicNumber:
     def selected_conjugate(self, precision_bits: int = DEFAULT_BITS) -> bl.ComplexBall:
         conj = self.conjugates(precision_bits)
         return min(conj, key=lambda b: abs(b.center - self.root_selector.center))
+
+
+def _fraction(x: mp.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _rational_root(poly: IntPolynomial, disk: bl.ComplexBall) -> Optional[Fraction]:
+    """The root of poly in its certified root disk when that root is rational.
+
+    A rational root of a primitive polynomial with positive leading
+    coefficient is k/lead for an integer k, so the disk holds finitely many
+    candidates, each tested exactly.
+    """
+    re, im, rad = (_fraction(v) for v in (disk.center.real, disk.center.imag, disk.radius))
+    if abs(im) > rad:
+        return None
+    lead = poly.lead
+    for k in range(math.ceil(lead * (re - rad)), math.floor(lead * (re + rad)) + 1):
+        if evaluate_exact(poly, Fraction(k, lead)) == 0:
+            return Fraction(k, lead)
+    return None
 
 
 def _min_poly_of(alpha) -> tuple[IntPolynomial, int]:

@@ -1,9 +1,12 @@
 """Certified simultaneous root finding for integer polynomials.
 
-Pipeline: deterministic starting points on root-modulus annuli (fixed 0.4 rad
-offset, pure function of the coefficients, so cache files are
-byte-reproducible), a vectorized float64 Aberth-Ehrlich stage, per-root Newton
-polishing, then an outward-rounded inclusion disk per root. The
+Pipeline: deterministic starting points, a vectorized float64 Aberth-Ehrlich
+stage, per-root Newton polishing, then an outward-rounded inclusion disk per
+root. The evaluator picks the starts: orbit evaluators of pcflab.critical_orbit
+put them on a lemniscate of the Multibrot set (a pure function of d and the
+degree), every other polynomial gets root-modulus annuli from its coefficient
+hull (fixed 0.4 rad offset). Either way they are float64 functions of the
+input alone, so cache files are byte-reproducible. The
 certificate per approximation z is the classical inclusion disk of radius
 deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
 reciprocal root distances); when all deg disks are pairwise disjoint, each
@@ -71,6 +74,14 @@ class Evaluator:
     the certified disks and the root-cache bytes.
     """
 
+    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
+        """float64 starting points for the Aberth stage on p: the hull
+        annuli of _start_points unless a subclass knows where roots lie."""
+        pts = _start_points(p)
+        rl = np.clip(np.array([r for r, _ in pts]), -1000.0, 1000.0)
+        ang = np.array([a for _, a in pts])
+        return np.exp2(rl) * np.exp(1j * ang)
+
     def newton_mp(self, z):
         zf = FixedBall.from_mpc(z, mp.mp.prec)
         val, der = self.value_deriv(zf, zf.lift)
@@ -96,7 +107,6 @@ class CoefficientEvaluator(Evaluator):
         self.dpoly = p.derivative()
         self.coeff_bits = p.max_abs_coeff().bit_length()
         self.f64_ok = self.coeff_bits <= 900
-        self.root_radius = None
         shift = max(0, self.coeff_bits - 500)
         self._c64, self._d64 = (
             np.array([float(Fraction(c, 1 << shift)) for c in q.coeffs], dtype=np.float64)
@@ -125,18 +135,23 @@ class QuotientEvaluator(Evaluator):
     coefficients.
     """
 
-    def __init__(self, base, cofactor: IntPolynomial, poly: IntPolynomial, root_radius):
+    def __init__(self, base, cofactor: IntPolynomial, poly: IntPolynomial):
         self.base = base
         self.cofactor = CoefficientEvaluator(cofactor)
         self.direct = CoefficientEvaluator(poly)
-        self.root_radius = root_radius
         self.f64_ok = base.f64_ok and self.cofactor.f64_ok
+
+    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
+        return self.base.starts_f64(p)
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             nb = self.base.newton_f64(z)
             sv, dsv = self.cofactor.value_deriv_f64(z)
-            return 1.0 / (1.0 / nb - dsv / sv)
+            # a zero base step marks a root of the target, even where the
+            # form is inf - inf: every cofactor root is a target root here
+            # (the cofactor of a Misiurewicz factor is a power of g_q)
+            return np.where(nb == 0, 0, 1.0 / (1.0 / nb - dsv / sv))
 
     def value_deriv(self, z, num):
         sval, sder = self.cofactor.value_deriv(z, num)
@@ -168,9 +183,8 @@ def _log2_abs(c: int) -> float:
     return float(np.log2(abs(c) >> max(0, bits - 64)) + max(0, bits - 64))
 
 
-def _start_radius_log2(p: IntPolynomial, evaluator) -> float:
-    """log2 of the outer start-circle radius (Fujiwara bound, capped by any
-    a-priori root bound the evaluator knows)."""
+def _start_radius_log2(p: IntPolynomial) -> float:
+    """log2 of the outer start-circle radius (Fujiwara bound)."""
     coeffs = p.coeffs
     n = p.degree
     log2_lead = _log2_abs(coeffs[-1])
@@ -179,13 +193,10 @@ def _start_radius_log2(p: IntPolynomial, evaluator) -> float:
         if c == 0:
             continue
         fujiwara = max(fujiwara, (_log2_abs(c) - log2_lead) / (n - i))
-    radius_log2 = 1.0 + (0.0 if fujiwara == -np.inf else fujiwara) + 0.0625
-    if evaluator is not None and getattr(evaluator, "root_radius", None):
-        radius_log2 = min(radius_log2, np.log2(evaluator.root_radius * 1.0625 + 0.0625))
-    return float(radius_log2)
+    return float(1.0 + (0.0 if fujiwara == -np.inf else fujiwara) + 0.0625)
 
 
-def _start_points(p: IntPolynomial, evaluator) -> list[tuple[float, float]]:
+def _start_points(p: IntPolynomial) -> list[tuple[float, float]]:
     """Deterministic initial points as (log2 radius, angle) pairs.
 
     Root-modulus estimates come from the upper convex hull of (i, log|a_i|)
@@ -197,7 +208,7 @@ def _start_points(p: IntPolynomial, evaluator) -> list[tuple[float, float]]:
     files reproduce exactly.
     """
     n = p.degree
-    cap = _start_radius_log2(p, evaluator)
+    cap = _start_radius_log2(p)
     # the upper hull, as the mirrored lower hull; float negation is exact
     lower = lower_hull([(i, -_log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0])
     hull = [(i, -y) for i, y in lower]
@@ -216,14 +227,11 @@ def _start_points(p: IntPolynomial, evaluator) -> list[tuple[float, float]]:
 
 
 def _starts_f64(p: IntPolynomial, evaluator) -> np.ndarray:
-    pts = _start_points(p, evaluator)
-    rl = np.clip(np.array([r for r, _ in pts]), -1000.0, 1000.0)
-    ang = np.array([a for _, a in pts])
-    return np.exp2(rl) * np.exp(1j * ang)
+    return evaluator.starts_f64(p)
 
 
-def _starts_mp(p: IntPolynomial, evaluator) -> list:
-    pts = _start_points(p, evaluator)
+def _starts_mp(p: IntPolynomial) -> list:
+    pts = _start_points(p)
     out = []
     for rl, ang in pts:
         r = mp.mpf(2) ** mp.mpf(rl)
@@ -422,7 +430,7 @@ def all_roots(
     else:
         stage_a_prec = max(128, getattr(evaluator, "coeff_bits", 0) + 64)
         with mp.workprec(stage_a_prec):
-            zs = _aberth_mp(evaluator, _starts_mp(p, evaluator), 200, every)
+            zs = _aberth_mp(evaluator, _starts_mp(p), 200, every)
 
     wp = max(precision_bits + 64, stage_a_prec + 16)
     wp_limit = max(max_precision + 64, wp)  # always at least one pass

@@ -284,6 +284,16 @@ class TestPcfGate:
         golden = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
         assert not is_pcf_parameter(2, golden)
 
+    def test_reducible_input_keeps_the_selected_factor(self):
+        # c^2 + c - 2 = (c + 2)(c - 1); its root 0 is -2, which is PCF
+        alpha = AlgebraicNumber.from_min_poly([-2, 1, 1], 0)
+        assert alpha.min_poly.coeffs == (2, 1)
+        assert is_pcf_parameter(2, alpha)
+        # c^3 - 2c = c(c^2 - 2): the selected -sqrt(2) keeps c^2 - 2
+        alpha = AlgebraicNumber.from_min_poly([0, -2, 0, 1], 0)
+        assert alpha.min_poly.coeffs == (-2, 0, 1)
+        assert float(alpha.selected_conjugate().center.real) == pytest.approx(-2**0.5)
+
 
 class TestBoundedWindowModulus:
     def test_no_64_step_bounded_orbit_outside_modulus_bound(self):

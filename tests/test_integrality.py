@@ -131,16 +131,17 @@ class TestIsSIntegral:
         assert is_S_integral(P([1, 1]), alpha, PrimeSet.of([3])).is_S_integral
 
     def test_exact_path_overrides_fast_at_lead_primes(self):
-        # A = (2t-1)(t-3) = 2t^2 - 7t + 3: conjugates 1/2 and 3.
-        # x = 1 meets 3 at p=2 (|1-3|_2 < 1) but the fast normalization
-        # misses it: v_2(Res) = 1 = deg(B) * v_2(lead), not strictly greater.
+        # A = 2t^2 - 7t + 7, irreducible (discriminant -7). Mod 2 it is
+        # t + 1, so its 2-adically integral conjugate is 1 mod 2 and x = 1
+        # meets it at p=2, but the fast normalization misses it:
+        # v_2(Res) = 1 = deg(B) * v_2(lead), not strictly greater.
         b = P([-1, 1])
-        a = P([3, -7, 2])
+        a = P([7, -7, 2])
         r = resultant(b, a)
         assert valuation(r, 2) == 1 and b.degree * valuation(2, 2) == 1
         assert 2 not in meeting_primes_fast(b, a)
         assert meeting_test_exact(b, a, 2)
-        v = is_S_integral(b, AlgebraicNumber.from_min_poly([3, -7, 2], 0), PrimeSet.of([]))
+        v = is_S_integral(b, AlgebraicNumber.from_min_poly([7, -7, 2], 0), PrimeSet.of([]))
         assert 2 in v.meeting_primes
 
 

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import pcflab.balls as bl
+from pcflab import critical_orbit
 from pcflab.critical_orbit import (
+    enumerate_factors,
     exact_period_factor,
     factor_evaluator,
     gleason,
@@ -348,3 +351,87 @@ class TestFactorRootBounds:
         bound = 2 ** (1 / (d - 1)) + 1e-12
         for b in ps.roots:
             assert abs(complex(b.center)) + float(b.radius) <= bound
+
+
+class CountingNewton:
+    """Forwards to an evaluator and counts newton_f64 calls: one per float64
+    Aberth sweep."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sweeps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def newton_f64(self, z):
+        self.sweeps += 1
+        return self.inner.newton_f64(z)
+
+
+def float64_sweeps(desc):
+    ev = CountingNewton(factor_evaluator(desc))
+    rootfinder._aberth_f64(ev, rootfinder._starts_f64(desc.poly, ev))
+    return ev.sweeps
+
+
+class TestLemniscateStarts:
+    def test_gleason_11_sweeps(self):
+        # hull starts on one circle took 530 float64 sweeps here
+        ev = CountingNewton(gleason_evaluator(2, 11))
+        ps = all_roots(gleason(2, 11).poly, 128, evaluator=ev)
+        assert len(ps) == 1024
+        assert ev.sweeps <= 80
+
+    @pytest.mark.parametrize("m,n", [(2, 5), (3, 5), (3, 7)])
+    def test_exact_roots_of_g_q_settle(self, m, n):
+        # a point that lands on c = 0 or -1 exactly used to be nudged off
+        # and drawn back, for all 800 sweeps
+        assert float64_sweeps(misiurewicz_factor(2, m, n)) <= 30
+
+    @pytest.mark.parametrize("d,degree", [(2, 1024), (3, 2160), (2, 3), (3, 2)])
+    def test_pure_float64_function_of_d_and_degree(self, d, degree, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK is not deterministic across builds")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(np, "linalg", None)
+        z = critical_orbit.lemniscate_starts(d, degree)
+        assert z.shape == (degree,) and np.isfinite(z).all()
+        assert np.array_equal(z, critical_orbit.lemniscate_starts(d, degree))
+        assert len(set(z.tolist())) == degree
+        # on the lemniscate |g_m| = 4, to float64 accuracy
+        m = 2
+        while d ** (2 * (m - 1)) < degree:
+            m += 1
+        U, _, S = critical_orbit._orbit_f64(d, z, m)
+        assert (S[m] == 0).all()
+        assert np.allclose(np.abs(U[m]), 4.0, rtol=1e-9)
+
+    def test_quotient_form_starts_from_its_base(self):
+        desc = misiurewicz_factor(3, 3, 7)
+        ev = factor_evaluator(desc)
+        assert isinstance(ev, rootfinder.QuotientEvaluator)
+        assert np.array_equal(
+            rootfinder._starts_f64(desc.poly, ev),
+            critical_orbit.lemniscate_starts(3, desc.poly.degree),
+        )
+
+    def test_no_float64_stage_reaches_max_sweeps(self, monkeypatch):
+        # the start solves of g_m - w included
+        aberth = rootfinder._aberth_f64
+
+        def counted(evaluator, z0, max_sweeps=800, tol=5e-14):
+            ev = CountingNewton(evaluator)
+            out = aberth(ev, z0, max_sweeps, tol)
+            assert ev.sweeps < max_sweeps
+            return out
+
+        monkeypatch.setattr(rootfinder, "_aberth_f64", counted)
+        monkeypatch.setattr(critical_orbit, "_aberth_f64", counted)
+        cases = [(f.poly, factor_evaluator(f)) for f in enumerate_factors(2, 8)]
+        cases += [(f.poly, factor_evaluator(f)) for f in enumerate_factors(3, 5)]
+        cases += [(gleason(2, n).poly, gleason_evaluator(2, n)) for n in range(2, 11)]
+        for p, ev in cases:
+            if p.degree > 1:  # all_roots solves a linear factor exactly
+                counted(ev, rootfinder._starts_f64(p, ev))
