@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .balls import ComplexBall
 from .critical_orbit import (
-    CriticalOrbitPolynomial,
     FactorDescriptor,
     exact_period_factor,
     enumerate_factors,
@@ -70,7 +69,6 @@ __all__ = [
     "AlgebraicNumber",
     "BoundReport",
     "ComplexBall",
-    "CriticalOrbitPolynomial",
     "DiscrepancyReport",
     "EscapeRateResult",
     "FactorDescriptor",

@@ -147,12 +147,12 @@ def degree_lower_bound_check(d: int, n: int, base_degree: int) -> BoundReport:
             "d": d,
             "n": n,
             "base_degree": base_degree,
-            "gleason_degree": g.poly.degree,
+            "gleason_degree": g.degree,
             "exact_period_degree": factor.poly.degree,
         },
         bound_value=threshold,
-        empirical_value=mp.mpf(g.poly.degree),
-        satisfied=g.poly.degree >= threshold,
+        empirical_value=mp.mpf(g.degree),
+        satisfied=g.degree >= threshold,
     )
 
 

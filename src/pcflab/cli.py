@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from .cacheio import atomic_write_bytes, atomic_write_text
 from .critical_orbit import (
-    DEFAULT_DEGREE_CAP,
     check_degree_cap,
     enumerate_factors,
     factor_evaluator,
@@ -72,6 +71,7 @@ from .rootfinder import (
 )
 
 CONFIG_VERSION = "1"
+CONFIG_KEYS = ("version", "d", "max_n", "bits", "alpha", "S", "tau", "C", "plot", "cache", "format")
 
 _EXIT_CODES = [
     (DegreeCapExceeded, 3),
@@ -99,7 +99,6 @@ class RunConfig:
     plot: bool = False
     cache_dir: Path = Path("cache")
     out_format: str = "tsv"  # "tsv" | "text"
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def validate(self) -> "RunConfig":
         if self.d < 2:
@@ -112,6 +111,8 @@ class RunConfig:
             raise ValueError("--bits must lie in [16, 4096]")
         if not 0 < self.tau < 1:
             raise ValueError("--tau must lie in (0, 1)")
+        if not self.C > 0:
+            raise ValueError("--C must be > 0")
         if self.out_format not in ("tsv", "text"):
             raise ValueError("format must be tsv or text")
         return self
@@ -129,7 +130,10 @@ def parse_alpha(spec: str) -> AlgebraicNumber:
             root_index = int(idx)
         coeffs = [int(tok) for tok in body.split(",")]
         return AlgebraicNumber.from_min_poly(coeffs, root_index)
-    return AlgebraicNumber.from_rational(Fraction(spec))
+    try:
+        return AlgebraicNumber.from_rational(Fraction(spec))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {spec!r}") from exc
 
 
 def load_config_file(path: Path) -> dict:
@@ -141,7 +145,10 @@ def load_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = val.strip()
     if values.get("version") != CONFIG_VERSION:
         raise ValueError(f"config must declare version={CONFIG_VERSION}")
     return values
@@ -226,7 +233,7 @@ def cached_roots(path: Path, poly, bits: int, evaluator, source=None):
 
 def _gleason_roots(cfg: RunConfig, n: int, bits: int):
     path = roots_cache_path(cfg.cache_dir, cfg.d, n, bits)
-    poly = gleason(cfg.d, n, cfg.degree_cap).poly
+    poly = gleason(cfg.d, n)
     return cached_roots(path, poly, bits, gleason_evaluator(cfg.d, n))
 
 
@@ -235,15 +242,15 @@ def _gleason_roots(cfg: RunConfig, n: int, bits: int):
 
 def cmd_enumerate(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    check_degree_cap(cfg.d, cfg.max_n)
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
     for n in range(1, cfg.max_n + 1):
-        write_gleason_cache(cfg.cache_dir, cfg.d, n, cfg.degree_cap)
+        write_gleason_cache(cfg.cache_dir, cfg.d, n)
         ps = _gleason_roots(cfg, n, cfg.bits)
         lines.append(
-            f"gleason\tn={n}\tdeg={gleason(cfg.d, n).poly.degree}\troots={len(ps.roots)}"
+            f"gleason\tn={n}\tdeg={gleason(cfg.d, n).degree}\troots={len(ps.roots)}"
         )
-    for desc in enumerate_factors(cfg.d, cfg.max_n, cap=cfg.degree_cap):
+    for desc in enumerate_factors(cfg.d, cfg.max_n):
         fdir = cfg.cache_dir / "factors" / f"d{cfg.d}"
         atomic_write_text(fdir / f"n{desc.n}-{desc.label}.poly", serialize(desc.poly))
         if desc.strict_poly is not None:
@@ -257,11 +264,9 @@ def cmd_enumerate(cfg: RunConfig, out=None) -> int:
 
 def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    check_degree_cap(cfg.d, cfg.max_n)
     alpha = parse_alpha(cfg.alpha_spec)
-    result = census(
-        cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes), cap=cfg.degree_cap
-    )
+    result = census(cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes))
     body = result.to_tsv()
     summary = (
         f"# alpha={result.alpha_label} S={{{','.join(map(str, result.S.primes))}}}"
@@ -289,7 +294,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
     alpha = parse_alpha(cfg.alpha_spec)
     # the rational path builds no g_n, but its exact Vieta values grow like
     # d^(n-1) * h(alpha) bits, so the same cap bounds it
-    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    check_degree_cap(cfg.d, cfg.max_n)
     reports = discrepancy_report(
         cfg.d,
         range(2, cfg.max_n + 1),
@@ -317,7 +322,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
 
 def cmd_bounds(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    check_degree_cap(cfg.d, cfg.max_n)
     lines = ["name\tbound\tempirical\tsatisfied"]
     for n in range(1, cfg.max_n + 1):
         lines.append(degree_lower_bound_check(cfg.d, n, 1).line())
@@ -330,7 +335,7 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
             factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
             desc.poly, bits, factor_evaluator(desc), source=desc,
         )
-        for desc in enumerate_factors(cfg.d, cfg.max_n, cap=cfg.degree_cap)
+        for desc in enumerate_factors(cfg.d, cfg.max_n)
         if desc.poly.degree >= 1
     ]
     lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
@@ -467,7 +472,7 @@ def _discrepancy_svg(reports) -> str:
 
 def cmd_plot(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    check_degree_cap(cfg.d, cfg.max_n, cfg.degree_cap)
+    check_degree_cap(cfg.d, cfg.max_n)
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
     centers = [

@@ -2,10 +2,10 @@
 
 The polynomial g_n(c) = f^n_{d,c}(0) (in the parameter c) is built by the
 recurrence g_1 = c, g_{k+1} = g_k^d + c; its roots are exactly the parameters
-where the critical point 0 is periodic of period dividing n. The exact-period
-factor is extracted by recursive exact division following the divisor lattice,
-with the Möbius degree formula asserted hard: any (d, n) where the expected
-structure fails aborts loudly instead of mislabeling orbits.
+where the critical point 0 is periodic of period dividing n, and all simple
+(Gleason's lemma). The exact-period factor is extracted by recursive exact
+division following the divisor lattice; a division that leaves a remainder
+aborts loudly instead of mislabeling orbits.
 
 Preperiodic (Misiurewicz-type) factors come from the algebraic identity
 
@@ -16,7 +16,9 @@ vanishes to order exactly d-1 on the roots of g_q (its only purely periodic
 roots) and simply at every strictly preperiodic parameter (Hutz-Towsley,
 Misiurewicz points for polynomial maps and transversality, NYJM 2015). So one
 exact division by g_q^(d-1) leaves the strictly preperiodic part, and the
-level-(m, n) factor is that part times g_q.
+level-(m, n) factor is that part times g_q. Both are squarefree by these two
+theorems, so nothing here re-checks it; the root finder refuses any input
+that is not.
 
 The module also provides numerically stable (value, derivative) evaluators for
 all of these, driven by the orbit recurrence u <- u^d + c instead of the
@@ -37,10 +39,10 @@ import numpy as np
 from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
-from .polynomials import ONE, ZERO, IntPolynomial, X, divide_exact, is_squarefree, serialize
+from .polynomials import ONE, ZERO, IntPolynomial, X, divide_exact, serialize
 from .rootfinder import Evaluator, QuotientEvaluator, _aberth_f64
 
-DEFAULT_DEGREE_CAP = 4096
+DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 
 # lazily grown per-degree tables of g_1..g_N; single writer, many readers
 _tables: dict[int, list[IntPolynomial]] = {}
@@ -49,47 +51,23 @@ _lock = threading.Lock()
 
 
 @dataclass(frozen=True)
-class CriticalOrbitPolynomial:
-    """g_n for the family z^d + c: monic, degree d^(n-1), in the parameter c."""
-
-    d: int
-    n: int
-    poly: IntPolynomial
-
-    def __post_init__(self):
-        if not self.poly.is_monic or self.poly.degree != self.d ** (self.n - 1):
-            raise FactorizationStructureViolated(
-                f"g_{self.n} for d={self.d} is not monic of degree {self.d ** (self.n - 1)}"
-            )
-
-
-@dataclass(frozen=True)
 class FactorDescriptor:
     """One factor of the PCF parameter locus at level n.
 
-    kind "exact-period": roots have critical period exactly n; expected_degree
-    is the Möbius sum over divisors of n and is asserted at construction.
+    kind "exact-period": roots have critical period exactly n; the degree is
+    the Möbius sum over divisors of n.
 
     kind "misiurewicz": roots are parameters where 0 has preperiod <= m and
     period dividing n - m, with one layer of the (m-1, n-1) locus divided out;
     strict_poly is the sub-factor whose roots are strictly preperiodic.
-    expected_degree records the observed (asserted) degree of poly.
     """
 
     kind: str
     d: int
     n: int
     poly: IntPolynomial
-    expected_degree: int
     m: Optional[int] = None
     strict_poly: Optional[IntPolynomial] = None
-
-    def __post_init__(self):
-        if self.poly.degree != self.expected_degree:
-            raise FactorizationStructureViolated(
-                f"{self.kind} factor (d={self.d}, m={self.m}, n={self.n}) has degree "
-                f"{self.poly.degree}, expected {self.expected_degree}"
-            )
 
     @property
     def label(self) -> str:
@@ -107,93 +85,81 @@ def _table(d: int) -> list[IntPolynomial]:
         return _tables[d]
 
 
-def check_degree_cap(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> None:
-    """Raise DegreeCapExceeded when deg g_n = d^(n-1) exceeds cap."""
-    if d ** (n - 1) > cap:
-        raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {cap}")
+def check_degree_cap(d: int, n: int) -> None:
+    """Raise DegreeCapExceeded when deg g_n = d^(n-1) exceeds DEGREE_CAP."""
+    if d ** (n - 1) > DEGREE_CAP:
+        raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {DEGREE_CAP}")
 
 
-def gleason(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> CriticalOrbitPolynomial:
-    """g_n(c) = f^n_{d,c}(0) as an exact integer polynomial in c."""
+def gleason(d: int, n: int) -> IntPolynomial:
+    """g_n(c) = f^n_{d,c}(0) as an exact integer polynomial in c: monic, degree d^(n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_degree_cap(d, n, cap)
+    check_degree_cap(d, n)
     table = _table(d)
     with _lock:
         while len(table) <= n:
             table.append(table[-1] ** d + X)
-        return CriticalOrbitPolynomial(d, n, table[n])
+        return table[n]
 
 
-def preperiodic_poly(d: int, m: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> IntPolynomial:
+def preperiodic_poly(d: int, m: int, n: int) -> IntPolynomial:
     """P_{m,n} = g_n - g_m (g_0 taken as the zero polynomial)."""
     if not (n > m >= 0):
         raise ValueError("need n > m >= 0")
-    gn = gleason(d, n, cap).poly
-    gm = gleason(d, m, cap).poly if m >= 1 else IntPolynomial([])
-    return gn - gm
+    gm = gleason(d, m) if m >= 1 else ZERO
+    return gleason(d, n) - gm
 
 
-def exact_period_factor(d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> FactorDescriptor:
+def exact_period_factor(d: int, n: int) -> FactorDescriptor:
     """Factor of g_n whose roots have critical period exactly n.
 
     Computed by dividing g_n by the product of all lower exact-period factors
-    along divisors of n; both the exactness of the division and the Möbius
-    degree are asserted.
+    along divisors of n; each division is exact or raises.
     """
     key = (d, n)
     cached = _factor_cache.get(key)
     if cached is not None:
-        check_degree_cap(d, n, cap)
         return cached
-    gn = gleason(d, n, cap).poly
-    quot = gn
+    quot = gleason(d, n)
     for k in divisors(n):
         if k == n:
             continue
-        lower = exact_period_factor(d, k, cap)
         try:
-            quot = divide_exact(quot, lower.poly)
-        except Exception as exc:
+            quot = divide_exact(quot, exact_period_factor(d, k).poly)
+        except NotDivisible as exc:
             raise FactorizationStructureViolated(
                 f"g_{n} not divisible by the period-{k} factor (d={d})"
             ) from exc
-    expected = sum(mobius(n // k) * d ** (k - 1) for k in divisors(n))
-    desc = FactorDescriptor(kind="exact-period", d=d, n=n, poly=quot, expected_degree=expected)
+    desc = FactorDescriptor(kind="exact-period", d=d, n=n, poly=quot)
     _factor_cache[key] = desc
     return desc
 
 
-def misiurewicz_factor(d: int, m: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> FactorDescriptor:
+def misiurewicz_factor(d: int, m: int, n: int) -> FactorDescriptor:
     """Level-(m, n) preperiodic factor, with its strictly-preperiodic part.
 
     With a = g_{n-1}, b = g_{m-1} (b = 0 for m = 1) and q = gcd(n-1, m-1),
     the cofactor raw = sum_j a^j b^(d-1-j) vanishes to order exactly d-1 on
     the roots of g_q and simply everywhere else, so strict = raw / g_q^(d-1)
-    and poly = strict * g_q. The exact division and the squarefree
-    certificate of poly are asserted hard. For m = 1, raw = g_{n-1}^(d-1), so
-    poly = g_{n-1} and strict = 1 (the only preimage of the critical value is
-    the critical point).
+    and poly = strict * g_q; both are squarefree by that theorem. A division
+    that leaves a remainder raises FactorizationStructureViolated. For m = 1,
+    raw = g_{n-1}^(d-1), so poly = g_{n-1} and strict = 1 (the only preimage
+    of the critical value is the critical point).
     """
     if not (n > m >= 1):
         raise ValueError("need n > m >= 1")
-    a = gleason(d, n - 1, cap).poly
-    b = gleason(d, m - 1, cap).poly if m > 1 else ZERO
-    gq = gleason(d, math.gcd(n - 1, m - 1), cap).poly
+    a = gleason(d, n - 1)
+    b = gleason(d, m - 1) if m > 1 else ZERO
+    gq = gleason(d, math.gcd(n - 1, m - 1))
     try:
         strict = divide_exact(_misiurewicz_raw(d, a, b), gq ** (d - 1))
     except NotDivisible as exc:
         raise FactorizationStructureViolated(
             f"misiurewicz cofactor (d={d}, m={m}, n={n}) not divisible by g_q^(d-1)"
         ) from exc
-    poly = strict * gq
-    if not is_squarefree(poly):
-        raise FactorizationStructureViolated(
-            f"misiurewicz factor (d={d}, m={m}, n={n}) is not squarefree"
-        )
     return FactorDescriptor(
-        kind="misiurewicz", d=d, n=n, m=m, poly=poly,
-        expected_degree=poly.degree, strict_poly=strict,
+        kind="misiurewicz", d=d, n=n, m=m, poly=strict * gq, strict_poly=strict
     )
 
 
@@ -205,15 +171,12 @@ def _misiurewicz_raw(d: int, a: IntPolynomial, b: IntPolynomial) -> IntPolynomia
     return total
 
 
-def enumerate_factors(
-    d: int, max_n: int, include_misiurewicz: bool = True, cap: int = DEFAULT_DEGREE_CAP
-) -> list[FactorDescriptor]:
+def enumerate_factors(d: int, max_n: int) -> list[FactorDescriptor]:
     """All factors up to level max_n, exact-period first, then (m, n) pairs."""
-    out = [exact_period_factor(d, n, cap) for n in range(1, max_n + 1)]
-    if include_misiurewicz:
-        for n in range(2, max_n + 1):
-            for m in range(1, n):
-                out.append(misiurewicz_factor(d, m, n, cap))
+    out = [exact_period_factor(d, n) for n in range(1, max_n + 1)]
+    for n in range(2, max_n + 1):
+        for m in range(1, n):
+            out.append(misiurewicz_factor(d, m, n))
     return out
 
 
@@ -224,9 +187,9 @@ def gleason_cache_path(root: Path, d: int, n: int) -> Path:
     return Path(root) / "gleason" / f"d{d}" / f"n{n}.poly"
 
 
-def write_gleason_cache(root: Path, d: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Path:
+def write_gleason_cache(root: Path, d: int, n: int) -> Path:
     path = gleason_cache_path(root, d, n)
-    atomic_write_text(path, serialize(gleason(d, n, cap).poly))
+    atomic_write_text(path, serialize(gleason(d, n)))
     return path
 
 
@@ -469,7 +432,7 @@ def factor_evaluator(desc: FactorDescriptor):
         if desc.d == 2:
             return base
         # raw = poly * g_q^(d-2) by the construction in misiurewicz_factor
-        gq = gleason(desc.d, math.gcd(desc.n - 1, desc.m - 1)).poly
+        gq = gleason(desc.d, math.gcd(desc.n - 1, desc.m - 1))
         return QuotientEvaluator(base, gq ** (desc.d - 2), desc.poly)
     return None
 

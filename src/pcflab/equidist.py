@@ -172,7 +172,7 @@ def discrepancy_report(
     if is_pcf_parameter(d, alg):
         raise HypothesisViolated("alpha is a PCF parameter")
     roots = roots or (
-        lambda n: all_roots(gleason(d, n).poly, precision_bits, evaluator=gleason_evaluator(d, n))
+        lambda n: all_roots(gleason(d, n), precision_bits, evaluator=gleason_evaluator(d, n))
     )
     reports = []
     with mp.workprec(max(64, precision_bits) + 16):

@@ -17,15 +17,14 @@ class NotDivisible(PcfLabError):
 
 
 class DegreeCapExceeded(PcfLabError):
-    """A requested critical-orbit polynomial exceeds the configured degree cap."""
+    """A requested critical-orbit polynomial exceeds the degree cap (4096)."""
 
 
 class FactorizationStructureViolated(PcfLabError):
-    """The expected divisibility/degree pattern of critical-orbit factors failed.
+    """An exact division in the critical-orbit factor lattice left a remainder.
 
     Raised instead of silently mislabeling orbits: any (d, n) for which the
-    recursive factor extraction does not divide exactly, or produces an
-    unexpected degree, aborts loudly.
+    recursive factor extraction does not divide exactly aborts loudly.
     """
 
 

@@ -468,19 +468,6 @@ def is_pcf_parameter(d: int, alpha, orbit_cap: int = 256) -> bool:
     alpha = as_algebraic(alpha)
     if abs(alpha.min_poly.lead) != 1:
         return False
-    if alpha.is_rational:
-        a = int(alpha.as_fraction())
-        bail = 2.0 ** (1.0 / (d - 1)) + abs(a) + 2
-        seen = set()
-        u = 0
-        for _ in range(orbit_cap):
-            u = u**d + a
-            if u in seen:
-                return True
-            if abs(u) > bail:
-                return False
-            seen.add(u)
-        raise HypothesisUndecided("integer orbit neither repeated nor escaped")
     # orbit in Z[t]/(A), A monic
     A = (
         alpha.min_poly

@@ -142,15 +142,10 @@ class CensusRow:
     kind: str
     m: Optional[int]
     n: int
+    label: str  # the factor's FactorDescriptor.label
     degree: int
     meeting_primes: tuple[int, ...]
     is_S_integral: bool
-
-    @property
-    def label(self) -> str:
-        if self.kind == "exact-period":
-            return f"period-{self.n}"
-        return f"misiurewicz-{self.m}-{self.n}"
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ class CensusResult:
     alpha_label: str
     S: PrimeSet
     rows: tuple[CensusRow, ...]
-    threshold: float  # orbit-size threshold shape C1 |S|^3 D^8
+    threshold: float  # orbit-size threshold shape C1 |S|^3 D^8 at C1 = 1
 
     @property
     def s_integral_count(self) -> int:
@@ -182,9 +177,6 @@ def census(
     max_n: int,
     alpha,
     S: Union[PrimeSet, Iterable[int]],
-    include_misiurewicz: bool = True,
-    threshold_C1: float = 1.0,
-    cap: int = 4096,
 ) -> CensusResult:
     """Integrality verdicts for every factor up to level max_n.
 
@@ -201,7 +193,7 @@ def census(
     from .bounds import thm15_threshold
 
     rows = []
-    for desc in enumerate_factors(d, max_n, include_misiurewicz, cap):
+    for desc in enumerate_factors(d, max_n):
         poly = desc.poly if desc.kind == "exact-period" else desc.strict_poly
         if poly.degree < 1:
             continue
@@ -211,6 +203,7 @@ def census(
                 kind=desc.kind,
                 m=desc.m,
                 n=desc.n,
+                label=desc.label,
                 degree=poly.degree,
                 meeting_primes=tuple(sorted(verdict.meeting_primes)),
                 is_S_integral=verdict.is_S_integral,
@@ -226,5 +219,5 @@ def census(
         alpha_label=alpha_label,
         S=S,
         rows=tuple(rows),
-        threshold=thm15_threshold(threshold_C1, max(1, len(S) + 1), field_degree),
+        threshold=thm15_threshold(1.0, max(1, len(S) + 1), field_degree),
     )

@@ -208,20 +208,20 @@ def _start_points(p: IntPolynomial) -> list[tuple[float, float]]:
     files reproduce exactly.
     """
     n = p.degree
-    cap = _start_radius_log2(p)
+    rmax_log = _start_radius_log2(p)
     # the upper hull, as the mirrored lower hull; float negation is exact
     lower = lower_hull([(i, -_log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0])
     hull = [(i, -y) for i, y in lower]
     out: list[tuple[float, float]] = []
     for (i0, y0), (i1, y1) in zip(hull[:-1], hull[1:]):
         k = i1 - i0
-        rlog = min((y0 - y1) / k, cap)
+        rlog = min((y0 - y1) / k, rmax_log)
         for j in range(k):
             ang = 2.0 * np.pi * (j + 0.5 * (i0 % 3)) / k + _START_ANGLE_OFFSET + 0.13 * i0
             out.append((rlog, ang))
     if len(out) != n:  # degenerate hull (shouldn't happen); one circle fallback
         out = [
-            (cap, 2.0 * np.pi * j / n + _START_ANGLE_OFFSET) for j in range(n)
+            (rmax_log, 2.0 * np.pi * j / n + _START_ANGLE_OFFSET) for j in range(n)
         ]
     return out
 

@@ -202,3 +202,19 @@ def escape_rate_oracle(d: int, c, steps_after: int = 12, dps: int = 80):
             k += 1
         # tail after k steps is below log(2)/(d^k (d-1)), far under oracle use
         return mp.log(abs(z)) / mp.mpf(d) ** k
+
+
+def integer_orbit_is_finite(d: int, a: int) -> bool:
+    """Whether 0 has a finite orbit under z^d + a, a an integer.
+
+    Once |u| > |a| + 2 the orbit grows strictly, since |u^d + a| >= |u|^2 - |a|
+    > |u|; before that it stays in a finite set, so it repeats or leaves it.
+    """
+    seen = set()
+    u = 0
+    while u not in seen:
+        if abs(u) > abs(a) + 2:
+            return False
+        seen.add(u)
+        u = u**d + a
+    return True

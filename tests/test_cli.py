@@ -212,6 +212,36 @@ class TestExitCodes:
         code, _, err = run(["enumerate", "--config", str(bad)], capsys)
         assert code == 2 and "config error" in err
 
+    @pytest.mark.parametrize("spec", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_alpha(self, tmp_path, capsys, spec):
+        code, out, err = run(
+            ["integral-scan", "--d", "2", "--max-n", "2", f"--alpha={spec}",
+             "--cache", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 2 and "invalid value" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("C", ["0", "-1"])
+    def test_nonpositive_C(self, tmp_path, capsys, C):
+        # fitted_min_constant divides by C; refused before anything is written
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            ["equidist", "--d", "2", "--max-n", "3", "--alpha", "1/3", "--C", C,
+             "--cache", str(cache)],
+            capsys,
+        )
+        assert code == 2 and "config error" in err and "--C" in err
+        assert out == "" and not cache.exists()
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("version=1\nmax-n=3\n")  # the file key is max_n
+        cache = tmp_path / "cache"
+        code, out, err = run(["enumerate", "--config", str(conf), "--cache", str(cache)], capsys)
+        assert code == 2 and "config error" in err and "'max-n'" in err
+        assert out == "" and not cache.exists()
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
@@ -248,7 +278,7 @@ class TestPlot:
         from pcflab.rootfinder import all_roots
 
         for n in range(1, 5):
-            ps = all_roots(gleason(2, n).poly, 128, evaluator=gleason_evaluator(2, n))
+            ps = all_roots(gleason(2, n), 128, evaluator=gleason_evaluator(2, n))
             for b in ps.roots:
                 x, y = float(b.center.real), float(b.center.imag)
                 px = int(round((x - xmin) / (xmax - xmin) * (size - 1)))

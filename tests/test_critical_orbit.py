@@ -27,7 +27,7 @@ from pcflab.critical_orbit import (
 )
 from pcflab.errors import DegreeCapExceeded
 from pcflab.numtheory import divisors, mobius
-from pcflab.polynomials import IntPolynomial, evaluate_exact, resultant, serialize
+from pcflab.polynomials import IntPolynomial, evaluate_exact, is_squarefree, resultant, serialize
 from pcflab.rootfinder import CoefficientEvaluator, QuotientEvaluator
 
 from oracles import horner_fraction, naive_divmod, naive_gcd, naive_mul
@@ -37,33 +37,33 @@ P = IntPolynomial
 
 class TestGleason:
     def test_small_cases(self):
-        assert gleason(2, 1).poly.coeffs == (0, 1)  # c
-        assert gleason(2, 2).poly.coeffs == (0, 1, 1)  # c^2 + c
+        assert gleason(2, 1).coeffs == (0, 1)  # c
+        assert gleason(2, 2).coeffs == (0, 1, 1)  # c^2 + c
         # g_3 = g_2^2 + c, frozen from the schoolbook product oracle
         expected = naive_mul([0, 1, 1], [0, 1, 1])
         expected[1] += 1
         assert expected == [0, 1, 1, 2, 1]
-        assert gleason(2, 3).poly.coeffs == tuple(expected)
+        assert gleason(2, 3).coeffs == tuple(expected)
 
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3), (5, 3)])
     def test_degree_law(self, d, n):
-        assert gleason(d, n).poly.degree == d ** (n - 1)
-        assert gleason(d, n).poly.is_monic
+        assert gleason(d, n).degree == d ** (n - 1)
+        assert gleason(d, n).is_monic
 
     def test_degree_27_monic_for_d3(self):
-        g = gleason(3, 4).poly
+        g = gleason(3, 4)
         assert g.degree == 27 and g.is_monic
 
     def test_zero_is_always_pcf(self):
         for d in (2, 3, 4):
             for n in range(1, 6):
-                assert evaluate_exact(gleason(d, n).poly, 0) == 0
+                assert evaluate_exact(gleason(d, n), 0) == 0
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapExceeded):
             gleason(3, 20)
         with pytest.raises(DegreeCapExceeded):
-            gleason(2, 20, cap=4096)
+            gleason(2, 20)
 
     def test_recurrence_against_evaluation(self):
         # g_{k+1}(a) = g_k(a)^d + a at a rational point, exactly
@@ -73,7 +73,7 @@ class TestGleason:
             for _ in range(5):
                 vals.append(vals[-1] ** d + a)
             for n in range(1, 6):
-                assert evaluate_exact(gleason(d, n).poly, a) == vals[n]
+                assert evaluate_exact(gleason(d, n), a) == vals[n]
 
 
 class TestPreperiodic:
@@ -95,11 +95,9 @@ class TestExactPeriodFactor:
 
     def test_mobius_degrees(self):
         for n in range(1, 11):
-            desc = exact_period_factor(2, n)
-            assert desc.expected_degree == sum(
+            assert exact_period_factor(2, n).poly.degree == sum(
                 mobius(n // k) * 2 ** (k - 1) for k in divisors(n)
             )
-            assert desc.poly.degree == desc.expected_degree
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_product_reassembles_gleason(self, d):
@@ -108,7 +106,7 @@ class TestExactPeriodFactor:
             prod = P([1])
             for k in divisors(n):
                 prod = prod * exact_period_factor(d, k).poly
-            assert prod == gleason(d, n).poly
+            assert prod == gleason(d, n)
 
 
 class TestMisiurewiczFactor:
@@ -185,8 +183,8 @@ class TestMisiurewiczOracle:
     @pytest.mark.parametrize("d,m,n", list(_small_levels()))
     def test_against_naive_cofactor(self, d, m, n):
         desc = misiurewicz_factor(d, m, n)
-        a = list(gleason(d, n - 1).poly.coeffs)
-        b = list(gleason(d, m - 1).poly.coeffs) if m > 1 else []
+        a = list(gleason(d, n - 1).coeffs)
+        b = list(gleason(d, m - 1).coeffs) if m > 1 else []
         raw = []
         for j in range(d):
             raw = _naive_add(raw, naive_mul(_naive_pow(a, j), _naive_pow(b, d - 1 - j)))
@@ -206,6 +204,27 @@ class TestMisiurewiczOracle:
         strict = list(desc.strict_poly.coeffs)
         for j in divisors(n - m):
             assert len(naive_gcd(strict, list(exact_period_factor(d, j).poly.coeffs))) == 1
+
+
+class TestLatticeInvariants:
+    """What the factor construction guarantees by theorem, checked here once
+    instead of on every run: Gleason's lemma (g_n squarefree, monic of degree
+    d^(n-1)), the Möbius degree of the exact-period parts, and Hutz-Towsley
+    for the Misiurewicz factors and their strictly preperiodic parts."""
+
+    @pytest.mark.parametrize("d,max_n", [(2, 11), (3, 7), (4, 5), (5, 4)])
+    def test_lattice(self, d, max_n):
+        for n in range(1, max_n + 1):
+            g = gleason(d, n)
+            assert g.is_monic and g.degree == d ** (n - 1)
+        for desc in enumerate_factors(d, max_n):
+            assert is_squarefree(desc.poly), desc.label
+            if desc.kind == "exact-period":
+                assert desc.poly.degree == sum(
+                    mobius(desc.n // k) * d ** (k - 1) for k in divisors(desc.n)
+                ), desc.label
+            else:
+                assert is_squarefree(desc.strict_poly), desc.label
 
 
 class TestFactorBytes:
@@ -236,7 +255,7 @@ class TestEnumerateAndCache:
         assert path == gleason_cache_path(tmp_path, 2, 5)
         from pcflab.polynomials import deserialize
 
-        assert deserialize(path.read_text()) == gleason(2, 5).poly
+        assert deserialize(path.read_text()) == gleason(2, 5)
         before = path.read_bytes()
         write_gleason_cache(tmp_path, 2, 5)
         assert path.read_bytes() == before
@@ -252,9 +271,9 @@ class TestConcurrency:
 
         co._tables.pop(7, None)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda n: gleason(7, n).poly, [3, 4, 4, 3, 4, 3, 4, 4]))
-        ref3 = gleason(7, 3).poly
-        ref4 = gleason(7, 4).poly
+            results = list(pool.map(lambda n: gleason(7, n), [3, 4, 4, 3, 4, 3, 4, 4]))
+        ref3 = gleason(7, 3)
+        ref4 = gleason(7, 4)
         for poly in results:
             assert poly in (ref3, ref4)
         assert ref4.degree == 343
@@ -269,7 +288,7 @@ class TestEvaluatorOracle:
     """Each evaluator formula against exact rational evaluation of its polynomial."""
 
     CASES = [
-        ("gleason", lambda: (gleason(3, 4).poly, gleason_evaluator(3, 4))),
+        ("gleason", lambda: (gleason(3, 4), gleason_evaluator(3, 4))),
         ("period-6", lambda: _factor_case(exact_period_factor(2, 6), ExactPeriodEvaluator)),
         ("period-4-d3", lambda: _factor_case(exact_period_factor(3, 4), ExactPeriodEvaluator)),
         ("misiurewicz-1-5", lambda: _factor_case(misiurewicz_factor(2, 1, 5), GleasonEvaluator)),

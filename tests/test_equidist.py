@@ -45,7 +45,7 @@ class TestVietaAverage:
         for n in range(1, 7):
             for a in (Fraction(1), Fraction(-3), Fraction(1, 2)):
                 assert exact_orbit_value(2, n, a) == horner_fraction(
-                    list(gleason(2, n).poly.coeffs), a
+                    list(gleason(2, n).coeffs), a
                 )
 
     def test_singular_at_pcf_parameter(self):
@@ -57,7 +57,7 @@ class TestVietaAverage:
 
 class TestRootsAverage:
     def test_matches_vieta_small(self):
-        ps = all_roots(gleason(2, 2).poly, 192)
+        ps = all_roots(gleason(2, 2), 192)
         with mp.workprec(256):
             res = avg_log_distance_roots(ps, bl.exact_ball(3))
             want = avg_log_distance_vieta(2, 2, 3, 192)
@@ -65,7 +65,7 @@ class TestRootsAverage:
             assert res.error_bound < 1e-40
 
     def test_overlap_raises(self):
-        ps = all_roots(gleason(2, 2).poly, 128)
+        ps = all_roots(gleason(2, 2), 128)
         with mp.workprec(160):
             fat = bl.ball(0, mp.mpf("0.5"))  # covers the root at 0
             with pytest.raises(KernelSingular):
@@ -73,7 +73,7 @@ class TestRootsAverage:
 
     def test_truncated_average_inactive_truncation(self):
         # single root at distance 2 with tau = 0.5: kernel = log2 - log2 = 0
-        ps = all_roots(gleason(2, 1).poly, 128)  # root {0}
+        ps = all_roots(gleason(2, 1), 128)  # root {0}
         with mp.workprec(160):
             res = avg_log_distance_roots(
                 ps, bl.exact_ball(2), KernelSpec("truncated", 0.5)
@@ -152,7 +152,7 @@ class TestDiscrepancyReport:
 
         def roots(n):
             looked_up.append(n)
-            return all_roots(gleason(2, n).poly, 128)
+            return all_roots(gleason(2, n), 128)
 
         reports = discrepancy_report(2, [3, 4], golden, precision_bits=128, roots=roots)
         assert looked_up == [3, 4]

@@ -21,7 +21,7 @@ from pcflab.heights import (
 )
 from pcflab.polynomials import IntPolynomial
 
-from oracles import escape_rate_oracle
+from oracles import escape_rate_oracle, integer_orbit_is_finite
 
 P = IntPolynomial
 
@@ -277,6 +277,13 @@ class TestPcfGate:
         assert not is_pcf_parameter(2, 1)
         assert not is_pcf_parameter(2, Fraction(1, 2))  # not an algebraic integer
         assert not is_pcf_parameter(3, -1)  # 0 -> -1 -> -2 -> -9 -> ... escapes
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_integers_take_the_orbit_path(self, d):
+        # integers go through the same Z[t]/(A) orbit and escape test as
+        # every other algebraic integer
+        for a in range(-10, 11):
+            assert is_pcf_parameter(d, a) == integer_orbit_is_finite(d, a), a
 
     def test_algebraic_cases(self):
         period3 = AlgebraicNumber.from_min_poly([1, 1, 2, 1], 0)

@@ -159,8 +159,8 @@ class TestCensus:
         assert not by_label["misiurewicz-2-3"].is_S_integral
 
     def test_empty_finite_s(self):
-        res = census(2, 3, 1, PrimeSet.of([]), include_misiurewicz=False)
-        winners = [r.label for r in res.rows if r.is_S_integral]
+        res = census(2, 3, 1, PrimeSet.of([]))
+        winners = [r.label for r in res.rows if r.is_S_integral and r.kind == "exact-period"]
         assert winners == ["period-1"]
 
     def test_pcf_alpha_rejected(self):

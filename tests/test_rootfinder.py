@@ -74,7 +74,7 @@ class TestAllRoots:
             all_roots(P([1, 2, 1]), 128)  # (x+1)^2
 
     def test_sorted_by_real_then_imag(self):
-        ps = all_roots(gleason(2, 4).poly, 128, evaluator=gleason_evaluator(2, 4))
+        ps = all_roots(gleason(2, 4), 128, evaluator=gleason_evaluator(2, 4))
         keys = [(b.center.real, b.center.imag) for b in ps.roots]
         assert keys == sorted(keys)
 
@@ -379,7 +379,7 @@ class TestLemniscateStarts:
     def test_gleason_11_sweeps(self):
         # hull starts on one circle took 530 float64 sweeps here
         ev = CountingNewton(gleason_evaluator(2, 11))
-        ps = all_roots(gleason(2, 11).poly, 128, evaluator=ev)
+        ps = all_roots(gleason(2, 11), 128, evaluator=ev)
         assert len(ps) == 1024
         assert ev.sweeps <= 80
 
@@ -431,7 +431,7 @@ class TestLemniscateStarts:
         monkeypatch.setattr(critical_orbit, "_aberth_f64", counted)
         cases = [(f.poly, factor_evaluator(f)) for f in enumerate_factors(2, 8)]
         cases += [(f.poly, factor_evaluator(f)) for f in enumerate_factors(3, 5)]
-        cases += [(gleason(2, n).poly, gleason_evaluator(2, n)) for n in range(2, 11)]
+        cases += [(gleason(2, n), gleason_evaluator(2, n)) for n in range(2, 11)]
         for p, ev in cases:
             if p.degree > 1:  # all_roots solves a linear factor exactly
                 counted(ev, rootfinder._starts_f64(p, ev))
