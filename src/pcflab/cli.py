@@ -323,6 +323,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
 def cmd_bounds(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     check_degree_cap(cfg.d, cfg.max_n)
+    alpha = parse_alpha(cfg.alpha_spec)
     lines = ["name\tbound\tempirical\tsatisfied"]
     for n in range(1, cfg.max_n + 1):
         lines.append(degree_lower_bound_check(cfg.d, n, 1).line())
@@ -341,7 +342,6 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
     lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
     lines.extend(rep.line() for rep in separation_check(root_sets))
     s_size = max(1, len(cfg.s_primes) + 1)
-    alpha = parse_alpha(cfg.alpha_spec)
     lines.append(
         f"thm15-threshold\t{thm15_threshold(cfg.C, s_size, alpha.degree):g}\t-\t-"
     )

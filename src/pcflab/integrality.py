@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 from .critical_orbit import FactorDescriptor, enumerate_factors
 from .errors import HypothesisViolated
 from .heights import AlgebraicNumber, as_algebraic, is_pcf_parameter
-from .numtheory import factorize, is_prime, valuation
+from .numtheory import factorize, is_prime
 from .polynomials import IntPolynomial, gcd_degree_mod, resultant
 
 
@@ -70,21 +70,23 @@ def meeting_primes_fast(B: IntPolynomial, A: IntPolynomial) -> set[int]:
     resultant"; on primes dividing lead(A) it is a conservative normalization
     that is_S_integral refines with the exact residue test.
     """
+    return _meeting_primes(B, A, _lead_factors(A))
+
+
+def _lead_factors(A: IntPolynomial) -> dict[int, int]:
+    lead = abs(A.lead)
+    return factorize(lead) if lead > 1 else {}
+
+
+def _meeting_primes(B: IntPolynomial, A: IntPolynomial, lead_fac: dict[int, int]) -> set[int]:
+    """meeting_primes_fast, given the factorization of lead(A)."""
     if not B.is_monic:
         raise ValueError("factor polynomial must be monic")
     r = resultant(B, A)
     if r == 0:
         raise ValueError("factor shares a root with the base point")
-    out = set()
-    lead = abs(A.lead)
-    candidates = set(factorize(abs(r))) if abs(r) > 1 else set()
-    candidates |= set(factorize(lead)) if lead > 1 else set()
-    for p in candidates:
-        vr = valuation(r, p) if r % p == 0 else 0
-        vl = valuation(lead, p) if lead % p == 0 else 0
-        if vr > B.degree * vl:
-            out.add(p)
-    return out
+    r_fac = factorize(r) if abs(r) > 1 else {}
+    return {p for p, e in r_fac.items() if e > B.degree * lead_fac.get(p, 0)}
 
 
 def meeting_test_exact(B: IntPolynomial, A: IntPolynomial, p: int) -> bool:
@@ -119,12 +121,12 @@ def is_S_integral(
         S = PrimeSet.of(S)
     B = _factor_poly(x_factor)
     A = as_algebraic(alpha).min_poly
-    meeting = meeting_primes_fast(B, A)
-    lead = abs(A.lead)
+    lead_fac = _lead_factors(A)
+    meeting = _meeting_primes(B, A, lead_fac)
     method = "resultant-fast"
-    if lead > 1:
+    if lead_fac:
         method = "newton-exact"
-        for p in factorize(lead):
+        for p in lead_fac:
             if meeting_test_exact(B, A, p):
                 meeting.add(p)
             else:

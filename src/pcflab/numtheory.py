@@ -2,32 +2,60 @@
 
 Everything here is deterministic. Primality uses a Miller-Rabin test with a
 base set proven sufficient below 3.3 * 10^24, falling back to a fixed list of
-pseudo-random bases (derived from the input) above that; factoring combines a
-trial-division wheel with Brent's variant of Pollard rho, which is plenty for
-the desk-scale resultants this package produces.
+pseudo-random bases (derived from the input) above that. Factoring runs three
+stages, each only on what the one before left unsplit: trial division below
+10^4; Brent's variant of Pollard rho for a fixed number of steps, which finds
+most factors of up to 9 digits at once; then Lenstra's elliptic curve method
+(Montgomery, *Speeding the Pollard and elliptic curve methods*, 1987) on
+Montgomery curves from Suyama's parametrisation with curve seeds 6, 7, 8, ...:
+an x-only ladder for stage 1 up to B1 and the standard continuation for stage
+2 up to B2, with B1 raised on a fixed schedule whenever a batch of curves
+fails. Pollard rho costs about sqrt(p) steps to find a prime factor p; ECM's
+cost grows far more slowly, so the 13-digit factors of desk-scale resultants
+take a few curves.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import compress
+from typing import Iterator, Optional
 
 # Bases proving primality for all n < 3.3e24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_LIMIT = 3317044064679887385961981
 
-_SMALL_PRIME_LIMIT = 10_000
+_TRIAL_LIMIT = 10_000
+# Pollard-Brent gives up once its cycle length passes this (about 4x as many
+# squarings in all): enough for most factors of up to 9 digits.
+_RHO_BUDGET = 1 << 14
+# ECM batches of (B1, curves), after the table B1 grows 5-fold per batch of
+# the last size; stage 2 runs to B2 = _ECM_B2_RATIO * B1 in giant steps of
+# _ECM_D (2*3*5*7). Curve seeds are sigma = 6, 7, 8, ... in order.
+_ECM_SCHEDULE = ((1_000, 10), (2_000, 25), (11_000, 90), (50_000, 300))
+_ECM_B2_RATIO = 100
+_ECM_D = 210
+_ECM_FIRST_SIGMA = 6
+
+_prime_table = array("L")  # every prime below _prime_limit, grown on demand
+_prime_limit = 0
 
 
-@lru_cache(maxsize=None)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray(b"\x01") * (_SMALL_PRIME_LIMIT + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(_SMALL_PRIME_LIMIT**0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = b"\x00" * ((_SMALL_PRIME_LIMIT - start) // p + 1)
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+def _primes(lo: int, hi: int) -> array:
+    """The primes p with lo <= p < hi, from one table grown to the largest hi asked."""
+    global _prime_table, _prime_limit
+    if _prime_limit < hi:
+        size = max(hi, 2 * _prime_limit)
+        sieve = bytearray(b"\x01") * size
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
+        _prime_table, _prime_limit = array("L", compress(range(size), sieve)), size
+    return _prime_table[bisect_left(_prime_table, lo) : bisect_left(_prime_table, hi)]
 
 
 def is_prime(n: int) -> bool:
@@ -63,38 +91,149 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        y, c, m = (seed * 2 + 1) % n, (seed * 3 + 7) % n, 128
-        if c == 0:
-            c = 1
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
+def _pollard_brent(n: int) -> Optional[int]:
+    """A nontrivial factor of odd composite n (Brent's cycle variant of Pollard
+    rho with y -> y^2 + 10), or None if the budget runs out first."""
+    y, c, m = 3, 10, 128
+    g = r = q = 1
+    x = ys = y
+    while g == 1 and r <= _RHO_BUDGET:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        seed += 1  # cycle degenerated; restart with new parameters
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        # the last batch of m steps took in every factor: redo it one gcd a step
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g if 1 < g < n else None
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P for P = (x:z) on the Montgomery curve with (A + 2)/4 = a24."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P1 + P2 from P1, P2 and P1 - P2 = (xd:zd)."""
+    u = (x1 - z1) * (x2 + z2)
+    v = (x1 + z1) * (x2 - z2)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x:z) for k >= 1 (Montgomery ladder: R1 - R0 = P throughout).
+
+    _xadd and _xdbl written out in the loop, which is the hot path of stage 1.
+    """
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        u = (x1 - z1) * (x0 + z0)
+        v = (x1 + z1) * (x0 - z0)
+        xs, zs = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            x0, z0 = xs, zs
+            s, d = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n
+            x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+        else:
+            x1, z1 = xs, zs
+            s, d = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+            x0, z0 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+    return x0, z0
+
+
+def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> Optional[int]:
+    """One ECM curve: a nontrivial factor of n, or None when the curve finds none.
+
+    A gcd follows every prime multiplication of stage 1 and every giant step of
+    stage 2, so a gcd equal to n (every prime factor found at once) gives up
+    on this curve instead of hiding the factors.
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x, z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    for p in _primes(2, b1 + 1):
+        q = p
+        while q <= b1:
+            x, z = _ladder(p, x, z, a24, n)
+            g = math.gcd(z, n)
+            if g != 1:
+                return g if g < n else None
+            q *= p
+    # stage 2: a prime p = m*D +- j (0 < j < D/2, j prime to D) with p*Q = O
+    # gives x(mD*Q) = x(j*Q); the baby steps j*Q are made affine once, so each
+    # prime costs one product against the projective giant step mD*Q
+    D = _ECM_D
+    baby = [0] * D  # baby[D/2 +- j] = x(j*Q), affine
+    xj, zj = x, z
+    x2, z2 = _xdbl(x, z, a24, n)
+    xl, zl = x, z  # (j - 2)Q for j = 1 is -Q, whose x is Q's
+    for j in range(1, D // 2, 2):
+        if math.gcd(j, D) == 1:
+            g = math.gcd(zj, n)
+            if g != 1:
+                return g if g < n else None
+            baby[D // 2 + j] = baby[D // 2 - j] = xj * pow(zj, -1, n) % n
+        (xj, zj), (xl, zl) = _xadd(xj, zj, x2, z2, xl, zl, n), (xj, zj)
+    xD, zD = _ladder(D, x, z, a24, n)
+    m = max(1, (b1 + D // 2) // D)
+    xm, zm = _ladder(m * D, x, z, a24, n)
+    xn, zn = _ladder((m + 1) * D, x, z, a24, n)
+    lo, acc = m * D - D // 2, 1  # (xm:zm) = mD*Q serves the primes in [lo, lo + D)
+    for p in _primes(max(b1 + 1, lo), b2 + 1):
+        while p >= lo + D:
+            g = math.gcd(acc, n)
+            if g != 1:
+                return g if g < n else None
+            (xm, zm), (xn, zn) = (xn, zn), _xadd(xn, zn, xD, zD, xm, zm, n)
+            lo += D
+        acc = acc * (xm - baby[p - lo] * zm) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _ecm_batches() -> Iterator[tuple[int, int]]:
+    yield from _ECM_SCHEDULE
+    b1, curves = _ECM_SCHEDULE[-1]
+    while True:
+        b1 *= 5
+        yield b1, curves
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of composite n, which has no prime factor below 10^4
+    when factorize calls it (Lenstra ECM).
+
+    Curves run in the order of their seeds, a batch at a time, until one
+    splits n; each later batch raises B1.
+    """
+    sigma = _ECM_FIRST_SIGMA
+    for b1, curves in _ecm_batches():
+        for _ in range(curves):
+            g = _ecm_curve(n, sigma, b1, _ECM_B2_RATIO * b1)
+            sigma += 1
+            if g is not None:
+                return g
+    raise AssertionError("the batch schedule is endless")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -103,7 +242,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _primes(2, _TRIAL_LIMIT):
         if p * p > n:
             break
         while n % p == 0:
@@ -112,12 +251,10 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m)
+        d = _pollard_brent(m) or _ecm(m)
         stack.append(d)
         stack.append(m // d)
     return out

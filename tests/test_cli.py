@@ -222,6 +222,16 @@ class TestExitCodes:
         assert code == 2 and "invalid value" in err and "Traceback" not in err
         assert out == ""
 
+    def test_bounds_refuses_bad_alpha_before_isolating(self, tmp_path, capsys):
+        # --alpha is parsed before any factor is isolated, so no root cache is written
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            ["bounds", "--d", "2", "--max-n", "3", "--alpha", "1/0", "--cache", str(cache)],
+            capsys,
+        )
+        assert code == 2 and "invalid value" in err and "Traceback" not in err
+        assert out == "" and not (cache / "roots").exists()
+
     @pytest.mark.parametrize("C", ["0", "-1"])
     def test_nonpositive_C(self, tmp_path, capsys, C):
         # fitted_min_constant divides by C; refused before anything is written

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from pcflab.cli import main
+from pcflab.critical_orbit import enumerate_factors
 from pcflab.errors import HypothesisViolated
 from pcflab.heights import AlgebraicNumber
 from pcflab.integrality import (
@@ -16,8 +19,8 @@ from pcflab.integrality import (
     meeting_primes_fast,
     meeting_test_exact,
 )
-from pcflab.numtheory import valuation
-from pcflab.polynomials import IntPolynomial, resultant
+from pcflab.numtheory import is_prime, valuation
+from pcflab.polynomials import IntPolynomial, evaluate_exact, resultant
 
 from oracles import horner_fraction
 
@@ -183,3 +186,46 @@ class TestCensus:
         lines = res.to_tsv().strip().splitlines()
         assert lines[0].startswith("kind\tm\tn\t")
         assert len(lines) == len(res.rows) + 1
+
+
+def _census_polys(d: int, max_n: int) -> dict:
+    """(kind, m, n) -> the polynomial census reports on for that factor."""
+    return {
+        (f.kind, f.m, f.n): f.poly if f.kind == "exact-period" else f.strict_poly
+        for f in enumerate_factors(d, max_n)
+    }
+
+
+class TestCensusCompleteness:
+    # for an integer alpha, A = x - alpha is monic and Res(B, A) = +-B(alpha):
+    # the meeting primes are exactly its prime support
+
+    def test_integer_alpha_primes_multiply_back(self):
+        polys = _census_polys(3, 5)
+        res = census(3, 5, 3, PrimeSet.of([2, 3]))
+        assert len(res.rows) == sum(1 for b in polys.values() if b.degree >= 1)
+        for row in res.rows:
+            value = abs(evaluate_exact(polys[(row.kind, row.m, row.n)], 3))
+            assert all(is_prime(p) for p in row.meeting_primes), row.label
+            assert math.prod(p ** valuation(value, p) for p in row.meeting_primes) == value
+
+    def test_three_halves_scan(self, tmp_path, capsys):
+        # its resultants include 17 * 15667 * 22123 * 10324393, where one gcd per
+        # ECM curve takes in every factor at once
+        code = main(["integral-scan", "--d", "2", "--max-n", "7", "--alpha=3/2",
+                     "--S", "2,3,5", "--cache", str(tmp_path / "cache")])
+        out = capsys.readouterr().out
+        assert code == 0
+        polys = _census_polys(2, 7)
+        rows = [line.split("\t") for line in out.splitlines()
+                if not line.startswith(("#", "kind"))]
+        assert len(rows) == sum(1 for b in polys.values() if b.degree >= 1)
+        for kind, m, n, _, primes, _ in rows:
+            B = polys[(kind, None if m == "-" else int(m), int(n))]
+            listed = [] if primes == "-" else [int(p) for p in primes.split(",")]
+            assert all(is_prime(p) for p in listed)
+            # Res(B, 2x - 3) = +-2^deg(B) B(3/2); away from lead(A) = 2 the
+            # listed primes account for all of it
+            value = abs(int(evaluate_exact(B, Fraction(3, 2)) * 2**B.degree))
+            odd = value // 2 ** valuation(value, 2)
+            assert math.prod(p ** valuation(odd, p) for p in listed if p != 2) == odd
