@@ -23,7 +23,14 @@ that is not.
 The module also provides numerically stable (value, derivative) evaluators for
 all of these, driven by the orbit recurrence u <- u^d + c instead of the
 astronomically large coefficients; the root finder uses them for everything
-from float64 sweeps to outward-rounded certification.
+from float64 sweeps to outward-rounded certification. A Misiurewicz factor
+(m >= 2) is evaluated as itself, with no division. As g_q divides g_{iq},
+R_i = g_{iq}/g_q is a polynomial; with k = (n-1)/q, j = (m-1)/q and
+sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i), the factor raw / g_q^(d-2) is
+g_q sigma_d(R_k, R_j) = a sigma_{d-1}(R_k, R_j) + b R_j^(d-2). On the orbit
+u_i = g_i, R_1 = 1 and R_{i+1} = 1 + u_{iq}^(d-1) R_i prod_{0<t<q} sigma_d(u_{iq+t}, u_t):
+telescoping x^d - y^d = (x - y) sigma_d(x, y) gives f^q(x) - f^q(0) =
+x^d prod_{0<t<q} sigma_d(f^t(x), f^t(0)); put x = u_{iq} = g_q R_i, divide by g_q.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
 from .polynomials import ONE, ZERO, IntPolynomial, X, divide_exact, serialize
-from .rootfinder import Evaluator, QuotientEvaluator, _aberth_f64
+from .rootfinder import Evaluator, _aberth_f64
 
 DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 
@@ -368,19 +375,56 @@ class ExactPeriodEvaluator(OrbitEvaluator):
         return val, der
 
 
-class MisiurewiczEvaluator(OrbitEvaluator):
-    """Evaluates sum_j g_{n-1}^j g_{m-1}^{d-1-j} (m >= 2) via orbit values.
+class _Jet:
+    """A value and its derivative in c; + and * follow the sum and product
+    rules. The right operand may be an exact int, which enters as a constant."""
 
-    The float64 Newton ratio is computed from scale-free quantities
-    q = u_{m-1}/u_{n-1}, u'_k/u_k only, so the shared-exponent rescaling of
-    far-out points cancels. At an exact root of g_q both orbit values are 0
-    and q is 0/0; such a point is a root of the factor, with Newton step 0.
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if isinstance(o, int):
+            return _Jet(self.v + o, self.d)
+        return _Jet(self.v + o.v, self.d + o.d)
+
+    def __mul__(self, o):
+        if isinstance(o, int):
+            return _Jet(self.v * o, self.d * o)
+        return _Jet(self.v * o.v, self.v * o.d + self.d * o.v)
+
+    def __pow__(self, e: int):
+        if e == 1:
+            return self
+        p = self.v ** (e - 1)
+        return _Jet(p * self.v, p * self.d * e)
+
+
+def _sigma(e: int, x, y):
+    """sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i) for e >= 2; y may be the int 1."""
+    s, ypow = x + y, y
+    for _ in range(e - 2):
+        ypow = ypow * y
+        s = s * x + ypow
+    return s
+
+
+class MisiurewiczEvaluator(OrbitEvaluator):
+    """The level-(m, n) factor (m >= 2) by the division-free formula of the
+    module docstring; a + b for d = 2.
+
+    newton_f64 takes raw/raw' from the scale-free rho = u_{m-1}/u_{n-1} and
+    u'_i/u_i, so rescaling far-out points cancels, then for d > 2 folds the
+    cofactor g_q^(d-2) into the log-derivative. At an exact root of g_q,
+    rho is 0/0; such a point is a root of the factor, with Newton step 0.
     """
 
     def __init__(self, d: int, m: int, n: int):
         if m < 2:
             raise ValueError("use GleasonEvaluator for m = 1 factors")
         self.d, self.m, self.n = d, m, n
+        self.q = math.gcd(n - 1, m - 1)
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
         d, m, n = self.d, self.m, self.n
@@ -388,35 +432,39 @@ class MisiurewiczEvaluator(OrbitEvaluator):
         ua, dua, sa = U[n - 1], DU[n - 1], S[n - 1]
         ub, dub, sb = U[m - 1], DU[m - 1], S[m - 1]
         with np.errstate(all="ignore"):
-            q = (ub / ua) * np.exp2(np.minimum(sb - sa, 8.0))
+            rho = (ub / ua) * np.exp2(np.minimum(sb - sa, 8.0))
             ra = dua / ua
             rb = dub / ub
             val = np.zeros_like(z)
             der = np.zeros_like(z)
-            qpow = np.ones_like(z)  # q^(d-1-j) accumulated from j = d-1 down
+            rpow = np.ones_like(z)  # rho^(d-1-j) accumulated from j = d-1 down
             for j in range(d - 1, -1, -1):
-                val = val + qpow
-                der = der + (j * ra + (d - 1 - j) * rb) * qpow
+                val = val + rpow
+                der = der + (j * ra + (d - 1 - j) * rb) * rpow
                 if j > 0:
-                    qpow = qpow * q
+                    rpow = rpow * rho
+            if d > 2:
+                # val/der is raw/raw' and poly = raw / g_q^(d-2); val is 0 at
+                # exact float roots, so it is never a divisor
+                der = der - (d - 2) * (DU[self.q] / U[self.q]) * val
             return np.where((ua == 0) & (ub == 0), 0, val / der)
 
     def value_deriv(self, z, num):
-        d, m, n = self.d, self.m, self.n
+        d, m, n, q = self.d, self.m, self.n, self.q
         us, dus = _orbit(d, z, n - 1, num)
-        a, da = us[n - 1], dus[n - 1]
-        b, db = us[m - 1], dus[m - 1]
-        val = num(0)
-        der = num(0)
-        for j in range(d):
-            apj = a**j
-            bpj = b ** (d - 1 - j)
-            val = val + apj * bpj
-            if j > 0:
-                der = der + a ** (j - 1) * da * bpj * j
-            if d - 1 - j > 0:
-                der = der + b ** (d - 2 - j) * db * apj * (d - 1 - j)
-        return val, der
+        if d == 2:
+            return us[n - 1] + us[m - 1], dus[n - 1] + dus[m - 1]
+        u = [_Jet(v, dv) for v, dv in zip(us, dus)]
+        r = rj = 1  # R_1
+        for i in range(1, (n - 1) // q):
+            t = u[i * q] ** (d - 1) * r
+            for s in range(1, q):
+                t = t * _sigma(d, u[i * q + s], u[s])
+            r = t + 1
+            if i + 1 == (m - 1) // q:
+                rj = r
+        f = u[n - 1] * _sigma(d - 1, r, rj) + u[m - 1] * rj ** (d - 2)
+        return f.v, f.d
 
 
 def factor_evaluator(desc: FactorDescriptor):
@@ -428,12 +476,7 @@ def factor_evaluator(desc: FactorDescriptor):
     if desc.kind == "misiurewicz":
         if desc.m == 1:
             return GleasonEvaluator(desc.d, desc.n - 1)
-        base = MisiurewiczEvaluator(desc.d, desc.m, desc.n)
-        if desc.d == 2:
-            return base
-        # raw = poly * g_q^(d-2) by the construction in misiurewicz_factor
-        gq = gleason(desc.d, math.gcd(desc.n - 1, desc.m - 1))
-        return QuotientEvaluator(base, gq ** (desc.d - 2), desc.poly)
+        return MisiurewiczEvaluator(desc.d, desc.m, desc.n)
     return None
 
 

@@ -14,8 +14,8 @@ contains exactly one root and the set is a complete isolation certificate.
 
 Polishing and certification evaluate p and p' on one arithmetic, the
 fixed-point midpoint-radius kernel of pcflab.fixedball at 2^-wp for working
-precision wp: Gaussian integers plus an integer radius. Polished points stay
-on that grid, so each disk's center enters the kernel exactly. The kernel
+precision wp: Gaussian integers plus an integer radius. A point enters the
+kernel rounded to the grid, with that rounding in its radius. The kernel
 floors every product and quotient, so the order of operations in each
 evaluator formula fixes the rounding, hence the disks and the cache bytes.
 
@@ -26,9 +26,9 @@ polished again and gets a new disk. Every other root keeps its disk. The
 pairwise disjointness check runs over the whole set after every round, so the
 set returned has passed it as a whole.
 
-Critical-orbit polynomials get orbit-recurrence evaluators from
-pcflab.critical_orbit; everything else goes through plain Horner on the exact
-coefficients.
+Lattice factors get division-free orbit-recurrence evaluators from
+pcflab.critical_orbit; other polynomials, such as a base point's minimal
+polynomial, go through Horner on the exact coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -53,25 +53,18 @@ MAX_PRECISION_BITS = 4096
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 
 
-def _near_zero(s: FixedBall) -> bool:
-    # a ball that may contain 0 must not divide; below 2^-(prec/2) the
-    # quotient form is close to 0/0 and steers polishing astray
-    half = s.prec - s.prec // 2
-    return s.contains_zero() or s.re * s.re + s.im * s.im < 1 << (2 * half)
-
-
 class Evaluator:
     """(value, derivative) of one polynomial, each formula written once.
 
     Subclasses write value_deriv(z, num) over any scalar type with + - * /
     and ** by an int whose right operand may be an exact integer; num lifts
     an exact integer into z's type. Polishing and certification both run it
-    on the fixed-point kernel pcflab.fixedball at 2^-mp.prec: newton_mp
-    returns the mpc ratio of the two centers, value_deriv_ball the two
-    outward-rounded balls. The vectorized float64 form newton_f64 is the one
-    special case written separately. The kernel's operation order is the
-    formula's, so the formula fixes the rounding, hence the polished points,
-    the certified disks and the root-cache bytes.
+    on the fixed-point kernel pcflab.fixedball at 2^-mp.prec, the point
+    rounded onto its grid: newton_mp returns the mpc ratio of the two centers,
+    value_deriv_ball the two outward-rounded balls. The vectorized float64
+    form newton_f64 is the one special case written separately. The kernel's
+    operation order is the formula's, so the formula fixes the rounding, hence
+    the polished points, the certified disks and the root-cache bytes.
     """
 
     def starts_f64(self, p: IntPolynomial) -> np.ndarray:
@@ -113,54 +106,13 @@ class CoefficientEvaluator(Evaluator):
             for q in (p, self.dpoly)
         )
 
-    def value_deriv_f64(self, z: np.ndarray):
-        zero = np.zeros_like(z)
-        return horner(self._c64, z, zero), horner(self._d64, z, zero)
-
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        zero = np.zeros_like(z)
         with np.errstate(all="ignore"):
-            pv, dv = self.value_deriv_f64(z)
-            return pv / dv
+            return horner(self._c64, z, zero) / horner(self._d64, z, zero)
 
     def value_deriv(self, z, num):
         return horner(self.poly.coeffs, z, num(0)), horner(self.dpoly.coeffs, z, num(0))
-
-
-class QuotientEvaluator(Evaluator):
-    """Evaluator for target = base/cofactor with a small exact cofactor.
-
-    The cofactor can share roots with the target (one multiplicity layer of a
-    repeated root stays in each), so near cofactor roots the quotient form is
-    0/0; those few points fall back to plain Horner on the target's exact
-    coefficients.
-    """
-
-    def __init__(self, base, cofactor: IntPolynomial, poly: IntPolynomial):
-        self.base = base
-        self.cofactor = CoefficientEvaluator(cofactor)
-        self.direct = CoefficientEvaluator(poly)
-        self.f64_ok = base.f64_ok and self.cofactor.f64_ok
-
-    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
-        return self.base.starts_f64(p)
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            nb = self.base.newton_f64(z)
-            sv, dsv = self.cofactor.value_deriv_f64(z)
-            # a zero base step marks a root of the target, even where the
-            # form is inf - inf: every cofactor root is a target root here
-            # (the cofactor of a Misiurewicz factor is a power of g_q)
-            return np.where(nb == 0, 0, 1.0 / (1.0 / nb - dsv / sv))
-
-    def value_deriv(self, z, num):
-        sval, sder = self.cofactor.value_deriv(z, num)
-        if _near_zero(sval):
-            return self.direct.value_deriv(z, num)
-        bval, bder = self.base.value_deriv(z, num)
-        val = bval / sval
-        der = (bder - val * sder) / sval
-        return val, der
 
 
 @dataclass(frozen=True)
@@ -321,16 +273,9 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
     return zs
 
 
-def _on_grid(z):
-    """z rounded to the kernel's 2^-mp.prec grid, where newton_mp evaluates."""
-    return FixedBall.from_mpc(z, mp.mp.prec).center()
-
-
 def _polish(evaluator, z, step_tol):
-    """At most 10 Newton steps on the kernel's grid, stopping once a step
-    falls below step_tol. A point on the grid enters the kernel with radius
-    0, so the disk around it is not widened by rounding its center."""
-    z = _on_grid(z)
+    """At most 10 Newton steps, stopping once a step falls below step_tol;
+    newton_mp rounds each point onto the kernel's grid, z keeps its value."""
     for _ in range(10):
         try:
             w = evaluator.newton_mp(z)
@@ -338,7 +283,7 @@ def _polish(evaluator, z, step_tol):
             break
         if not mp.isfinite(w.real) or not mp.isfinite(w.imag):
             break
-        z = _on_grid(z - w)
+        z = z - w
         if abs(w) <= step_tol * (1 + abs(z)):
             break
     return z
@@ -373,6 +318,8 @@ def _overlapping(disks: list) -> set[int]:
     the exact ball test.
     """
     live = [i for i, b in enumerate(disks) if b is not None]
+    if len(live) < 2:
+        return set()
     cf = np.array([complex(disks[i].center) for i in live], dtype=np.complex128)
     rf = np.array([float(disks[i].radius) for i in live], dtype=np.float64)
     n = len(live)
@@ -536,38 +483,45 @@ def factor_roots_cache_path(root: Path, d: int, n: int, label: str, bits: int) -
     return Path(root) / "roots" / f"d{d}" / f"n{n}-{label}.p{bits}.roots"
 
 
+def _body_digest(lines: Sequence[str]) -> str:
+    return hashlib.sha256("".join(ln + "\n" for ln in lines).encode()).hexdigest()
+
+
 def write_roots_cache(path: Path, poly: IntPolynomial, pset: PCFParameterSet) -> Path:
+    with mp.workprec(max(pset.precision_bits + 64, 128)):
+        body = [
+            " ".join((_mpf_token(b.center.real), _mpf_token(b.center.imag), _mpf_token(b.radius)))
+            for b in pset.roots
+        ]
     lines = [
-        "# pcf-lab roots v1",
+        "# pcf-lab roots v2",
         f"# poly-sha256={poly_hash(poly)}",
         f"# precision-bits={pset.precision_bits}",
         f"# count={len(pset.roots)}",
+        f"# roots-sha256={_body_digest(body)}",
     ]
-    with mp.workprec(max(pset.precision_bits + 64, 128)):
-        for b in pset.roots:
-            lines.append(
-                " ".join(
-                    (_mpf_token(b.center.real), _mpf_token(b.center.imag), _mpf_token(b.radius))
-                )
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines + body) + "\n")
     return path
 
 
 def read_roots_cache(path: Path, poly: IntPolynomial, bits: int, source=None):
+    """The cached root set, or None when the file is missing, is not a v2
+    file for this polynomial and precision, or fails its root-line digest."""
     path = Path(path)
     if not path.exists():
         return None
     lines = path.read_text().splitlines()
-    if len(lines) < 4 or lines[0] != "# pcf-lab roots v1":
+    if len(lines) < 5 or lines[0] != "# pcf-lab roots v2":
         return None
     if lines[1] != f"# poly-sha256={poly_hash(poly)}":
         return None
     if lines[2] != f"# precision-bits={bits}":
         return None
+    body = lines[5:]
+    if lines[4] != f"# roots-sha256={_body_digest(body)}":
+        return None
     # anything truncated or garbled is a miss: the caller recomputes and rewrites
     key, _, count = lines[3].partition("=")
-    body = lines[4:]
     balls = []
     try:
         if key != "# count" or int(count) != len(body):

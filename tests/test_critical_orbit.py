@@ -28,7 +28,7 @@ from pcflab.critical_orbit import (
 from pcflab.errors import DegreeCapExceeded
 from pcflab.numtheory import divisors, mobius
 from pcflab.polynomials import IntPolynomial, evaluate_exact, is_squarefree, resultant, serialize
-from pcflab.rootfinder import CoefficientEvaluator, QuotientEvaluator
+from pcflab.rootfinder import CoefficientEvaluator
 
 from oracles import horner_fraction, naive_divmod, naive_gcd, naive_mul
 
@@ -293,7 +293,11 @@ class TestEvaluatorOracle:
         ("period-4-d3", lambda: _factor_case(exact_period_factor(3, 4), ExactPeriodEvaluator)),
         ("misiurewicz-1-5", lambda: _factor_case(misiurewicz_factor(2, 1, 5), GleasonEvaluator)),
         ("misiurewicz-3-6", lambda: _factor_case(misiurewicz_factor(2, 3, 6), MisiurewiczEvaluator)),
-        ("misiurewicz-2-4-d3", lambda: _factor_case(misiurewicz_factor(3, 2, 4), QuotientEvaluator)),
+        ("misiurewicz-2-4-d3", lambda: _factor_case(misiurewicz_factor(3, 2, 4), MisiurewiczEvaluator)),
+        # q = gcd(n-1, m-1) > 1: R_i runs over the sigma_d products
+        ("misiurewicz-4-7-d3", lambda: _factor_case(misiurewicz_factor(3, 4, 7), MisiurewiczEvaluator)),
+        ("misiurewicz-3-5-d4", lambda: _factor_case(misiurewicz_factor(4, 3, 5), MisiurewiczEvaluator)),
+        ("misiurewicz-3-5-d5", lambda: _factor_case(misiurewicz_factor(5, 3, 5), MisiurewiczEvaluator)),
         ("coefficients", lambda: (exact_period_factor(2, 5).poly,
                                   CoefficientEvaluator(exact_period_factor(2, 5).poly))),
     ]

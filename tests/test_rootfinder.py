@@ -203,13 +203,46 @@ class TestRootCache:
         write_roots_cache(path, p, all_roots(p, 128))
         lines = path.read_text().splitlines()
         assert lines[3] == "# count=15"
-        path.write_text("\n".join(lines[:14]) + "\n")  # 10 of 15 root lines
+        path.write_text("\n".join(lines[:14]) + "\n")  # 9 of 15 root lines
         assert read_roots_cache(path, p, 128) is None
         for bad in ("0:zz:-3 0:1:0 0:1:-200", "0:1:0 0:1:0", "0:1:0 0:1:0 1:1:-200"):
             path.write_text("\n".join(lines[:5] + [bad] + lines[6:]) + "\n")
             assert read_roots_cache(path, p, 128) is None
         path.write_text("\n".join(lines[:3] + ["# count=fifteen"] + lines[4:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
+
+
+    @staticmethod
+    def written(tmp_path):
+        p = exact_period_factor(2, 4).poly
+        path = roots_cache_path(tmp_path, 2, 4, 128)
+        write_roots_cache(path, p, all_roots(p, 128))
+        return p, path
+
+    def test_cache_rejects_moved_center(self, tmp_path):
+        # the first center's mantissa raised by 2^-8 relative: a center moved
+        # by far more than its radius, in a line that still parses
+        p, path = self.written(tmp_path)
+        lines = path.read_text().splitlines()
+        re_t, rest = lines[5].split(" ", 1)
+        sign, man, exp = re_t.split(":")
+        man = int(man, 16)
+        lines[5] = f"{sign}:{man + (man >> 8):x}:{exp} {rest}"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_roots_cache(path, p, 128) is None
+
+    def test_v1_file_is_a_miss_and_gets_rewritten(self, tmp_path):
+        from pcflab.cli import cached_roots
+
+        p, path = self.written(tmp_path)
+        v2 = path.read_bytes()
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# pcf-lab roots v2" and lines[4].startswith("# roots-sha256=")
+        path.write_text("\n".join(["# pcf-lab roots v1"] + lines[1:4] + lines[5:]) + "\n")
+        assert read_roots_cache(path, p, 128) is None
+        ps = cached_roots(path, p, 128, None)
+        assert len(ps) == p.degree
+        assert path.read_bytes() == v2
 
 
 class Widening:
@@ -317,8 +350,8 @@ class TestLocalizedRepair:
 
 
 class TestCofactorZeros:
-    """QuotientEvaluator at roots its cofactor shares, where the quotient form
-    is 0/0 and the evaluator falls back to Horner on the exact coefficients."""
+    """Misiurewicz factors at the roots they share with g_q. The orbit formula
+    has no division, so these roots certify on the first pass like any other."""
 
     @staticmethod
     def ball_precisions(desc):
@@ -327,20 +360,69 @@ class TestCofactorZeros:
         assert len(ps) == desc.poly.degree
         return [wp for name, wp in ev.calls if name == "value_deriv_ball"]
 
-    def test_polishing_steers_off_the_quotient_form(self):
-        # the cofactor of d=3 misiurewicz-2-4 is c. Without the 2^-(prec/2)
-        # threshold, polishing near its root 0 runs the 0/0 quotient form and
-        # the set exhausts precision
+    def test_root_at_zero_certifies_on_first_pass(self):
+        # g_q = c for d=3 misiurewicz-2-4, so the factor and g_q share the root 0
         precs = self.ball_precisions(misiurewicz_factor(3, 2, 4))
         assert len(precs) == 17 and max(precs) == 2 * 64 + 64
 
     def test_roots_at_plus_minus_i_certify_on_first_pass(self):
-        # the cofactor vanishes at exactly +-i; polished onto the kernel's
-        # grid, Horner there multiplies by +-i exactly and needs no repair
+        # g_q vanishes at exactly +-i
         desc = misiurewicz_factor(3, 3, 7)
         precs = self.ball_precisions(desc)
         assert len(precs) == desc.poly.degree == 483
         assert max(precs) == 192
+
+    def test_roots_near_plus_minus_0_26_plus_minus_1_26i_need_no_repair(self):
+        # four roots at +-0.2644+-1.2605i, shared with g_3, took a 384-bit
+        # repair pass when the factor was evaluated as raw / g_q^(d-2)
+        desc = misiurewicz_factor(3, 4, 7)
+        precs = self.ball_precisions(desc)
+        assert len(precs) == desc.poly.degree == 477
+        assert max(precs) == 192
+
+
+class TestNoEscalation:
+    """Every root of these factors certifies on the first pass: one ball
+    evaluation per root, at the first working precision, 128 + 64 bits."""
+
+    @staticmethod
+    def cases():
+        for d, max_n in ((2, 8), (3, 6), (4, 4)):
+            for f in enumerate_factors(d, max_n):
+                yield f.label, f"d{d}", f.poly, factor_evaluator(f)
+        for n in range(2, 11):
+            yield f"gleason-{n}", "d2", gleason(2, n), gleason_evaluator(2, n)
+
+    def test_first_pass_certifies_every_root(self):
+        cases = list(self.cases())
+        assert len(cases) == 76
+        for label, d, p, inner in cases:
+            ev = Widening(inner)
+            ps = all_roots(p, 128, evaluator=ev)
+            assert len(ps) == p.degree
+            precs = [wp for name, wp in ev.calls if name == "value_deriv_ball"]
+            assert len(precs) == (p.degree if p.degree > 1 else 0), (d, label)
+            assert all(wp == 192 for wp in precs), (d, label)
+
+
+class TestEmptyPass:
+    def test_overlapping_without_live_disks(self):
+        assert rootfinder._overlapping([None] * 3) == set()
+        assert rootfinder._overlapping([None, bl.exact_ball(1), None]) == set()
+
+    def test_every_disk_failing_escalates(self):
+        # every disk of the first pass fails, so no disk is live when the
+        # disjointness check runs; the set certifies on the next doubling
+        desc = exact_period_factor(2, 4)
+        plain = all_roots(desc.poly, 128, evaluator=factor_evaluator(desc))
+        ev = Widening(factor_evaluator(desc), [b.center for b in plain.roots], below=300)
+        ps = all_roots(desc.poly, 128, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        assert_pairwise_disjoint(ps)
+        assert ev.calls_above(192)[1] == desc.poly.degree
+        with mp.workprec(512):
+            for b in ps.roots:
+                assert sum(not bl.disjoint(b, a) for a in plain.roots) == 1
 
 
 class TestFactorRootBounds:
@@ -408,14 +490,11 @@ class TestLemniscateStarts:
         assert (S[m] == 0).all()
         assert np.allclose(np.abs(U[m]), 4.0, rtol=1e-9)
 
-    def test_quotient_form_starts_from_its_base(self):
-        desc = misiurewicz_factor(3, 3, 7)
-        ev = factor_evaluator(desc)
-        assert isinstance(ev, rootfinder.QuotientEvaluator)
-        assert np.array_equal(
-            rootfinder._starts_f64(desc.poly, ev),
-            critical_orbit.lemniscate_starts(3, desc.poly.degree),
-        )
+    def test_every_factor_evaluator_is_an_orbit_evaluator(self):
+        # so every lattice factor starts on a lemniscate
+        for d in (2, 3, 4):
+            for f in enumerate_factors(d, 5):
+                assert isinstance(factor_evaluator(f), critical_orbit.OrbitEvaluator), f.label
 
     def test_no_float64_stage_reaches_max_sweeps(self, monkeypatch):
         # the start solves of g_m - w included
