@@ -1,4 +1,4 @@
-"""Fixed-point midpoint-radius complex balls on Python integers.
+"""Fixed-point complex arithmetic on Python integers: balls and points.
 
 A ball is the closed disk with center (re + i*im) * 2^-prec and radius
 rad * 2^-prec, where re, im and rad are Python ints and rad is an upper
@@ -12,9 +12,15 @@ raises ZeroDivisionError when the divisor may contain 0. An int operand, of
 any width, enters exactly. A center off the grid is rounded to nearest on
 the way in and that rounding goes into the radius; the way back to a
 ComplexBall rounds outward. This is the package's one ball arithmetic: the
-root finder runs every evaluator formula on it, both to polish
-(prec = mp.prec) and to certify, and the escape-rate iteration of
-pcflab.heights runs on it too, with abs_bounds for its bail and tail tests.
+root finder certifies on it, and the escape-rate iteration of pcflab.heights
+runs on it too, with abs_bounds for its bail and tail tests.
+
+A point is a ball without its radius: the same Gaussian integers on the
+same grid, the same exact + and - and int lifts, the same floored * and /.
+The same operations on points and on balls give bit-for-bit the same
+centers, so the root finder polishes on points, where no radius is wanted,
+and certifies the result on balls. A point encloses nothing, so it has no
+conversion to a ComplexBall and no modulus bounds.
 """
 
 from __future__ import annotations
@@ -64,7 +70,32 @@ def _to_mpf(x: int, prec: int) -> tuple[mp.mpf, int]:
     return mp.mpf((v, s - prec)), x - (v << s)
 
 
-class FixedBall:
+class _OnGrid:
+    """What balls and points share: the center and integer powers."""
+
+    __slots__ = ()
+
+    def center(self) -> mp.mpc:
+        """The center at the current mpmath precision (floored)."""
+        return mp.mpc(_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0])
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported; use /")
+        if n == 0:
+            return self.lift(1)
+        result = None
+        base = self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+
+class FixedBall(_OnGrid):
     """Disk {(re + i*im) * 2^-prec + w : |w| <= rad * 2^-prec}."""
 
     __slots__ = ("re", "im", "rad", "prec")
@@ -87,10 +118,6 @@ class FixedBall:
     def lift(self, k: int) -> "FixedBall":
         """The exact integer k, at this ball's precision."""
         return FixedBall(k << self.prec, 0, 0, self.prec)
-
-    def center(self) -> mp.mpc:
-        """The center at the current mpmath precision (floored)."""
-        return mp.mpc(_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0])
 
     def ball(self) -> ComplexBall:
         """Outward-rounded ComplexBall at the current mpmath precision."""
@@ -152,20 +179,56 @@ class FixedBall:
             p,
         )
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported; use /")
-        if n == 0:
-            return self.lift(1)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
-
     def __repr__(self) -> str:
         return f"FixedBall({self.re}, {self.im}, r={self.rad}, prec={self.prec})"
+
+
+class FixedPoint(_OnGrid):
+    """The point (re + i*im) * 2^-prec: a FixedBall's center without its radius.
+
+    Never an enclosure. / raises ZeroDivisionError only when the divisor is
+    exactly 0, where FixedBall's raises whenever the divisor ball may hold 0;
+    wherever the ball computation returns, the centers agree.
+    """
+
+    __slots__ = ("re", "im", "prec")
+
+    def __init__(self, re: int, im: int, prec: int):
+        self.re, self.im, self.prec = re, im, prec
+
+    @classmethod
+    def from_mpc(cls, z: mp.mpc, prec: int) -> "FixedPoint":
+        """z rounded to the nearest grid point."""
+        return cls(_to_grid(z.real, prec)[0], _to_grid(z.imag, prec)[0], prec)
+
+    def lift(self, k: int) -> "FixedPoint":
+        """The exact integer k, at this point's precision."""
+        return FixedPoint(k << self.prec, 0, self.prec)
+
+    def __add__(self, o):
+        if isinstance(o, int):
+            return FixedPoint(self.re + (o << self.prec), self.im, self.prec)
+        return FixedPoint(self.re + o.re, self.im + o.im, self.prec)
+
+    def __sub__(self, o):
+        if isinstance(o, int):
+            return FixedPoint(self.re - (o << self.prec), self.im, self.prec)
+        return FixedPoint(self.re - o.re, self.im - o.im, self.prec)
+
+    def __mul__(self, o):
+        if isinstance(o, int):
+            return FixedPoint(self.re * o, self.im * o, self.prec)
+        p = self.prec
+        ar, ai, br, bi = self.re, self.im, o.re, o.im
+        return FixedPoint((ar * br - ai * bi) >> p, (ar * bi + ai * br) >> p, p)
+
+    def __truediv__(self, o: "FixedPoint"):
+        p = self.prec
+        ar, ai, br, bi = self.re, self.im, o.re, o.im
+        n = br * br + bi * bi
+        if not n:
+            raise ZeroDivisionError("division by the point 0")
+        return FixedPoint(((ar * br + ai * bi) << p) // n, ((ai * br - ar * bi) << p) // n, p)
+
+    def __repr__(self) -> str:
+        return f"FixedPoint({self.re}, {self.im}, prec={self.prec})"

@@ -12,12 +12,14 @@ deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
 reciprocal root distances); when all deg disks are pairwise disjoint, each
 contains exactly one root and the set is a complete isolation certificate.
 
-Polishing and certification evaluate p and p' on one arithmetic, the
-fixed-point midpoint-radius kernel of pcflab.fixedball at 2^-wp for working
-precision wp: Gaussian integers plus an integer radius. A point enters the
-kernel rounded to the grid, with that rounding in its radius. The kernel
-floors every product and quotient, so the order of operations in each
-evaluator formula fixes the rounding, hence the disks and the cache bytes.
+Polishing and certification evaluate p and p' with one formula on the
+fixed-point kernel of pcflab.fixedball at 2^-wp for working precision wp.
+Polishing runs it on points (Gaussian integers on the grid), certification
+on balls (the same Gaussian integers plus an integer radius, with the
+rounding of the point onto the grid in it). Both floor every product and
+quotient the same way, so their centers are identical, and the order of
+operations in each evaluator formula fixes the rounding, hence the polished
+points, the disks and the cache bytes.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
@@ -45,12 +47,16 @@ import numpy as np
 from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
-from .fixedball import FixedBall
+from .fixedball import FixedBall, FixedPoint
 from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
+# rows per block of the float64 pairwise kernels: 32 x 1024 complex128 is
+# 512 KiB, within L2, and on g_11 blocks of 64 to 512 rows ran slower. No
+# row's result depends on the block size.
+_ROW_BLOCK = 32
 
 
 class Evaluator:
@@ -58,11 +64,13 @@ class Evaluator:
 
     Subclasses write value_deriv(z, num) over any scalar type with + - * /
     and ** by an int whose right operand may be an exact integer; num lifts
-    an exact integer into z's type. Polishing and certification both run it
-    on the fixed-point kernel pcflab.fixedball at 2^-mp.prec, the point
-    rounded onto its grid: newton_mp returns the mpc ratio of the two centers,
-    value_deriv_ball the two outward-rounded balls. The vectorized float64
-    form newton_f64 is the one special case written separately. The kernel's
+    an exact integer into z's type. Both mp forms run it on the fixed-point
+    kernel pcflab.fixedball at 2^-mp.prec, the point rounded onto its grid:
+    newton_mp on a FixedPoint, for polishing, returns the mpc ratio of value
+    and derivative; value_deriv_ball on a FixedBall, for certification,
+    returns the two outward-rounded balls. The point and ball centers are
+    identical, so polishing pays for no radius. The vectorized float64 form
+    newton_f64 is the one special case written separately. The kernel's
     operation order is the formula's, so the formula fixes the rounding, hence
     the polished points, the certified disks and the root-cache bytes.
     """
@@ -76,7 +84,7 @@ class Evaluator:
         return np.exp2(rl) * np.exp(1j * ang)
 
     def newton_mp(self, z):
-        zf = FixedBall.from_mpc(z, mp.mp.prec)
+        zf = FixedPoint.from_mpc(z, mp.mp.prec)
         val, der = self.value_deriv(zf, zf.lift)
         return val.center() / der.center()
 
@@ -197,10 +205,9 @@ def _starts_mp(p: IntPolynomial) -> list:
 def _pairwise_inv_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sum_k 1/(z_i - z_k) for the selected rows i (k runs over everything)."""
     out = np.empty(idx.size, dtype=np.complex128)
-    block = 512
     with np.errstate(all="ignore"):
-        for b0 in range(0, idx.size, block):
-            sel = idx[b0 : b0 + block]
+        for b0 in range(0, idx.size, _ROW_BLOCK):
+            sel = idx[b0 : b0 + _ROW_BLOCK]
             diff = z[sel, None] - z[None, :]
             diff[np.arange(sel.size), sel] = np.inf
             out[b0 : b0 + sel.size] = (1.0 / diff).sum(axis=1)
@@ -310,6 +317,16 @@ def _inclusion_disk(evaluator, z, degree: int, precision_bits: int):
     return bl.ComplexBall(zb.center, rad)
 
 
+def _distance_rows(cf: np.ndarray):
+    """(i0, |cf[i] - cf[k]|) for the rows i of each block from i0 on, with
+    inf where k = i."""
+    for i0 in range(0, cf.size, _ROW_BLOCK):
+        dist = np.abs(cf[i0 : i0 + _ROW_BLOCK, None] - cf[None, :])
+        rows = np.arange(dist.shape[0])
+        dist[rows, rows + i0] = np.inf
+        yield i0, dist
+
+
 def _overlapping(disks: list) -> set[int]:
     """Indices of the disks not proven disjoint from every other disk.
 
@@ -322,15 +339,9 @@ def _overlapping(disks: list) -> set[int]:
         return set()
     cf = np.array([complex(disks[i].center) for i in live], dtype=np.complex128)
     rf = np.array([float(disks[i].radius) for i in live], dtype=np.float64)
-    n = len(live)
-    block = n if n <= 1024 else 512
     bad: set[int] = set()
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        dist = np.abs(cf[i0:i1, None] - cf[None, :])
-        rsum = rf[i0:i1, None] + rf[None, :]
-        idx = np.arange(i0, i1)
-        dist[idx - i0, idx] = np.inf
+    for i0, dist in _distance_rows(cf):
+        rsum = rf[i0 : i0 + _ROW_BLOCK, None] + rf[None, :]
         close = (dist * (1 - 1e-7) <= rsum + 1e-290) | (dist < 1e-6)
         for i, j in zip(*np.nonzero(close)):
             a, b = live[i + i0], live[j]
@@ -419,19 +430,18 @@ def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> 
     if len(balls) < 2:
         raise ValueError("need at least two roots")
     cf = np.array([complex(b.center) for b in balls])
-    n = len(balls)
-    dist = np.abs(cf[:, None] - cf[None, :])
-    np.fill_diagonal(dist, np.inf)
     # exact outward-rounded recheck of every pair whose float64 distance is
     # within a relative margin of the float64 minimum (the margin dwarfs the
-    # center-rounding error, so the true minimizing pair is always included)
-    cutoff = dist.min() * (1 + 1e-6) + 1e-300
+    # center-rounding error, so the true minimizing pair is always included);
+    # one pass over the row blocks finds that minimum, a second the pairs
+    cutoff = min(dist.min() for _, dist in _distance_rows(cf)) * (1 + 1e-6) + 1e-300
     best = None
-    for i, j in zip(*np.nonzero(dist <= cutoff)):
-        if i >= j:
-            continue
-        lo = bl.dist_bounds(balls[i], balls[j])[0]
-        best = lo if best is None else min(best, lo)
+    for i0, dist in _distance_rows(cf):
+        for i, j in zip(*np.nonzero(dist <= cutoff)):
+            if i + i0 >= j:
+                continue
+            lo = bl.dist_bounds(balls[i + i0], balls[j])[0]
+            best = lo if best is None else min(best, lo)
     return best
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcflab.balls as bl
-from pcflab.fixedball import FixedBall
+from pcflab.fixedball import FixedBall, FixedPoint
 
 # points on the boundary and inside of the unit disk, as exact rationals
 F = Fraction
@@ -39,6 +39,15 @@ def points(b: FixedBall):
     """Exact complex points (re, im) inside b: its center and boundary points."""
     s = Fraction(1, 2**b.prec)
     return [((b.re + b.rad * u) * s, (b.im + b.rad * v) * s) for u, v in UNIT]
+
+
+def point(b: FixedBall) -> FixedPoint:
+    """b's center as a FixedPoint."""
+    return FixedPoint(b.re, b.im, b.prec)
+
+
+def grid(x) -> tuple[int, int, int]:
+    return x.re, x.im, x.prec
 
 
 def contains(b: FixedBall, z) -> bool:
@@ -151,6 +160,47 @@ class TestOperations:
         for x, y in points(a):
             assert (lo * s) ** 2 <= x * x + y * y <= (hi * s) ** 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(pairs(), wide(600), st.integers(0, 6))
+    def test_point_centers_equal_ball_centers(self, ab, k, n):
+        # FixedPoint gives bit for bit the centers of FixedBall
+        a, b = ab
+        x, y = point(a), point(b)
+        for got, want in (
+            (x + y, a + b),
+            (x - y, a - b),
+            (x * y, a * b),
+            (x**n, a**n),
+            (x + k, a + k),
+            (x - k, a - k),
+            (x * k, a * k),
+            (x.lift(k), a.lift(k)),
+        ):
+            assert grid(got) == grid(want)
+        assert x.center() == a.center()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs())
+    def test_point_quotient_centers_equal_ball_centers(self, ab):
+        # a divisor ball of radius 0 fails only at the point 0, like a point
+        a, b = ab
+        assume(b.re or b.im)
+        b0 = FixedBall(b.re, b.im, 0, b.prec)
+        assert grid(point(a) / point(b)) == grid(a / b0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(balls())
+    def test_point_divides_by_anything_but_zero(self, a):
+        one_ulp = FixedPoint(1, 0, a.prec)
+        assert grid(point(a) / one_ulp) == (a.re << a.prec, a.im << a.prec, a.prec)
+        with pytest.raises(ZeroDivisionError):
+            point(a) / FixedPoint(0, 0, a.prec)
+
+    def test_a_point_is_no_enclosure(self):
+        x = FixedPoint.from_mpc(mp.mpc(1, 2), 64)
+        assert not isinstance(x, FixedBall)
+        assert not any(hasattr(x, m) for m in ("rad", "ball", "abs_bounds", "contains_zero"))
+
 
 def _abs_ceil(re, im):
     n = re * re + im * im
@@ -209,3 +259,10 @@ class TestConversions:
             FixedBall.from_mpc(mp.mpc(mp.inf, 0), 64)
         with pytest.raises(ValueError):
             FixedBall.from_mpc(mp.mpc(0, mp.nan), 64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(precs, mpfs, mpfs)
+    def test_from_mpc_rounds_like_the_ball_center(self, p, x, y):
+        z = mp.mpc(x, y)
+        b = FixedBall.from_mpc(z, p)
+        assert grid(FixedPoint.from_mpc(z, p)) == (b.re, b.im, p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -514,3 +515,109 @@ class TestLemniscateStarts:
         for p, ev in cases:
             if p.degree > 1:  # all_roots solves a linear factor exactly
                 counted(ev, rootfinder._starts_f64(p, ev))
+
+
+def ball_ratio(evaluator, z):
+    """val.center() / der.center() of the formula run on FixedBalls: the
+    oracle for newton_mp, which runs it on FixedPoints."""
+    zf = FixedBall.from_mpc(z, mp.mp.prec)
+    val, der = evaluator.value_deriv(zf, zf.lift)
+    return val.center() / der.center()
+
+
+QUARTIC = P([3, -1, 4, 1, 5])
+
+
+def point_kernel_case(spec):
+    """(polynomial, evaluator) for a spec of TestPointKernel."""
+    kind, *args = spec
+    if kind == "gleason":
+        return gleason(*args), gleason_evaluator(*args)
+    if kind == "quartic":
+        return QUARTIC, rootfinder.CoefficientEvaluator(QUARTIC)
+    desc = exact_period_factor(*args) if kind == "period" else misiurewicz_factor(*args)
+    return desc.poly, factor_evaluator(desc)
+
+
+class TestPointKernel:
+    """Polishing runs each formula on FixedPoints. Its Newton ratio equals
+    the one from FixedBall centers bit for bit, so no polished point moves."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("gleason", 2, 5),
+            ("period", 2, 6),
+            ("period", 3, 4),
+            ("misiurewicz", 2, 3, 6),
+            ("misiurewicz", 3, 4, 7),  # q = 3
+            ("misiurewicz", 4, 3, 5),
+            ("quartic",),
+        ],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_newton_mp_equals_ball_centers(self, spec):
+        # at the float64 Aberth points that polishing starts from, and at
+        # the polished roots
+        p, ev = point_kernel_case(spec)
+        starts = rootfinder._aberth_f64(ev, rootfinder._starts_f64(p, ev))
+        roots = [b.center for b in all_roots(p, 128, evaluator=ev).roots]
+        assert len(roots) == p.degree
+        for wp in (192, 384):
+            with mp.workprec(wp):
+                for z in [mp.mpc(complex(s)) for s in starts] + roots:
+                    got, want = ev.newton_mp(z), ball_ratio(ev, z)
+                    assert got.real._mpf_ == want.real._mpf_, (wp, z)
+                    assert got.imag._mpf_ == want.imag._mpf_, (wp, z)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """The float64 pairwise kernels work through blocks of _ROW_BLOCK rows:
+    small peaks at 1024 roots, and the results of a single block."""
+
+    LIMIT = 4_000_000  # bytes; one 1024 x 1024 complex128 array is 16.8 MB
+
+    @pytest.fixture(scope="class")
+    def g11(self):
+        ev = gleason_evaluator(2, 11)
+        starts = rootfinder._starts_f64(gleason(2, 11), ev)
+        return ev, starts, all_roots(gleason(2, 11), 128, evaluator=ev)
+
+    def test_memory_peaks_at_1024_roots(self, g11):
+        ev, starts, ps = g11
+        _, peak = traced_peak(rootfinder._aberth_f64, ev, starts)
+        assert peak < self.LIMIT
+        bad, peak = traced_peak(rootfinder._overlapping, list(ps.roots))
+        assert bad == set() and peak < self.LIMIT
+        _, peak = traced_peak(min_pairwise_distance, ps)
+        assert peak < self.LIMIT
+
+    def test_blocks_give_the_one_block_results(self, g11, monkeypatch):
+        ev, starts, ps = g11
+        z = rootfinder._aberth_f64(ev, starts)
+        disks = list(ps.roots)
+        disks[7] = bl.ComplexBall(disks[8].center, disks[8].radius)  # one overlapping pair
+        idx = (np.arange(0, z.size), np.arange(3, z.size, 7))
+        blocked = (
+            [rootfinder._pairwise_inv_sum(z, i).tobytes() for i in idx],
+            rootfinder._overlapping(disks),
+            min_pairwise_distance(ps),
+        )
+        monkeypatch.setattr(rootfinder, "_ROW_BLOCK", z.size)
+        single = (
+            [rootfinder._pairwise_inv_sum(z, i).tobytes() for i in idx],
+            rootfinder._overlapping(disks),
+            min_pairwise_distance(ps),
+        )
+        assert blocked == single
+        assert blocked[1] == {7, 8}
