@@ -18,8 +18,12 @@ runs on it too, with abs_bounds for its bail and tail tests.
 A point is a ball without its radius: the same Gaussian integers on the
 same grid, the same exact + and - and int lifts, the same floored * and /.
 The same operations on points and on balls give bit-for-bit the same
-centers, so the root finder polishes on points, where no radius is wanted,
-and certifies the result on balls. A point encloses nothing, so it has no
+centers. In the root finder, points carry the whole polish: a root enters
+the grid once, every Newton step p/p' is a floored point quotient, and the
+stop rule is tested on the integers. Balls carry the disk: the polished
+point is a ball of radius 0, and the inclusion radius comes from abs_bounds
+of the value and derivative balls, in whole grid units rounded up, before
+the disk leaves as one ComplexBall. A point encloses nothing, so it has no
 conversion to a ComplexBall and no modulus bounds.
 """
 

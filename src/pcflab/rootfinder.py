@@ -12,14 +12,20 @@ deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
 reciprocal root distances); when all deg disks are pairwise disjoint, each
 contains exactly one root and the set is a complete isolation certificate.
 
-Polishing and certification evaluate p and p' with one formula on the
-fixed-point kernel of pcflab.fixedball at 2^-wp for working precision wp.
-Polishing runs it on points (Gaussian integers on the grid), certification
-on balls (the same Gaussian integers plus an integer radius, with the
-rounding of the point onto the grid in it). Both floor every product and
-quotient the same way, so their centers are identical, and the order of
-operations in each evaluator formula fixes the rounding, hence the polished
-points, the disks and the cache bytes.
+Polishing and certification run on the fixed-point kernel of
+pcflab.fixedball, on the grid 2^-wp for working precision wp, from the
+float64 Aberth point to the finished disk. Each root enters the grid once,
+rounded to nearest. Polishing takes its Newton steps p/p' on points
+(Gaussian integers on the grid), each step floored, and tests its stop rule
+in integers; the polished point is floored to wp bits, so it is still a grid
+point and the exact center of a ball of radius 0. Certification evaluates
+that ball and takes the radius deg * |p/p'| * 1.0000001 from the integer
+modulus bounds of the value and derivative balls, rounded up to whole grid
+units, and tests the target in integers too; the disk leaves the grid once,
+as a ComplexBall. Points and balls floor every product and quotient the same
+way, so their centers are identical, and the order of operations in each
+evaluator formula fixes the rounding, hence the polished points, the disks
+and the cache bytes.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
@@ -38,11 +44,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from . import balls as bl
 from .cacheio import atomic_write_text
@@ -64,15 +72,16 @@ class Evaluator:
 
     Subclasses write value_deriv(z, num) over any scalar type with + - * /
     and ** by an int whose right operand may be an exact integer; num lifts
-    an exact integer into z's type. Both mp forms run it on the fixed-point
-    kernel pcflab.fixedball at 2^-mp.prec, the point rounded onto its grid:
-    newton_mp on a FixedPoint, for polishing, returns the mpc ratio of value
-    and derivative; value_deriv_ball on a FixedBall, for certification,
-    returns the two outward-rounded balls. The point and ball centers are
-    identical, so polishing pays for no radius. The vectorized float64 form
-    newton_f64 is the one special case written separately. The kernel's
-    operation order is the formula's, so the formula fixes the rounding, hence
-    the polished points, the certified disks and the root-cache bytes.
+    an exact integer into z's type. Both grid forms run it on the fixed-point
+    kernel pcflab.fixedball, taking and returning its types: newton_mp, for
+    polishing and the mp Aberth sweeps, maps a FixedPoint to the Newton step
+    value / derivative, a FixedPoint floored on the same grid; value_deriv_ball,
+    for certification, maps a FixedBall to the value and derivative FixedBalls.
+    The point and ball centers are identical, so polishing pays for no radius.
+    The vectorized float64 form newton_f64 is the one special case written
+    separately. The kernel's operation order is the formula's, so the formula
+    fixes the rounding, hence the polished points, the certified disks and the
+    root-cache bytes.
     """
 
     def starts_f64(self, p: IntPolynomial) -> np.ndarray:
@@ -83,15 +92,12 @@ class Evaluator:
         ang = np.array([a for _, a in pts])
         return np.exp2(rl) * np.exp(1j * ang)
 
-    def newton_mp(self, z):
-        zf = FixedPoint.from_mpc(z, mp.mp.prec)
+    def newton_mp(self, zf: FixedPoint) -> FixedPoint:
         val, der = self.value_deriv(zf, zf.lift)
-        return val.center() / der.center()
+        return val / der
 
-    def value_deriv_ball(self, zb: bl.ComplexBall):
-        zf = FixedBall.from_ball(zb, mp.mp.prec)
-        val, der = self.value_deriv(zf, zf.lift)
-        return val.ball(), der.ball()
+    def value_deriv_ball(self, zb: FixedBall) -> tuple[FixedBall, FixedBall]:
+        return self.value_deriv(zb, zb.lift)
 
 
 class CoefficientEvaluator(Evaluator):
@@ -262,7 +268,7 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
         moved = mp.mpf(0)
         for j in idx:
             try:
-                nray = evaluator.newton_mp(zs[j])
+                nray = evaluator.newton_mp(FixedPoint.from_mpc(zs[j], mp.mp.prec)).center()
             except ZeroDivisionError:
                 continue
             s = mp.mpc(0)
@@ -280,29 +286,35 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
     return zs
 
 
-def _polish(evaluator, z, step_tol):
-    """At most 10 Newton steps, stopping once a step falls below step_tol;
-    newton_mp rounds each point onto the kernel's grid, z keeps its value."""
+def _polish(evaluator, z, precision_bits: int):
+    """At most 10 Newton steps on the grid 2^-wp, wp = mp.prec, stopping once
+    a step w has |w| <= 2^-(bits+24) * (1 + |z|). z enters the grid rounded
+    to nearest; the result is floored to wp bits and so is a grid point."""
+    wp = mp.mp.prec
+    zf = FixedPoint.from_mpc(z, wp)
+    shift = 2 * (precision_bits + 24)
     for _ in range(10):
         try:
-            w = evaluator.newton_mp(z)
+            w = evaluator.newton_mp(zf)
         except ZeroDivisionError:
             break
-        if not mp.isfinite(w.real) or not mp.isfinite(w.imag):
+        zf = zf - w
+        # the stop rule in units of 2^-wp, squared; isqrt bounds |z| from below
+        one_plus_z = (1 << wp) + isqrt(zf.re * zf.re + zf.im * zf.im)
+        if (w.re * w.re + w.im * w.im) << shift <= one_plus_z * one_plus_z:
             break
-        z = z - w
-        if abs(w) <= step_tol * (1 + abs(z)):
-            break
-    return z
+    return zf.center()
 
 
 # -- certification --------------------------------------------------------------
 
 
 def _inclusion_disk(evaluator, z, degree: int, precision_bits: int):
-    """Disk of radius deg*|p/p'| around z, or None when the test fails or the
-    radius misses the 2^-(bits/2) * (1 + |z|) target."""
-    zb = bl.ComplexBall(mp.mpc(z), mp.mpf(0))
+    """Disk of radius deg*|p/p'|*1.0000001 around the grid point z, or None
+    when the test fails or the radius misses the 2^-(bits/2) * (1 + |z|)
+    target. Computed in units of 2^-wp, wp = mp.prec; the radius rounds up."""
+    wp = mp.mp.prec
+    zb = FixedBall.from_mpc(z, wp)  # radius 0: _polish leaves z on the grid
     try:
         val, der = evaluator.value_deriv_ball(zb)
     except ZeroDivisionError:
@@ -310,11 +322,12 @@ def _inclusion_disk(evaluator, z, degree: int, precision_bits: int):
     der_lo = der.abs_bounds()[0]
     if der_lo <= 0:
         return None
-    rad = (degree * val.abs_bounds()[1] / der_lo) * mp.mpf("1.0000001")
-    target_rel = mp.mpf(2) ** (-(precision_bits // 2))
-    if not mp.isfinite(rad) or rad > target_rel * (1 + abs(zb.center)):
+    num = degree * val.abs_bounds()[1] * 10000001 << wp
+    rad = -(-num // (der_lo * 10**7))
+    # the target; isqrt bounds |z| from below
+    if rad << (precision_bits // 2) > (1 << wp) + isqrt(zb.re * zb.re + zb.im * zb.im):
         return None
-    return bl.ComplexBall(zb.center, rad)
+    return FixedBall(zb.re, zb.im, rad, wp).ball()
 
 
 def _distance_rows(cf: np.ndarray):
@@ -392,7 +405,6 @@ def all_roots(
 
     wp = max(precision_bits + 64, stage_a_prec + 16)
     wp_limit = max(max_precision + 64, wp)  # always at least one pass
-    step_tol = mp.mpf(2) ** (-(precision_bits + 24))
     disks: list = [None] * degree
     todo: Sequence[int] = every
     repair = False
@@ -403,7 +415,7 @@ def all_roots(
                 # and their disks
                 _aberth_mp(evaluator, zs, 4, todo)
             for j in todo:
-                zs[j] = _polish(evaluator, zs[j], step_tol)
+                zs[j] = _polish(evaluator, zs[j], precision_bits)
                 disks[j] = _inclusion_disk(evaluator, zs[j], degree, precision_bits)
             # the disjointness check always covers the whole set, so the set
             # returned has passed it once as a whole
@@ -478,11 +490,11 @@ def _mpf_token(x: mp.mpf) -> str:
     return f"{sign}:{man:x}:{exp}"
 
 
-def _mpf_from_token(tok: str) -> mp.mpf:
+def _mpf_from_token(tok: str) -> tuple:
+    """The exact _mpf_ value of a token, whatever the working precision."""
     sign, man_hex, exp = tok.split(":")
     man = int(man_hex, 16)
-    val = mp.mpf(man) * mp.mpf(2) ** int(exp)
-    return -val if sign == "1" else val
+    return libmp.from_man_exp(-man if sign == "1" else man, int(exp))
 
 
 def roots_cache_path(root: Path, d: int, n: int, bits: int) -> Path:
@@ -498,11 +510,10 @@ def _body_digest(lines: Sequence[str]) -> str:
 
 
 def write_roots_cache(path: Path, poly: IntPolynomial, pset: PCFParameterSet) -> Path:
-    with mp.workprec(max(pset.precision_bits + 64, 128)):
-        body = [
-            " ".join((_mpf_token(b.center.real), _mpf_token(b.center.imag), _mpf_token(b.radius)))
-            for b in pset.roots
-        ]
+    body = [
+        " ".join((_mpf_token(b.center.real), _mpf_token(b.center.imag), _mpf_token(b.radius)))
+        for b in pset.roots
+    ]
     lines = [
         "# pcf-lab roots v2",
         f"# poly-sha256={poly_hash(poly)}",
@@ -536,15 +547,12 @@ def read_roots_cache(path: Path, poly: IntPolynomial, bits: int, source=None):
     try:
         if key != "# count" or int(count) != len(body):
             return None
-        with mp.workprec(max(bits + 64, 128)):
-            for ln in body:
-                re_t, im_t, r_t = ln.split()
-                balls.append(
-                    bl.ComplexBall(
-                        mp.mpc(_mpf_from_token(re_t), _mpf_from_token(im_t)),
-                        _mpf_from_token(r_t),
-                    )
-                )
+        # built from the exact tokens: a center or radius longer than the
+        # working precision, as a repaired root's is, is not rounded
+        for ln in body:
+            re_t, im_t, r_t = ln.split()
+            center = mp.mp.make_mpc((_mpf_from_token(re_t), _mpf_from_token(im_t)))
+            balls.append(bl.ComplexBall(center, mp.mp.make_mpf(_mpf_from_token(r_t))))
     except ValueError:
         return None
     return PCFParameterSet(source if source is not None else poly, bits, tuple(balls))

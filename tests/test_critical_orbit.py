@@ -10,7 +10,6 @@ import pytest
 
 import mpmath as mp
 
-import pcflab.balls as bl
 from pcflab.critical_orbit import (
     ExactPeriodEvaluator,
     GleasonEvaluator,
@@ -26,6 +25,7 @@ from pcflab.critical_orbit import (
     write_gleason_cache,
 )
 from pcflab.errors import DegreeCapExceeded
+from pcflab.fixedball import FixedBall, FixedPoint
 from pcflab.numtheory import divisors, mobius
 from pcflab.polynomials import IntPolynomial, evaluate_exact, is_squarefree, resultant, serialize
 from pcflab.rootfinder import CoefficientEvaluator
@@ -279,9 +279,9 @@ class TestConcurrency:
         assert ref4.degree == 343
 
 
-def _mpf_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+def _grid_fraction(x: int, prec: int) -> Fraction:
+    """The grid integer x as the rational x * 2^-prec."""
+    return Fraction(x, 1 << prec)
 
 
 class TestEvaluatorOracle:
@@ -312,12 +312,14 @@ class TestEvaluatorOracle:
             val, der = evaluate_exact(poly, x), evaluate_exact(dpoly, x)
             with mp.workprec(prec):
                 z = mp.mpc(mp.mpf(x.numerator) / x.denominator)
-                for ball, exact in zip(ev.value_deriv_ball(bl.ComplexBall(z, mp.mpf(0))), (val, der)):
-                    re, im = _mpf_fraction(ball.center.real), _mpf_fraction(ball.center.imag)
-                    assert (re - exact) ** 2 + im**2 <= _mpf_fraction(ball.radius) ** 2, (name, x)
-                step = ev.newton_mp(z)
+                zb = FixedBall.from_mpc(z, prec)
+                assert zb.rad == 0  # a dyadic point enters the grid exactly
+                for ball, exact in zip(ev.value_deriv_ball(zb), (val, der)):
+                    re, im = _grid_fraction(ball.re, prec), _grid_fraction(ball.im, prec)
+                    assert (re - exact) ** 2 + im**2 <= _grid_fraction(ball.rad, prec) ** 2, (name, x)
+                step = ev.newton_mp(FixedPoint.from_mpc(z, prec))
                 ratio = val / der
-                err = abs(_mpf_fraction(step.real) - ratio) + abs(_mpf_fraction(step.imag))
+                err = abs(_grid_fraction(step.re, prec) - ratio) + abs(_grid_fraction(step.im, prec))
                 assert err <= abs(ratio) * Fraction(2) ** (24 - prec), (name, x)
 
 

@@ -22,7 +22,7 @@ from pcflab.critical_orbit import (
 )
 from pcflab import rootfinder
 from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
-from pcflab.fixedball import FixedBall
+from pcflab.fixedball import FixedBall, FixedPoint
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     all_roots,
@@ -232,6 +232,22 @@ class TestRootCache:
         path.write_text("\n".join(lines) + "\n")
         assert read_roots_cache(path, p, 128) is None
 
+    def test_repaired_roots_read_back_exactly(self, tmp_path):
+        # with the coefficient evaluator, 13 of these 63 roots need a 384-bit
+        # repair pass, so their centers carry more bits than bits + 64; read
+        # back rounded, they moved by far more than their radii
+        p = exact_period_factor(2, 7).poly
+        ps = all_roots(p, 128)
+        path = roots_cache_path(tmp_path, 2, 7, 128)
+        write_roots_cache(path, p, ps)
+        back = read_roots_cache(path, p, 128)
+        assert back is not None and len(back.roots) == 63
+        repaired = 0
+        for a, b in zip(ps.roots, back.roots):
+            assert a.center == b.center and a.radius == b.radius
+            repaired += a.center.real._mpf_[3] > 128 + 64
+        assert repaired > 0
+
     def test_v1_file_is_a_miss_and_gets_rewritten(self, tmp_path):
         from pcflab.cli import cached_roots
 
@@ -249,8 +265,8 @@ class TestRootCache:
 class Widening:
     """Forwards to an evaluator and logs the working precision of each
     newton_mp and value_deriv_ball call. While mp.prec < below, the value ball
-    at points within 1e-6 of a target is widened by 1, so that root's
-    inclusion disk misses its radius target."""
+    at points within 1e-6 of a target is widened by 1 (2^prec grid units), so
+    that root's inclusion disk misses its radius target."""
 
     def __init__(self, inner, targets=(), below=0):
         self.inner = inner
@@ -268,8 +284,8 @@ class Widening:
     def value_deriv_ball(self, zb):
         self.calls.append(("value_deriv_ball", mp.mp.prec))
         val, der = self.inner.value_deriv_ball(zb)
-        if mp.mp.prec < self.below and any(abs(complex(zb.center) - t) < 1e-6 for t in self.targets):
-            val = bl.ComplexBall(val.center, val.radius + 1)
+        if mp.mp.prec < self.below and any(abs(complex(zb.center()) - t) < 1e-6 for t in self.targets):
+            val = FixedBall(val.re, val.im, val.rad + (1 << val.prec), val.prec)
         return val, der
 
     def calls_above(self, prec):
@@ -406,6 +422,98 @@ class TestNoEscalation:
             assert all(wp == 192 for wp in precs), (d, label)
 
 
+class TestStepCounts:
+    """The number of Newton steps and disks it takes to certify every root of
+    the d=2 Gleason polynomials: a stop rule that quietly takes one more
+    step, or a disk that needs a second pass, changes these."""
+
+    # n: (newton_mp calls, value_deriv_ball calls)
+    COUNTS = {2: (2, 2), 3: (10, 4), 4: (20, 8), 5: (46, 16), 6: (92, 32), 7: (190, 64), 8: (380, 128)}
+
+    @pytest.mark.parametrize("n", sorted(COUNTS))
+    def test_gleason_calls(self, n):
+        ev = Widening(gleason_evaluator(2, n))
+        ps = all_roots(gleason(2, n), 128, evaluator=ev)
+        assert len(ps) == 2 ** (n - 1)
+        names = [name for name, _ in ev.calls]
+        assert (names.count("newton_mp"), names.count("value_deriv_ball")) == self.COUNTS[n]
+
+
+class Certified(Widening):
+    """Also keeps every FixedBall handed to value_deriv_ball."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.points = []
+
+    def value_deriv_ball(self, zb):
+        self.points.append(zb)
+        return super().value_deriv_ball(zb)
+
+
+def value_deriv_1024(coeffs, z, wp):
+    """p(z) and p'(z) as Gaussian integers in units of 2^-1024, by Horner on
+    the exact coefficients with each product floored: an oracle that shares
+    no code with the evaluators or with pcflab.fixedball. z lies on the grid
+    2^-wp, so it enters exactly."""
+    P = 1024
+    zr, zi = (int(mp.ldexp(x, wp)) for x in (z.real, z.imag))
+    vr = vi = dr = di = 0
+    for c in reversed(coeffs):
+        dr, di = ((dr * zr - di * zi) >> wp) + vr, ((dr * zi + di * zr) >> wp) + vi
+        vr, vi = ((vr * zr - vi * zi) >> wp) + (c << P), (vr * zi + vi * zr) >> wp
+    return (vr, vi), (dr, di)
+
+
+def mpf_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestIntegerDisk:
+    """Every disk against an independent oracle: its center is the grid point
+    it was certified at, its radius holds deg * |p/p'| * 1.0000001 and meets
+    the target, and the disks are pairwise disjoint."""
+
+    BITS = 128
+
+    @pytest.mark.parametrize(
+        "spec",
+        [("gleason", 2, 6), ("period", 3, 4), ("misiurewicz", 3, 4, 7), ("quartic",)],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_disks_against_oracle(self, spec):
+        p, inner = point_kernel_case(spec)
+        ev = Certified(inner)
+        ps = all_roots(p, self.BITS, evaluator=ev)
+        assert len(ps) == p.degree
+        certified = {(zb.re, zb.im, zb.prec) for zb in ev.points if zb.rad == 0}
+        precs = {prec for _, _, prec in certified}
+        deg = p.degree
+        for b in ps.roots:
+            # the center is a point certified on the grid 2^-wp, exactly
+            on_grid = [FixedBall.from_mpc(b.center, wp) for wp in precs]
+            (g,) = [g for g in on_grid if g.rad == 0 and (g.re, g.im, g.prec) in certified]
+            # the radius holds the inclusion disk of the 1024-bit oracle
+            (vr, vi), (dr, di) = value_deriv_1024(p.coeffs, b.center, g.prec)
+            rad = mpf_fraction(b.radius)
+            assert rad * rad * (dr * dr + di * di) * 10**14 >= (
+                deg * deg * (vr * vr + vi * vi) * 10000001**2
+            )
+            # and meets the 2^-(bits/2) * (1 + |c|) target
+            with mp.workprec(1024):
+                assert b.radius * 2 ** (self.BITS // 2) <= 1 + abs(b.center)
+        # pairwise disjoint: balls.disjoint on every pair closer than 1e-3;
+        # the radii are below 1e-15, so the rest are disjoint by far
+        assert all(b.radius < 1e-15 for b in ps.roots)
+        cf = np.array([complex(b.center) for b in ps.roots])
+        close = np.abs(cf[:, None] - cf[None, :]) < 1e-3
+        with mp.workprec(512):
+            for i, j in zip(*np.nonzero(close)):
+                if i < j:
+                    assert bl.disjoint(ps.roots[i], ps.roots[j])
+
+
 class TestEmptyPass:
     def test_overlapping_without_live_disks(self):
         assert rootfinder._overlapping([None] * 3) == set()
@@ -518,11 +626,11 @@ class TestLemniscateStarts:
 
 
 def ball_ratio(evaluator, z):
-    """val.center() / der.center() of the formula run on FixedBalls: the
-    oracle for newton_mp, which runs it on FixedPoints."""
-    zf = FixedBall.from_mpc(z, mp.mp.prec)
-    val, der = evaluator.value_deriv(zf, zf.lift)
-    return val.center() / der.center()
+    """The center of val / der of the formula run on FixedBalls: the oracle
+    for newton_mp, which runs it on FixedPoints."""
+    zb = FixedBall.from_mpc(z, mp.mp.prec)
+    val, der = evaluator.value_deriv(zb, zb.lift)
+    return val / der
 
 
 QUARTIC = P([3, -1, 4, 1, 5])
@@ -566,9 +674,9 @@ class TestPointKernel:
         for wp in (192, 384):
             with mp.workprec(wp):
                 for z in [mp.mpc(complex(s)) for s in starts] + roots:
-                    got, want = ev.newton_mp(z), ball_ratio(ev, z)
-                    assert got.real._mpf_ == want.real._mpf_, (wp, z)
-                    assert got.imag._mpf_ == want.imag._mpf_, (wp, z)
+                    got = ev.newton_mp(FixedPoint.from_mpc(z, wp))
+                    want = ball_ratio(ev, z)
+                    assert (got.re, got.im, got.prec) == (want.re, want.im, wp), (wp, z)
 
 
 def traced_peak(f, *args):
