@@ -5,6 +5,10 @@ atomically with content-hash headers, reports use fixed-format numeric
 printing, and plot bytes are pure functions of the config. Reruns leave
 byte-identical files behind.
 
+Root-cache misses are isolated on this process plus one forked child, when
+two or more CPUs are usable; outputs, caches and exit codes are those of a
+serial run, and there is no flag for it.
+
 Exit codes:
   0  success
   2  usage or configuration error
@@ -21,6 +25,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,17 +230,117 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def cached_roots(path: Path, poly, bits: int, evaluator, source=None):
     """Certified roots of poly, read from path, or computed and written there."""
-    ps = read_roots_cache(path, poly, bits, source=source)
-    if ps is None:
-        ps = all_roots(poly, bits, evaluator=evaluator, source=source)
-        write_roots_cache(path, poly, ps)
-    return ps
+    return cached_root_sets([(path, poly, bits, evaluator, source)])[0]
 
 
-def _gleason_roots(cfg: RunConfig, n: int, bits: int):
-    path = roots_cache_path(cfg.cache_dir, cfg.d, n, bits)
-    poly = gleason(cfg.d, n)
-    return cached_roots(path, poly, bits, gleason_evaluator(cfg.d, n))
+def cached_root_sets(jobs):
+    """Root sets of jobs (path, poly, bits, evaluator, source), in job order.
+
+    Every cache is read first. With two or more misses and two or more usable
+    CPUs, the misses are split in two shares by degree; a forked child
+    isolates one share and writes its caches, which are then read back
+    exactly. Each job runs even after another fails; the error raised is that
+    of the lowest-indexed failing job, the one a serial loop raises.
+    """
+    jobs = list(jobs)
+    sets = [read_roots_cache(path, poly, bits, source=source)
+            for path, poly, bits, _, source in jobs]
+    mine = [i for i, ps in enumerate(sets) if ps is None]
+    theirs = []
+    if len(mine) >= 2 and len(os.sched_getaffinity(0)) >= 2:
+        mine, theirs = _split_by_degree(jobs, mine)
+    pid, pipe = _fork_isolation(jobs, theirs) if theirs else (0, None)
+    try:
+        errors = _isolate(jobs, mine, sets)
+        if pid:
+            payload = pipe.read()
+            child, status = os.waitpid(pid, 0)
+            pid = 0
+            errors.update(_child_outcome(child, status, payload, jobs, theirs, sets))
+    finally:
+        if pipe is not None:
+            pipe.close()
+        if pid:
+            import signal  # here, so that a run that forks nothing imports nothing new
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if errors:
+        raise errors[min(errors)]
+    return sets
+
+
+def _split_by_degree(jobs, misses):
+    """Two shares of misses, largest degree first, each to the lighter share."""
+    shares, loads = ([], []), [0, 0]
+    for i in sorted(misses, key=lambda i: -jobs[i][1].degree):
+        side = 0 if loads[0] <= loads[1] else 1
+        shares[side].append(i)
+        loads[side] += jobs[i][1].degree
+    return sorted(shares[0]), sorted(shares[1])
+
+
+def _isolate(jobs, indices, sets) -> dict:
+    """Isolate and cache jobs[i] into sets[i]; returns {i: error} of the failures."""
+    errors = {}
+    for i in indices:
+        path, poly, bits, evaluator, source = jobs[i]
+        try:
+            sets[i] = all_roots(poly, bits, evaluator=evaluator, source=source)
+            write_roots_cache(path, poly, sets[i])
+        except Exception as exc:
+            errors[i] = exc
+    return errors
+
+
+def _fork_isolation(jobs, indices):
+    """(pid, read end of its pipe) of a child that isolates and caches jobs[i]
+    for i in indices, then sends its lowest-indexed (i, error), if any."""
+    # fork, not spawn: the CLI runs no threads, and a spawned child would pay
+    # the 0.3 s import again and rebuild the polynomials it is sent
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            errors = _isolate(jobs, indices, [None] * len(jobs))
+            if errors:
+                first = min(errors)
+                with os.fdopen(wfd, "wb") as pipe:
+                    pipe.write(pickle.dumps((first, errors[first])))
+            status = 0
+        finally:
+            # no atexit hooks, and no flush of the buffers inherited from the
+            # parent; an error that does not pickle leaves with status 1
+            os._exit(status)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb")
+
+
+def _child_outcome(pid: int, status: int, payload: bytes, jobs, indices, sets) -> dict:
+    """Read the child's caches back into sets; returns {i: error} of its failures."""
+    if os.WIFSIGNALED(status):
+        raise PcfLabError(f"root isolation child {pid} died by signal {os.WTERMSIG(status)}")
+    if os.WEXITSTATUS(status) != 0:
+        raise PcfLabError(f"root isolation child {pid} exited with status {os.WEXITSTATUS(status)}")
+    errors = dict([pickle.loads(payload)]) if payload else {}
+    for i in indices:
+        if i >= min(errors, default=len(jobs)):
+            break
+        path, poly, bits, _, source = jobs[i]
+        sets[i] = read_roots_cache(path, poly, bits, source=source)
+        if sets[i] is None:
+            errors[i] = PcfLabError(f"root isolation child {pid} left no readable cache at {path}")
+    return errors
+
+
+def _gleason_jobs(cfg: RunConfig, levels, bits: int) -> list:
+    return [
+        (roots_cache_path(cfg.cache_dir, cfg.d, n, bits), gleason(cfg.d, n), bits,
+         gleason_evaluator(cfg.d, n), None)
+        for n in levels
+    ]
 
 
 # -- commands -----------------------------------------------------------------------
@@ -244,9 +350,10 @@ def cmd_enumerate(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     check_degree_cap(cfg.d, cfg.max_n)
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
-    for n in range(1, cfg.max_n + 1):
+    levels = range(1, cfg.max_n + 1)
+    for n in levels:
         write_gleason_cache(cfg.cache_dir, cfg.d, n)
-        ps = _gleason_roots(cfg, n, cfg.bits)
+    for n, ps in zip(levels, cached_root_sets(_gleason_jobs(cfg, levels, cfg.bits))):
         lines.append(
             f"gleason\tn={n}\tdeg={gleason(cfg.d, n).degree}\troots={len(ps.roots)}"
         )
@@ -295,14 +402,17 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
     # the rational path builds no g_n, but its exact Vieta values grow like
     # d^(n-1) * h(alpha) bits, so the same cap bounds it
     check_degree_cap(cfg.d, cfg.max_n)
+    levels = range(2, cfg.max_n + 1)
+    root_sets = {}
+
+    def roots(n):
+        # the first call, after the PCF gate, isolates every level at once
+        if not root_sets:
+            root_sets.update(zip(levels, cached_root_sets(_gleason_jobs(cfg, levels, cfg.bits))))
+        return root_sets[n]
+
     reports = discrepancy_report(
-        cfg.d,
-        range(2, cfg.max_n + 1),
-        alpha,
-        tau=cfg.tau,
-        C=cfg.C,
-        precision_bits=cfg.bits,
-        roots=lambda n: _gleason_roots(cfg, n, cfg.bits),
+        cfg.d, levels, alpha, tau=cfg.tau, C=cfg.C, precision_bits=cfg.bits, roots=roots
     )
     fit = fitted_min_constant(reports)
     lines = [TSV_HEADER]
@@ -331,14 +441,12 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
         f"pcf-modulus-value-d{cfg.d}\t{mp.nstr(pcf_modulus_bound(cfg.d), 10)}\t-\t-"
     )
     bits = min(cfg.bits, 128)
-    root_sets = [
-        cached_roots(
-            factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
-            desc.poly, bits, factor_evaluator(desc), source=desc,
-        )
+    root_sets = cached_root_sets(
+        (factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
+         desc.poly, bits, factor_evaluator(desc), desc)
         for desc in enumerate_factors(cfg.d, cfg.max_n)
         if desc.poly.degree >= 1
-    ]
+    )
     lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
     lines.extend(rep.line() for rep in separation_check(root_sets))
     s_size = max(1, len(cfg.s_primes) + 1)
@@ -475,10 +583,11 @@ def cmd_plot(cfg: RunConfig, out=None) -> int:
     check_degree_cap(cfg.d, cfg.max_n)
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
+    levels = range(1, cfg.max_n + 1)
     centers = [
         (float(b.center.real), float(b.center.imag))
-        for n in range(1, cfg.max_n + 1)
-        for b in _gleason_roots(cfg, n, min(cfg.bits, 128)).roots
+        for ps in cached_root_sets(_gleason_jobs(cfg, levels, min(cfg.bits, 128)))
+        for b in ps.roots
     ]
     ppm = _ppm_bytes(counts, max_iter, _root_pixels(centers, extent, size))
     ppm_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.ppm"

@@ -468,7 +468,8 @@ class MisiurewiczEvaluator(OrbitEvaluator):
 
 
 def factor_evaluator(desc: FactorDescriptor):
-    """Stable evaluator for a factor's poly, or None when only Horner applies."""
+    """Stable evaluator for a factor's poly; ValueError for an unknown kind, so
+    no lattice factor falls back to Horner on its coefficients."""
     if desc.kind == "exact-period":
         if desc.n == 1:
             return GleasonEvaluator(desc.d, 1)
@@ -477,7 +478,7 @@ def factor_evaluator(desc: FactorDescriptor):
         if desc.m == 1:
             return GleasonEvaluator(desc.d, desc.n - 1)
         return MisiurewiczEvaluator(desc.d, desc.m, desc.n)
-    return None
+    raise ValueError(f"no orbit evaluator for factor kind {desc.kind!r}")
 
 
 def gleason_evaluator(d: int, n: int) -> GleasonEvaluator:

@@ -4,20 +4,35 @@ from __future__ import annotations
 
 import filecmp
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import pcflab
+import pcflab.cli as cli
 from pcflab.cli import escape_time_grid, main, parse_alpha
+from pcflab.errors import PrecisionExhausted
 
 
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # root isolation forks; every child must be reaped before a command returns
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left an unreaped child process (waitpid: {pid})")
 
 
 class TestParseAlpha:
@@ -342,3 +357,126 @@ class TestCrossProcessDeterminism:
                 p.relative_to(cache): p.read_bytes() for p in cache.rglob("*") if p.is_file()
             })
         assert trees[0] and trees[0] == trees[1]
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k): the CLI sees k usable CPUs; returns the pids of the children it forks."""
+    real_fork = os.fork
+
+    def set_cpus(k):
+        forks = []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    return set_cpus
+
+
+def run_in(cwd: Path, args, capsys, monkeypatch):
+    """run() with cwd as working directory and a relative cache path, so that
+    runs in different directories print the same paths."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    return run(args + ["--cache", "cache"], capsys)
+
+
+class TestForkedIsolation:
+    # cache misses are isolated on this process and one forked child; every
+    # output, cache byte and exit code is that of a serial run
+
+    @pytest.mark.parametrize("args", [
+        ["enumerate", "--d", "2", "--max-n", "9", "--bits", "128"],
+        ["bounds", "--d", "2", "--max-n", "6"],
+        ["plot", "--d", "2", "--max-n", "3"],
+        ["equidist", "--d", "2", "--max-n", "7", "--alpha=-1,-1,1:1"],
+    ], ids=lambda args: args[0])
+    def test_identical_to_serial(self, tmp_path, capsys, monkeypatch, cpus, args):
+        forks = cpus(2)
+        forked = run_in(tmp_path / "forked", args, capsys, monkeypatch)
+        assert len(forks) == 1
+        forks = cpus(1)
+        serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
+        assert forks == []
+        assert forked == serial and forked[0] == 0
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+
+    def test_warm_run_forks_nothing(self, tmp_path, capsys, cpus):
+        args = ["bounds", "--d", "2", "--max-n", "5", "--cache", str(tmp_path / "cache")]
+        assert run(args, capsys)[0] == 0
+        forks = cpus(2)
+        assert run(args, capsys)[0] == 0
+        assert forks == []
+
+    # enumerate --d 2 --max-n 5 has root jobs of degrees 1, 2, 4, 8, 16: the
+    # degree-16 job stays here, the other four go to the child
+    ENUMERATE = ["enumerate", "--d", "2", "--max-n", "5", "--bits", "128"]
+
+    @staticmethod
+    def fail_on(monkeypatch, degrees):
+        real = cli.all_roots
+
+        def all_roots(poly, *args, **kwargs):
+            if poly.degree in degrees:
+                raise PrecisionExhausted(f"degree {poly.degree} failed")
+            return real(poly, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "all_roots", all_roots)
+
+    @pytest.mark.parametrize("degrees", [{4}, {16}, {4, 16}], ids=["child", "parent", "both"])
+    def test_failing_job_exits_as_serial(self, tmp_path, capsys, monkeypatch, cpus, degrees):
+        self.fail_on(monkeypatch, degrees)
+        forks = cpus(2)
+        forked = run_in(tmp_path / "forked", self.ENUMERATE, capsys, monkeypatch)
+        assert len(forks) == 1
+        cpus(1)
+        serial = run_in(tmp_path / "serial", self.ENUMERATE, capsys, monkeypatch)
+        assert forked == serial
+        code, out, err = forked
+        # the lowest-indexed failing job's error wins
+        assert code == 5 and out == ""
+        assert f"PrecisionExhausted: degree {min(degrees)} failed" in err
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+
+    def test_parent_interrupt_kills_the_child(self, tmp_path, capsys, monkeypatch, cpus):
+        parent_pid = os.getpid()
+
+        def all_roots(*args, **kwargs):
+            if os.getpid() == parent_pid:
+                raise KeyboardInterrupt
+            time.sleep(60)  # killed by the parent long before this ends
+
+        monkeypatch.setattr(cli, "all_roots", all_roots)
+        forks = cpus(2)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(self.ENUMERATE + ["--cache", str(tmp_path / "cache")])
+        assert len(forks) == 1 and time.monotonic() - t0 < 30
+
+    def test_child_killed_by_signal(self, tmp_path, capsys, monkeypatch, cpus):
+        parent_pid = os.getpid()
+        real = cli.all_roots
+
+        def all_roots(*args, **kwargs):
+            if os.getpid() != parent_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "all_roots", all_roots)
+        forks = cpus(2)
+        code, out, err = run(self.ENUMERATE + ["--cache", str(tmp_path / "cache")], capsys)
+        assert len(forks) == 1
+        assert code == 10 and out == ""
+        assert f"child {forks[0]} died by signal {int(signal.SIGKILL)}" in err
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -321,6 +322,13 @@ class TestEvaluatorOracle:
                 ratio = val / der
                 err = abs(_grid_fraction(step.re, prec) - ratio) + abs(_grid_fraction(step.im, prec))
                 assert err <= abs(ratio) * Fraction(2) ** (24 - prec), (name, x)
+
+
+def test_factor_evaluator_refuses_unknown_kind():
+    # a lattice factor never falls back to Horner on its coefficients
+    desc = dataclasses.replace(exact_period_factor(2, 3), kind="quotient")
+    with pytest.raises(ValueError, match="quotient"):
+        factor_evaluator(desc)
 
 
 def _factor_case(desc, kind):
