@@ -25,26 +25,55 @@ point is a ball of radius 0, and the inclusion radius comes from abs_bounds
 of the value and derivative balls, in whole grid units rounded up, before
 the disk leaves as one ComplexBall. A point encloses nothing, so it has no
 conversion to a ComplexBall and no modulus bounds.
+
+Both have an array form, FixedBallArray and FixedPointArray, whose re, im
+and rad are 1-D numpy object arrays of Python ints, one lane per ball or
+point (an int field is shared by every lane). It runs the scalar classes'
+method code itself, with numpy applying each + - * >> // elementwise; only
+the value-branching primitives have array forms: _mul_err (the modulus
+bounds of * and /, with the radius-0 shortcuts), isqrt, max, and the zero
+tests of /, where a lane that may divide by 0 raises for the whole array.
+Each formula is written once, lane i of a result is the scalar result on
+lane i bit for bit, and the scalar code pays nothing for the array form.
+The root finder polishes and certifies its roots in batches this way; the
+escape iteration of pcflab.heights stays scalar.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from types import FunctionType
 
 import mpmath as mp
+import numpy as np
 
 from .balls import ComplexBall
 
 
-def _abs_up(re: int, im: int) -> int:
-    """Integer upper bound on |re + i*im|, at most 6 % above it.
+def _mul_err(ar: int, ai: int, ra: int, br: int, bi: int, rb: int) -> int:
+    """|a| r_b + (|b| + r_b) r_a for the disks a = ar + i*ai of radius ra and
+    b = br + i*bi of radius rb: with |a| and |b| rounded up to integers at
+    most 6 % above them, an integer bound on how far a product of points of
+    the disks lies from ab. A modulus whose radius factor is 0 is skipped.
 
     For x >= y >= 0, sqrt(x^2 + y^2) <= x + y^2/(2x) <= x + y/2.
     """
-    x, y = abs(re), abs(im)
-    if x < y:
-        x, y = y, x
-    return x + ((y + 1) >> 1)
+    err = 0
+    if rb:
+        x, y = abs(ar), abs(ai)
+        if x < y:
+            x, y = y, x
+        err = (x + ((y + 1) >> 1)) * rb
+    if ra:
+        x, y = abs(br), abs(bi)
+        if x < y:
+            x, y = y, x
+        err += (x + ((y + 1) >> 1) + rb) * ra
+    return err
+
+
+# the zero tests of /; the array form is np.any
+_any = bool
 
 
 def _ceil_shift(x: int, s: int) -> int:
@@ -156,13 +185,11 @@ class FixedBall(_OnGrid):
         p = self.prec
         ar, ai, ra = self.re, self.im, self.rad
         br, bi, rb = o.re, o.im, o.rad
-        err = 0
-        if rb:
-            err = _abs_up(ar, ai) * rb
-        if ra:
-            err += (_abs_up(br, bi) + rb) * ra
         return FixedBall(
-            (ar * br - ai * bi) >> p, (ar * bi + ai * br) >> p, _ceil_shift(err, p) + 2, p
+            (ar * br - ai * bi) >> p,
+            (ar * bi + ai * br) >> p,
+            _ceil_shift(_mul_err(ar, ai, ra, br, bi, rb), p) + 2,
+            p,
         )
 
     def __truediv__(self, o: "FixedBall"):
@@ -171,11 +198,12 @@ class FixedBall(_OnGrid):
         br, bi, rb = o.re, o.im, o.rad
         n = br * br + bi * bi
         b_lo = isqrt(n)
-        if b_lo <= rb:
+        if _any(b_lo <= rb):
             raise ZeroDivisionError("divisor ball may contain zero")
         # |a/b - a_c/b_c| <= (r_a |b_c| + |a_c| r_b) / (|b_c| (|b_c| - r_b)),
-        # decreasing in |b_c|, so b_lo bounds it from above
-        err = (ra * b_lo + _abs_up(ar, ai) * rb) << p
+        # decreasing in |b_c|, so b_lo bounds it from above; |a_c| r_b is
+        # _mul_err with b = 0
+        err = (ra * b_lo + _mul_err(ar, ai, 0, 0, 0, rb)) << p
         return FixedBall(
             ((ar * br + ai * bi) << p) // n,
             ((ai * br - ar * bi) << p) // n,
@@ -230,9 +258,55 @@ class FixedPoint(_OnGrid):
         p = self.prec
         ar, ai, br, bi = self.re, self.im, o.re, o.im
         n = br * br + bi * bi
-        if not n:
+        if _any(n == 0):
             raise ZeroDivisionError("division by the point 0")
         return FixedPoint(((ar * br + ai * bi) << p) // n, ((ai * br - ar * bi) << p) // n, p)
 
     def __repr__(self) -> str:
         return f"FixedPoint({self.re}, {self.im}, prec={self.prec})"
+
+
+# -- array form --------------------------------------------------------------------
+
+
+class FixedBallArray(FixedBall):
+    """FixedBalls in lanes: re, im and rad are 1-D numpy object arrays of
+    Python ints, or ints shared by every lane, such as a lift's.
+
+    Every operation is FixedBall's own code, run elementwise, so lane i of a
+    result is bit for bit the FixedBall result on lane i. / raises
+    ZeroDivisionError when the divisor ball of any lane may hold 0.
+    contains_zero gives a bool array. The conversions to mpmath (from_mpc,
+    ball, center) are per lane: index the arrays.
+    """
+
+    __slots__ = ()
+
+
+class FixedPointArray(FixedPoint):
+    """FixedPoints in lanes, as FixedBallArray holds FixedBalls. / raises
+    ZeroDivisionError when the divisor of any lane is exactly 0."""
+
+    __slots__ = ()
+
+
+isqrt_array = np.frompyfunc(isqrt, 1, 1)
+
+
+# The array classes run the scalar classes' method code under these globals:
+# the array forms of the value-branching primitives, and the array classes
+# wherever the code names its own class. Each formula stays written once,
+# and the scalar methods run as they did.
+_ARRAY_GLOBALS = dict(
+    globals(),
+    FixedBall=FixedBallArray,
+    FixedPoint=FixedPointArray,
+    _mul_err=np.frompyfunc(_mul_err, 6, 1),
+    _any=np.any,
+    isqrt=isqrt_array,
+    max=np.frompyfunc(max, 2, 1),
+)
+for _cls in (FixedBallArray, FixedPointArray):
+    for _name, _f in vars(_cls.__base__).items():
+        if isinstance(_f, FunctionType):
+            setattr(_cls, _name, FunctionType(_f.__code__, _ARRAY_GLOBALS, _name, _f.__defaults__))

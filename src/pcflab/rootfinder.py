@@ -1,8 +1,8 @@
 """Certified simultaneous root finding for integer polynomials.
 
 Pipeline: deterministic starting points, a vectorized float64 Aberth-Ehrlich
-stage, per-root Newton polishing, then an outward-rounded inclusion disk per
-root. The evaluator picks the starts: orbit evaluators of pcflab.critical_orbit
+stage, Newton polishing, then an outward-rounded inclusion disk per root.
+The evaluator picks the starts: orbit evaluators of pcflab.critical_orbit
 put them on a lemniscate of the Multibrot set (a pure function of d and the
 degree), every other polynomial gets root-modulus annuli from its coefficient
 hull (fixed 0.4 rad offset). Either way they are float64 functions of the
@@ -14,18 +14,23 @@ contains exactly one root and the set is a complete isolation certificate.
 
 Polishing and certification run on the fixed-point kernel of
 pcflab.fixedball, on the grid 2^-wp for working precision wp, from the
-float64 Aberth point to the finished disk. Each root enters the grid once,
+float64 Aberth point to the finished disk, in batches of _BATCH roots: each
+evaluator call takes a batch as one FixedPointArray or FixedBallArray, whose
+lanes give bit for bit the scalar results. Each root enters the grid once,
 rounded to nearest. Polishing takes its Newton steps p/p' on points
 (Gaussian integers on the grid), each step floored, and tests its stop rule
-in integers; the polished point is floored to wp bits, so it is still a grid
-point and the exact center of a ball of radius 0. Certification evaluates
-that ball and takes the radius deg * |p/p'| * 1.0000001 from the integer
-modulus bounds of the value and derivative balls, rounded up to whole grid
-units, and tests the target in integers too; the disk leaves the grid once,
-as a ComplexBall. Points and balls floor every product and quotient the same
-way, so their centers are identical, and the order of operations in each
-evaluator formula fixes the rounding, hence the polished points, the disks
-and the cache bytes.
+in integers; the batch steps in lockstep and each root leaves at its own
+stop. The polished point is floored to wp bits, so it is still a grid point
+and the exact center of a ball of radius 0. Certification evaluates the
+batch of those balls at once and takes each radius deg * |p/p'| * 1.0000001
+from the integer modulus bounds of the value and derivative balls, rounded
+up to whole grid units, and tests the target in integers too; each disk
+leaves the grid once, as a ComplexBall. A batch whose evaluation raises
+ZeroDivisionError is split in halves and retried, so only the root that
+raises loses its Newton step or its disk. Points and balls floor every
+product and quotient the same way, so their centers are identical, and the
+order of operations in each evaluator formula fixes the rounding, hence the
+polished points, the disks and the cache bytes, whatever the batch size.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
@@ -44,7 +49,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -55,7 +59,7 @@ from mpmath import libmp
 from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
-from .fixedball import FixedBall, FixedPoint
+from .fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray, isqrt_array
 from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
 DEFAULT_PRECISION_BITS = 256
@@ -65,6 +69,12 @@ _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 # 512 KiB, within L2, and on g_11 blocks of 64 to 512 rows ran slower. No
 # row's result depends on the block size.
 _ROW_BLOCK = 32
+# roots per batch of the fixed-point passes: Newton steps and disks run on
+# FixedPointArray/FixedBallArray lanes of this many roots. On g_11 of d=2,
+# one batch per pass (1024 roots) peaked 2 MB above batches of 128, which
+# peak about 0.2 MB above one root at a time; batches of 64 and 32 took 12 %
+# and 34 % longer. No root's result depends on the batch size.
+_BATCH = 128
 
 
 class Evaluator:
@@ -77,7 +87,10 @@ class Evaluator:
     polishing and the mp Aberth sweeps, maps a FixedPoint to the Newton step
     value / derivative, a FixedPoint floored on the same grid; value_deriv_ball,
     for certification, maps a FixedBall to the value and derivative FixedBalls.
-    The point and ball centers are identical, so polishing pays for no radius.
+    Polishing and certification pass a whole batch of roots at once, as a
+    FixedPointArray or FixedBallArray, and the same formula then runs on
+    every lane. The point and ball centers are identical, so polishing pays
+    for no radius.
     The vectorized float64 form newton_f64 is the one special case written
     separately. The kernel's operation order is the formula's, so the formula
     fixes the rounding, hence the polished points, the certified disks and the
@@ -286,48 +299,107 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
     return zs
 
 
-def _polish(evaluator, z, precision_bits: int):
-    """At most 10 Newton steps on the grid 2^-wp, wp = mp.prec, stopping once
-    a step w has |w| <= 2^-(bits+24) * (1 + |z|). z enters the grid rounded
-    to nearest; the result is floored to wp bits and so is a grid point."""
-    wp = mp.mp.prec
-    zf = FixedPoint.from_mpc(z, wp)
-    shift = 2 * (precision_bits + 24)
-    for _ in range(10):
-        try:
-            w = evaluator.newton_mp(zf)
-        except ZeroDivisionError:
-            break
-        zf = zf - w
-        # the stop rule in units of 2^-wp, squared; isqrt bounds |z| from below
-        one_plus_z = (1 << wp) + isqrt(zf.re * zf.re + zf.im * zf.im)
-        if (w.re * w.re + w.im * w.im) << shift <= one_plus_z * one_plus_z:
-            break
-    return zf.center()
+# -- polishing and certification ------------------------------------------------
 
 
-# -- certification --------------------------------------------------------------
-
-
-def _inclusion_disk(evaluator, z, degree: int, precision_bits: int):
-    """Disk of radius deg*|p/p'|*1.0000001 around the grid point z, or None
-    when the test fails or the radius misses the 2^-(bits/2) * (1 + |z|)
-    target. Computed in units of 2^-wp, wp = mp.prec; the radius rounds up."""
-    wp = mp.mp.prec
-    zb = FixedBall.from_mpc(z, wp)  # radius 0: _polish leaves z on the grid
+def _split_retry(f, lanes: np.ndarray) -> list:
+    """[(sub, f(sub))] over lanes: f on the whole batch, and on halves of a
+    batch that raises ZeroDivisionError, down to single lanes, whose
+    result is then None. Lanes are independent, so no lane's result
+    depends on the batch it ran in."""
     try:
-        val, der = evaluator.value_deriv_ball(zb)
+        return [(lanes, f(lanes))]
     except ZeroDivisionError:
-        return None
-    der_lo = der.abs_bounds()[0]
-    if der_lo <= 0:
-        return None
-    num = degree * val.abs_bounds()[1] * 10000001 << wp
-    rad = -(-num // (der_lo * 10**7))
-    # the target; isqrt bounds |z| from below
-    if rad << (precision_bits // 2) > (1 << wp) + isqrt(zb.re * zb.re + zb.im * zb.im):
-        return None
-    return FixedBall(zb.re, zb.im, rad, wp).ball()
+        if lanes.size == 1:
+            return [(lanes, None)]
+        h = lanes.size // 2
+        return _split_retry(f, lanes[:h]) + _split_retry(f, lanes[h:])
+
+
+def _floor_bits(x: int, bits: int) -> int:
+    """x floored to its leading bits bits (x itself when it is that short)."""
+    s = max(0, abs(x).bit_length() - bits)
+    return (x >> s) << s
+
+
+def _polish_lanes(evaluator, re: np.ndarray, im: np.ndarray, precision_bits: int) -> None:
+    """At most 10 Newton steps on the points re + i*im of the grid 2^-wp,
+    wp = mp.prec, in place and in lockstep: each point stops at its first
+    step w with |w| <= 2^-(bits+24) * (1 + |z|), or when its step raises
+    ZeroDivisionError."""
+    wp = mp.mp.prec
+    shift = 2 * (precision_bits + 24)
+
+    def newton(sub):
+        return evaluator.newton_mp(FixedPointArray(re[sub], im[sub], wp))
+
+    active = np.arange(re.size)
+    for _ in range(10):
+        moving = []
+        for sub, w in _split_retry(newton, active):
+            if w is None:
+                continue
+            z = FixedPointArray(re[sub], im[sub], wp) - w
+            re[sub], im[sub] = z.re, z.im
+            # the stop rule in units of 2^-wp, squared; isqrt bounds |z| from below
+            one_plus_z = (1 << wp) + isqrt_array(z.re * z.re + z.im * z.im)
+            moving.append(sub[(w.re * w.re + w.im * w.im) << shift > one_plus_z * one_plus_z])
+        active = np.concatenate(moving) if moving else active[:0]
+        if not active.size:
+            return
+
+
+def _disk_radii(evaluator, re: np.ndarray, im: np.ndarray, degree: int, precision_bits: int):
+    """Per grid point re + i*im: the radius deg*|p/p'|*1.0000001 in units of
+    2^-wp, wp = mp.prec, rounded up, or None when the test fails, the ball
+    evaluation raises ZeroDivisionError, or the radius misses the
+    2^-(bits/2) * (1 + |z|) target."""
+    wp = mp.mp.prec
+
+    def balls(sub):
+        return evaluator.value_deriv_ball(FixedBallArray(re[sub], im[sub], 0, wp))
+
+    radii: list = [None] * re.size
+    for sub, vd in _split_retry(balls, np.arange(re.size)):
+        if vd is None:
+            continue
+        val, der = vd
+        der_lo = der.abs_bounds()[0]
+        live = der_lo > 0
+        num = degree * val.abs_bounds()[1] * 10000001 << wp
+        rad = -(-num // (np.where(live, der_lo, 1) * 10**7))
+        # the target; isqrt bounds |z| from below
+        zr, zi = re[sub], im[sub]
+        live &= rad << (precision_bits // 2) <= (1 << wp) + isqrt_array(zr * zr + zi * zi)
+        for k in np.nonzero(live)[0]:
+            radii[sub[k]] = rad[k]
+    return radii
+
+
+def _polished_disks(evaluator, zs: list, batch: Sequence[int], degree: int, precision_bits: int):
+    """Polish the roots zs[j], j in batch, in place and return their disks,
+    None where the disk fails, on the grid 2^-wp, wp = mp.prec.
+
+    Each root enters the grid rounded to nearest and leaves it once, as its
+    disk. The polished point is floored to wp bits, so it is still a grid
+    point and the exact center of a ball of radius 0 for _disk_radii.
+    """
+    wp = mp.mp.prec
+    pts = [FixedPoint.from_mpc(zs[j], wp) for j in batch]
+    re = np.array([z.re for z in pts], dtype=object)
+    im = np.array([z.im for z in pts], dtype=object)
+    _polish_lanes(evaluator, re, im, precision_bits)
+    re = np.array([_floor_bits(x, wp) for x in re], dtype=object)
+    im = np.array([_floor_bits(x, wp) for x in im], dtype=object)
+    radii = _disk_radii(evaluator, re, im, degree, precision_bits)
+    disks = []
+    for k, j in enumerate(batch):
+        zs[j] = FixedPoint(re[k], im[k], wp).center()
+        disks.append(None if radii[k] is None else FixedBall(re[k], im[k], radii[k], wp).ball())
+    return disks
+
+
+# -- disjointness ----------------------------------------------------------------
 
 
 def _distance_rows(cf: np.ndarray):
@@ -340,22 +412,32 @@ def _distance_rows(cf: np.ndarray):
         yield i0, dist
 
 
+def _rounding_slack(cf: np.ndarray) -> float:
+    """Bound on how far rounding the centers to float64 moves the distance
+    of any pair: each center moves by less than one ulp of the largest
+    |center|, and the float64 distances round relatively."""
+    return 4 * float(np.spacing(np.abs(cf).max()))
+
+
 def _overlapping(disks: list) -> set[int]:
     """Indices of the disks not proven disjoint from every other disk.
 
     None entries (failed disks) are skipped. A float64 prefilter with a margin
-    that dominates the center-rounding error picks the close pairs; each gets
-    the exact ball test.
+    that covers the center rounding picks the close pairs; each gets the
+    exact ball test.
     """
     live = [i for i, b in enumerate(disks) if b is not None]
     if len(live) < 2:
         return set()
     cf = np.array([complex(disks[i].center) for i in live], dtype=np.complex128)
+    # each radius padded by the center rounding, so that no block needs one
+    # more temporary for it
     rf = np.array([float(disks[i].radius) for i in live], dtype=np.float64)
+    rf += _rounding_slack(cf) + 1e-290
     bad: set[int] = set()
     for i0, dist in _distance_rows(cf):
         rsum = rf[i0 : i0 + _ROW_BLOCK, None] + rf[None, :]
-        close = (dist * (1 - 1e-7) <= rsum + 1e-290) | (dist < 1e-6)
+        close = (dist * (1 - 1e-7) <= rsum) | (dist < 1e-6)
         for i, j in zip(*np.nonzero(close)):
             a, b = live[i + i0], live[j]
             if a < b and not bl.disjoint(disks[a], disks[b]):
@@ -414,9 +496,12 @@ def all_roots(
                 # only the leftover roots move; the rest keep their points
                 # and their disks
                 _aberth_mp(evaluator, zs, 4, todo)
-            for j in todo:
-                zs[j] = _polish(evaluator, zs[j], precision_bits)
-                disks[j] = _inclusion_disk(evaluator, zs[j], degree, precision_bits)
+            for b0 in range(0, len(todo), _BATCH):
+                batch = todo[b0 : b0 + _BATCH]
+                for j, disk in zip(
+                    batch, _polished_disks(evaluator, zs, batch, degree, precision_bits)
+                ):
+                    disks[j] = disk
             # the disjointness check always covers the whole set, so the set
             # returned has passed it once as a whole
             failed = {j for j, b in enumerate(disks) if b is None}
@@ -443,10 +528,12 @@ def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> 
         raise ValueError("need at least two roots")
     cf = np.array([complex(b.center) for b in balls])
     # exact outward-rounded recheck of every pair whose float64 distance is
-    # within a relative margin of the float64 minimum (the margin dwarfs the
-    # center-rounding error, so the true minimizing pair is always included);
-    # one pass over the row blocks finds that minimum, a second the pairs
-    cutoff = min(dist.min() for _, dist in _distance_rows(cf)) * (1 + 1e-6) + 1e-300
+    # within a margin of the float64 minimum: the true minimizing pair's is
+    # at most two center roundings above the true minimum, which is at most
+    # two above the float64 minimum. One pass over the row blocks finds that
+    # minimum, a second the pairs
+    low = min(dist.min() for _, dist in _distance_rows(cf))
+    cutoff = low * (1 + 1e-6) + _rounding_slack(cf) + 1e-300
     best = None
     for i0, dist in _distance_rows(cf):
         for i, j in zip(*np.nonzero(dist <= cutoff)):

@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcflab.balls as bl
-from pcflab.fixedball import FixedBall, FixedPoint
+from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray
 
 # points on the boundary and inside of the unit disk, as exact rationals
 F = Fraction
@@ -266,3 +267,142 @@ class TestConversions:
         z = mp.mpc(x, y)
         b = FixedBall.from_mpc(z, p)
         assert grid(FixedPoint.from_mpc(z, p)) == (b.re, b.im, p)
+
+
+@st.composite
+def lane_balls(draw, prec):
+    """One lane: a ball of the balls strategy, or an mpc rounded onto the
+    grid, whose imaginary part may lie far off it."""
+    if draw(st.booleans()):
+        return draw(balls(prec))
+    with mp.workprec(prec + 64):
+        z = mp.mpc(draw(mpfs), draw(mpfs))
+    return FixedBall.from_mpc(z, prec)
+
+
+@st.composite
+def ball_arrays(draw, prec=None, n=None):
+    """(FixedBallArray, its lanes as FixedBalls)."""
+    p = draw(precs) if prec is None else prec
+    n = draw(st.integers(1, 5)) if n is None else n
+    lanes = [draw(lane_balls(p)) for _ in range(n)]
+    fields = (np.array([getattr(b, f) for b in lanes], dtype=object) for f in ("re", "im", "rad"))
+    return FixedBallArray(*fields, p), lanes
+
+
+@st.composite
+def array_pairs(draw):
+    a, a_lanes = draw(ball_arrays())
+    b, b_lanes = draw(ball_arrays(a.prec, len(a_lanes)))
+    return a, a_lanes, b, b_lanes
+
+
+def to_points(a: FixedBallArray) -> FixedPointArray:
+    return FixedPointArray(a.re, a.im, a.prec)
+
+
+def lane(x, i):
+    """Lane i of an array form, as the fields of its scalar class."""
+    fields = ("re", "im", "rad") if isinstance(x, FixedBall) else ("re", "im")
+    vals = [getattr(x, f) for f in fields]
+    return tuple(v[i] if isinstance(v, np.ndarray) else v for v in vals) + (x.prec,)
+
+
+def scalar_fields(x):
+    return (x.re, x.im, x.rad, x.prec) if isinstance(x, FixedBall) else (x.re, x.im, x.prec)
+
+
+def assert_lanes(got, wants):
+    assert isinstance(got, (FixedBallArray, FixedPointArray))
+    for i, want in enumerate(wants):
+        assert lane(got, i) == scalar_fields(want), i
+        # Python ints, not numpy scalars, of any width
+        assert all(type(v) is int for v in lane(got, i))
+
+
+def quotients(a_lanes, b_lanes):
+    """The scalar quotients, or None when one of them raises."""
+    try:
+        return [x / y for x, y in zip(a_lanes, b_lanes)]
+    except ZeroDivisionError:
+        return None
+
+
+def check_div(a, a_lanes, b, b_lanes):
+    want = quotients(a_lanes, b_lanes)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_lanes(a / b, want)
+
+
+class TestArrayForm:
+    """Every operation of an array form equals the scalar operation on each
+    lane, bit for bit, radii included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_pairs(), st.integers(0, 5))
+    def test_balls(self, ab, n):
+        a, a_lanes, b, b_lanes = ab
+        assert_lanes(a + b, [x + y for x, y in zip(a_lanes, b_lanes)])
+        assert_lanes(a - b, [x - y for x, y in zip(a_lanes, b_lanes)])
+        assert_lanes(a * b, [x * y for x, y in zip(a_lanes, b_lanes)])
+        assert_lanes(a**n, [x**n for x in a_lanes])
+        check_div(a, a_lanes, b, b_lanes)
+        lo, hi = a.abs_bounds()
+        assert [(l, h) for l, h in zip(lo, hi)] == [x.abs_bounds() for x in a_lanes]
+        assert all(type(v) is int for v in (*lo, *hi))
+        assert list(a.contains_zero()) == [x.contains_zero() for x in a_lanes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_pairs(), st.integers(0, 5))
+    def test_points(self, ab, n):
+        a, a_lanes, b, b_lanes = ab
+        x, y = to_points(a), to_points(b)
+        xs = [point(v) for v in a_lanes]
+        ys = [point(v) for v in b_lanes]
+        assert_lanes(x + y, [u + v for u, v in zip(xs, ys)])
+        assert_lanes(x - y, [u - v for u, v in zip(xs, ys)])
+        assert_lanes(x * y, [u * v for u, v in zip(xs, ys)])
+        assert_lanes(x**n, [u**n for u in xs])
+        check_div(x, xs, y, ys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_arrays(), wide(600))
+    def test_int_operands_of_any_width(self, ab, k):
+        a, a_lanes = ab
+        for arr, scalars in ((a, a_lanes), (to_points(a), [point(v) for v in a_lanes])):
+            assert_lanes(arr + k, [x + k for x in scalars])
+            assert_lanes(arr - k, [x - k for x in scalars])
+            assert_lanes(arr * k, [x * k for x in scalars])
+            assert_lanes(arr.lift(k), [x.lift(k) for x in scalars])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_arrays(), wide(600))
+    def test_lifts_mixed_with_lanes(self, ab, k):
+        # a lift holds ints shared by every lane, where the other operand
+        # holds arrays
+        a, a_lanes = ab
+        for arr, scalars in ((a, a_lanes), (to_points(a), [point(v) for v in a_lanes])):
+            lift, lifts = arr.lift(k), [x.lift(k) for x in scalars]
+            assert_lanes(arr * lift, [x * y for x, y in zip(scalars, lifts)])
+            assert_lanes(lift * arr, [y * x for x, y in zip(scalars, lifts)])
+            assert_lanes(lift + arr, [y + x for x, y in zip(scalars, lifts)])
+            assert_lanes(lift - arr, [y - x for x, y in zip(scalars, lifts)])
+            check_div(arr, scalars, lift, lifts)
+            check_div(lift, lifts, arr, scalars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(array_pairs(), st.data())
+    def test_div_raises_when_any_divisor_may_be_zero(self, ab, data):
+        a, a_lanes, b, b_lanes = ab
+        i = data.draw(st.integers(0, len(b_lanes) - 1))
+        rad = b.rad.copy()
+        rad[i] = _abs_ceil(b.re[i], b.im[i]) + rad[i]  # lane i holds 0
+        with pytest.raises(ZeroDivisionError):
+            a / FixedBallArray(b.re, b.im, rad, b.prec)
+        re, im = b.re.copy(), b.im.copy()
+        re[i] = im[i] = 0  # lane i is the point 0
+        with pytest.raises(ZeroDivisionError):
+            to_points(a) / FixedPointArray(re, im, b.prec)

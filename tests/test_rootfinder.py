@@ -22,7 +22,7 @@ from pcflab.critical_orbit import (
 )
 from pcflab import rootfinder
 from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
-from pcflab.fixedball import FixedBall, FixedPoint
+from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     all_roots,
@@ -146,6 +146,17 @@ class TestDerivedQueries:
         ps = all_roots(P(CUBIC), 192)
         assert float(min_pairwise_distance(ps)) == pytest.approx(1.4897235332394885, rel=1e-12)
 
+    def test_min_pairwise_covers_center_rounding(self):
+        # the float64 distances are 1.0000889e-12 and 1.0000501e-12: rounding
+        # 2 + 1e-12 to float64 moves it by far more than a relative 1e-6 of
+        # the distance, and the pair at 2 is the closer one
+        with mp.workprec(200):
+            r = mp.mpf(2) ** -100
+            centers = [2, 2 + mp.mpf("1e-12"), mp.mpf("1e-3"), mp.mpf("1e-3") + mp.mpf("1.00005e-12")]
+            balls = [bl.ComplexBall(mp.mpc(c), r) for c in centers]
+            lo = min_pairwise_distance(balls)
+            assert mp.mpf("1e-12") - 2 * r - mp.mpf(2) ** -190 <= lo <= mp.mpf("1e-12")
+
     def test_min_pairwise_needs_two(self):
         ps = all_roots(P([1, 1]), 128)
         with pytest.raises(ValueError):
@@ -262,11 +273,23 @@ class TestRootCache:
         assert path.read_bytes() == v2
 
 
+def scalars(z):
+    """The scalar FixedPoints or FixedBalls of z: z itself, or one per lane
+    of an array form."""
+    if not isinstance(z.re, np.ndarray):
+        return [z]
+    if isinstance(z, FixedPoint):
+        return [FixedPoint(re, im, z.prec) for re, im in zip(z.re, z.im)]
+    rad = z.rad if isinstance(z.rad, np.ndarray) else [z.rad] * z.re.size
+    return [FixedBall(re, im, r, z.prec) for re, im, r in zip(z.re, z.im, rad)]
+
+
 class Widening:
-    """Forwards to an evaluator and logs the working precision of each
-    newton_mp and value_deriv_ball call. While mp.prec < below, the value ball
-    at points within 1e-6 of a target is widened by 1 (2^prec grid units), so
-    that root's inclusion disk misses its radius target."""
+    """Forwards to an evaluator and logs the working precision of each point
+    handed to newton_mp and value_deriv_ball, one entry per point of a batch.
+    While mp.prec < below, the value ball at points within 1e-6 of a target
+    is widened by 1 (2^prec grid units), so that root's inclusion disk misses
+    its radius target; the other points' balls are kept."""
 
     def __init__(self, inner, targets=(), below=0):
         self.inner = inner
@@ -277,15 +300,22 @@ class Widening:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
+    def near_target(self, zb):
+        """Per point of zb: whether it lies within 1e-6 of a target."""
+        return [
+            any(abs(complex(z.center()) - t) < 1e-6 for t in self.targets) for z in scalars(zb)
+        ]
+
     def newton_mp(self, z):
-        self.calls.append(("newton_mp", mp.mp.prec))
+        self.calls += [("newton_mp", mp.mp.prec)] * len(scalars(z))
         return self.inner.newton_mp(z)
 
     def value_deriv_ball(self, zb):
-        self.calls.append(("value_deriv_ball", mp.mp.prec))
+        self.calls += [("value_deriv_ball", mp.mp.prec)] * len(scalars(zb))
         val, der = self.inner.value_deriv_ball(zb)
-        if mp.mp.prec < self.below and any(abs(complex(zb.center()) - t) < 1e-6 for t in self.targets):
-            val = FixedBall(val.re, val.im, val.rad + (1 << val.prec), val.prec)
+        if mp.mp.prec < self.below:
+            widen = np.array([n << val.prec for n in self.near_target(zb)], dtype=object)
+            val = FixedBallArray(val.re, val.im, val.rad + widen, val.prec)
         return val, der
 
     def calls_above(self, prec):
@@ -366,6 +396,39 @@ class TestLocalizedRepair:
         assert ev.calls_above(self.FIRST_WP)[1] == 2
 
 
+class Raising(Widening):
+    """Like Widening, but while mp.prec < below, value_deriv_ball raises
+    ZeroDivisionError, as for a divisor ball that may hold 0, on any batch
+    with a point within 1e-6 of a target. Calls that raise are not logged."""
+
+    def value_deriv_ball(self, zb):
+        if mp.mp.prec < self.below and any(self.near_target(zb)):
+            raise ZeroDivisionError("a target in the batch")
+        return super().value_deriv_ball(zb)
+
+
+class TestSplitRetry:
+    BITS = TestLocalizedRepair.BITS
+    FIRST_WP = TestLocalizedRepair.FIRST_WP
+
+    def test_a_raising_root_is_repaired_alone(self):
+        desc = exact_period_factor(2, 7)  # 63 roots: one batch
+        plain = all_roots(desc.poly, self.BITS, evaluator=factor_evaluator(desc))
+        target = plain.roots[17].center
+        ev = Raising(factor_evaluator(desc), [target], below=2 * self.FIRST_WP)
+        ps = all_roots(desc.poly, self.BITS, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        assert_pairwise_disjoint(ps)
+        # the batch split down to the target; every other root of the batch
+        # got its disk once, the unperturbed run's bit for bit
+        kept = {disk_key(b) for b in ps.roots if abs(complex(b.center) - complex(target)) >= 1e-6}
+        assert len(kept) == desc.poly.degree - 1
+        assert kept <= {disk_key(b) for b in plain.roots}
+        first = [wp for name, wp in ev.calls if name == "value_deriv_ball" and wp == self.FIRST_WP]
+        assert len(first) == desc.poly.degree - 1
+        assert ev.calls_above(self.FIRST_WP)[1] == 1
+
+
 class TestCofactorZeros:
     """Misiurewicz factors at the roots they share with g_q. The orbit formula
     has no division, so these roots certify on the first pass like any other."""
@@ -440,14 +503,14 @@ class TestStepCounts:
 
 
 class Certified(Widening):
-    """Also keeps every FixedBall handed to value_deriv_ball."""
+    """Also keeps every point handed to value_deriv_ball, as a FixedBall."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.points = []
 
     def value_deriv_ball(self, zb):
-        self.points.append(zb)
+        self.points += scalars(zb)
         return super().value_deriv_ball(zb)
 
 
@@ -677,6 +740,46 @@ class TestPointKernel:
                     got = ev.newton_mp(FixedPoint.from_mpc(z, wp))
                     want = ball_ratio(ev, z)
                     assert (got.re, got.im, got.prec) == (want.re, want.im, wp), (wp, z)
+
+
+class TestBatches:
+    """The fixed-point passes polish and certify _BATCH roots at a time: a
+    batch of one root or of all of them gives the same cache bytes, whose
+    root lines are the exact tokens of every disk."""
+
+    def cache_bytes(self, p, ev, batch, tmp_path, monkeypatch):
+        monkeypatch.setattr(rootfinder, "_BATCH", batch)
+        path = tmp_path / f"batch{batch}.roots"
+        write_roots_cache(path, p, all_roots(p, 128, evaluator=ev))
+        return path.read_bytes()
+
+    def assert_batch_free(self, p, make_ev, tmp_path, monkeypatch):
+        sizes = (1, rootfinder._BATCH, p.degree)
+        runs = [self.cache_bytes(p, make_ev(), b, tmp_path, monkeypatch) for b in sizes]
+        assert f"# count={p.degree}\n".encode() in runs[0]
+        assert runs[1:] == runs[:1] * 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [("gleason", 2, 8), ("period", 3, 4), ("misiurewicz", 3, 4, 7), ("quartic",)],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_batch_size_changes_nothing(self, spec, tmp_path, monkeypatch):
+        p, _ = point_kernel_case(spec)
+        self.assert_batch_free(p, lambda: point_kernel_case(spec)[1], tmp_path, monkeypatch)
+
+    def test_with_a_repair_pass(self, tmp_path, monkeypatch):
+        desc = exact_period_factor(2, 7)
+        plain = all_roots(desc.poly, 128, evaluator=factor_evaluator(desc))
+        targets = [plain.roots[i].center for i in (3, 17)]
+
+        def widening():
+            return Widening(factor_evaluator(desc), targets, below=2 * TestLocalizedRepair.FIRST_WP)
+
+        self.assert_batch_free(desc.poly, widening, tmp_path, monkeypatch)
+        ev = widening()
+        all_roots(desc.poly, 128, evaluator=ev)
+        assert ev.calls_above(TestLocalizedRepair.FIRST_WP)[1] == 2
 
 
 def traced_peak(f, *args):
