@@ -11,7 +11,7 @@ serial run, and there is no flag for it.
 
 Exit codes:
   0  success
-  2  usage or configuration error
+  2  usage or configuration error, an --alpha coefficient over 900 bits included
   3  degree cap exceeded
   4  hypothesis violated (post-critically finite base point)
   5  precision exhausted

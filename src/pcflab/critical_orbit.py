@@ -17,8 +17,9 @@ roots) and simply at every strictly preperiodic parameter (Hutz-Towsley,
 Misiurewicz points for polynomial maps and transversality, NYJM 2015). So one
 exact division by g_q^(d-1) leaves the strictly preperiodic part, and the
 level-(m, n) factor is that part times g_q. Both are squarefree by these two
-theorems, so nothing here re-checks it; the root finder refuses any input
-that is not.
+theorems, so nothing here re-checks it; the root finder's certificate, deg
+pairwise disjoint disks each holding a root, proves it for every factor it
+isolates.
 
 The module also provides numerically stable (value, derivative) evaluators for
 all of these, driven by the orbit recurrence u <- u^d + c instead of the
@@ -315,8 +316,6 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
 
 class OrbitEvaluator(Evaluator):
     """Base of the evaluators driven by the orbit recurrence of z^d + c."""
-
-    f64_ok = True
 
     def starts_f64(self, p: IntPolynomial) -> np.ndarray:
         return lemniscate_starts(self.d, p.degree)

@@ -2,8 +2,10 @@
 
 Everything here is deterministic. Primality uses a Miller-Rabin test with a
 base set proven sufficient below 3.3 * 10^24, falling back to a fixed list of
-pseudo-random bases (derived from the input) above that. Factoring runs three
-stages, each only on what the one before left unsplit: trial division below
+pseudo-random bases (derived from the input) above that. Above that limit a
+True is a probable prime only, not a proven one, and so is every prime
+factor above it that factorize reports. Factoring runs three stages, each
+only on what the one before left unsplit: trial division below
 10^4; Brent's variant of Pollard rho for a fixed number of steps, which finds
 most factors of up to 9 digits at once; then Lenstra's elliptic curve method
 (Montgomery, *Speeding the Pollard and elliptic curve methods*, 1987) on
@@ -59,6 +61,9 @@ def _primes(lo: int, hi: int) -> array:
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: proven below _MR_PROVEN_LIMIT (about 3.3 * 10^24);
+    above it a True means only that n passed Miller-Rabin on 53 bases, a
+    probable prime. A False is always a proof of compositeness."""
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -8,7 +8,7 @@ module ever rounds.
 
 Multiplication routes through Kronecker substitution (pack the coefficients
 into one huge integer, multiply once, unpack), which turns polynomial products
-into single big-integer products; gmpy2 is used for those when available.
+into single big-integer products on plain Python ints.
 gcd and resultants use the subresultant pseudo-remainder sequence, which keeps
 intermediate coefficient growth polynomial instead of exponential.
 """
@@ -20,11 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import NotDivisible
-
-try:  # big-integer products are much faster through GMP
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only where gmpy2 is absent
-    _mpz = int
 
 # Exact scalar type accepted by evaluation helpers.
 Rational = Fraction
@@ -77,10 +72,10 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     aneg = [-c if c < 0 else 0 for c in a]
     bpos = [c if c > 0 else 0 for c in b]
     bneg = [-c if c < 0 else 0 for c in b]
-    ap, an = _mpz(_pack(apos, stride_bytes)), _mpz(_pack(aneg, stride_bytes))
-    bp, bn = _mpz(_pack(bpos, stride_bytes)), _mpz(_pack(bneg, stride_bytes))
-    plus = int(ap * bp + an * bn)
-    minus = int(ap * bn + an * bp)
+    ap, an = _pack(apos, stride_bytes), _pack(aneg, stride_bytes)
+    bp, bn = _pack(bpos, stride_bytes), _pack(bneg, stride_bytes)
+    plus = ap * bp + an * bn
+    minus = ap * bn + an * bp
     count = len(a) + len(b) - 1
     up = _unpack(plus, stride_bytes, count)
     um = _unpack(minus, stride_bytes, count)

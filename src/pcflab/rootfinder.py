@@ -41,7 +41,10 @@ set returned has passed it as a whole.
 
 Lattice factors get division-free orbit-recurrence evaluators from
 pcflab.critical_orbit; other polynomials, such as a base point's minimal
-polynomial, go through Horner on the exact coefficients.
+polynomial, go through Horner on the exact coefficients, whose evaluator is
+also the one check of such input: squarefree, with no coefficient wider than
+MAX_COEFF_BITS. Lattice factors are squarefree by theorem, and the
+certificate proves it again.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, seria
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
+# widest coefficient CoefficientEvaluator accepts: wider ones do not survive
+# the float64 stage's power-of-two scaling
+MAX_COEFF_BITS = 900
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 # rows per block of the float64 pairwise kernels: 32 x 1024 complex128 is
 # 512 KiB, within L2, and on g_11 blocks of 64 to 512 rows ran slower. No
@@ -77,6 +83,11 @@ _ROW_BLOCK = 32
 _BATCH = 128
 
 
+def _log2_abs(c: int) -> float:
+    bits = abs(c).bit_length()
+    return float(np.log2(abs(c) >> max(0, bits - 64)) + max(0, bits - 64))
+
+
 class Evaluator:
     """(value, derivative) of one polynomial, each formula written once.
 
@@ -84,26 +95,20 @@ class Evaluator:
     and ** by an int whose right operand may be an exact integer; num lifts
     an exact integer into z's type. Both grid forms run it on the fixed-point
     kernel pcflab.fixedball, taking and returning its types: newton_mp, for
-    polishing and the mp Aberth sweeps, maps a FixedPoint to the Newton step
-    value / derivative, a FixedPoint floored on the same grid; value_deriv_ball,
-    for certification, maps a FixedBall to the value and derivative FixedBalls.
+    polishing and the repair passes' mp Aberth sweeps, maps a FixedPoint to
+    the Newton step value / derivative, a FixedPoint floored on the same grid;
+    value_deriv_ball, for certification, maps a FixedBall to the value and
+    derivative FixedBalls.
     Polishing and certification pass a whole batch of roots at once, as a
     FixedPointArray or FixedBallArray, and the same formula then runs on
     every lane. The point and ball centers are identical, so polishing pays
     for no radius.
     The vectorized float64 form newton_f64 is the one special case written
-    separately. The kernel's operation order is the formula's, so the formula
+    separately; starts_f64(p) gives the float64 starting points of the
+    Aberth stage. The kernel's operation order is the formula's, so the formula
     fixes the rounding, hence the polished points, the certified disks and the
     root-cache bytes.
     """
-
-    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
-        """float64 starting points for the Aberth stage on p: the hull
-        annuli of _start_points unless a subclass knows where roots lie."""
-        pts = _start_points(p)
-        rl = np.clip(np.array([r for r, _ in pts]), -1000.0, 1000.0)
-        ang = np.array([a for _, a in pts])
-        return np.exp2(rl) * np.exp(1j * ang)
 
     def newton_mp(self, zf: FixedPoint) -> FixedPoint:
         val, der = self.value_deriv(zf, zf.lift)
@@ -114,24 +119,65 @@ class Evaluator:
 
 
 class CoefficientEvaluator(Evaluator):
-    """Horner evaluation from the exact coefficients.
+    """Horner evaluation from the exact coefficients, for arbitrary input.
 
-    The float64 path scales the whole polynomial by a power of two (which
-    moves no roots); it is disabled when the coefficients are too wide to
-    survive the scaling, in which case the finder runs its slow arbitrary
-    precision sweep stage instead.
+    The one place where input the finder knows nothing about is checked: it
+    raises ValueError when a coefficient is wider than MAX_COEFF_BITS, and
+    NonSquarefreeInput when gcd(p, p') is not constant. The float64 path
+    scales the whole polynomial by a power of two (which moves no roots), and
+    coefficients of up to MAX_COEFF_BITS bits survive that scaling, as do
+    their roots, which stay below 2^(MAX_COEFF_BITS + 1) in modulus.
     """
 
     def __init__(self, p: IntPolynomial):
+        coeff_bits = p.max_abs_coeff().bit_length()
+        if coeff_bits > MAX_COEFF_BITS:
+            raise ValueError(
+                f"a coefficient of {coeff_bits} bits exceeds the {MAX_COEFF_BITS}-bit limit"
+                " of the float64 root-finder stage"
+            )
+        if not is_squarefree(p):
+            raise NonSquarefreeInput("apply squarefree_part before root finding")
         self.poly = p
         self.dpoly = p.derivative()
-        self.coeff_bits = p.max_abs_coeff().bit_length()
-        self.f64_ok = self.coeff_bits <= 900
-        shift = max(0, self.coeff_bits - 500)
+        shift = max(0, coeff_bits - 500)
         self._c64, self._d64 = (
             np.array([float(Fraction(c, 1 << shift)) for c in q.coeffs], dtype=np.float64)
             for q in (p, self.dpoly)
         )
+
+    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
+        """Deterministic float64 starts on root-modulus annuli.
+
+        The annuli come from the upper convex hull of (i, log|a_i|) (Bini's
+        initialization): each hull edge from index i0 to i1 contributes
+        i1 - i0 points on a circle of radius (|a_i0| / |a_i1|)^(1/(i1-i0)),
+        capped by the Fujiwara bound. This places starts in the right annuli,
+        so sweep counts stay roughly degree-free. Angles carry the fixed 0.4
+        rad offset plus a per-edge stagger; a zero constant term leaves the
+        hull short, and then all starts go on one circle of the Fujiwara
+        radius. Everything is a pure function of the coefficients, so cache
+        files reproduce exactly.
+        """
+        n = p.degree
+        log2 = [(i, _log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0]
+        fujiwara = max(((y - log2[-1][1]) / (n - i) for i, y in log2[:-1]), default=0.0)
+        rmax_log = 1.0 + fujiwara + 0.0625
+        # the upper hull, as the mirrored lower hull; float negation is exact
+        hull = [(i, -y) for i, y in lower_hull([(i, -y) for i, y in log2])]
+        rl: list[float] = []
+        ang: list[float] = []
+        for (i0, y0), (i1, y1) in zip(hull[:-1], hull[1:]):
+            k = i1 - i0
+            for j in range(k):
+                rl.append(min((y0 - y1) / k, rmax_log))
+                ang.append(
+                    2.0 * np.pi * (j + 0.5 * (i0 % 3)) / k + _START_ANGLE_OFFSET + 0.13 * i0
+                )
+        if len(rl) != n:
+            rl = [rmax_log] * n
+            ang = [2.0 * np.pi * j / n + _START_ANGLE_OFFSET for j in range(n)]
+        return np.exp2(np.clip(np.array(rl), -1000.0, 1000.0)) * np.exp(1j * np.array(ang))
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
         zero = np.zeros_like(z)
@@ -152,70 +198,6 @@ class PCFParameterSet:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-
-# -- starting points ----------------------------------------------------------
-
-
-def _log2_abs(c: int) -> float:
-    bits = abs(c).bit_length()
-    return float(np.log2(abs(c) >> max(0, bits - 64)) + max(0, bits - 64))
-
-
-def _start_radius_log2(p: IntPolynomial) -> float:
-    """log2 of the outer start-circle radius (Fujiwara bound)."""
-    coeffs = p.coeffs
-    n = p.degree
-    log2_lead = _log2_abs(coeffs[-1])
-    fujiwara = -np.inf
-    for i, c in enumerate(coeffs[:-1]):
-        if c == 0:
-            continue
-        fujiwara = max(fujiwara, (_log2_abs(c) - log2_lead) / (n - i))
-    return float(1.0 + (0.0 if fujiwara == -np.inf else fujiwara) + 0.0625)
-
-
-def _start_points(p: IntPolynomial) -> list[tuple[float, float]]:
-    """Deterministic initial points as (log2 radius, angle) pairs.
-
-    Root-modulus estimates come from the upper convex hull of (i, log|a_i|)
-    (Bini's initialization): each hull edge from index i0 to i1 contributes
-    i1 - i0 points on a circle of radius (|a_i0| / |a_i1|)^(1/(i1-i0)). This
-    places starts in the right annuli, so sweep counts stay roughly
-    degree-free. Angles carry the fixed 0.4 rad offset plus a per-edge
-    stagger; everything is a pure function of the coefficients, so cache
-    files reproduce exactly.
-    """
-    n = p.degree
-    rmax_log = _start_radius_log2(p)
-    # the upper hull, as the mirrored lower hull; float negation is exact
-    lower = lower_hull([(i, -_log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0])
-    hull = [(i, -y) for i, y in lower]
-    out: list[tuple[float, float]] = []
-    for (i0, y0), (i1, y1) in zip(hull[:-1], hull[1:]):
-        k = i1 - i0
-        rlog = min((y0 - y1) / k, rmax_log)
-        for j in range(k):
-            ang = 2.0 * np.pi * (j + 0.5 * (i0 % 3)) / k + _START_ANGLE_OFFSET + 0.13 * i0
-            out.append((rlog, ang))
-    if len(out) != n:  # degenerate hull (shouldn't happen); one circle fallback
-        out = [
-            (rmax_log, 2.0 * np.pi * j / n + _START_ANGLE_OFFSET) for j in range(n)
-        ]
-    return out
-
-
-def _starts_f64(p: IntPolynomial, evaluator) -> np.ndarray:
-    return evaluator.starts_f64(p)
-
-
-def _starts_mp(p: IntPolynomial) -> list:
-    pts = _start_points(p)
-    out = []
-    for rl, ang in pts:
-        r = mp.mpf(2) ** mp.mpf(rl)
-        out.append(r * mp.mpc(mp.cos(ang), mp.sin(ang)))
-    return out
 
 
 # -- float64 Aberth stage -------------------------------------------------------
@@ -415,7 +397,11 @@ def _distance_rows(cf: np.ndarray):
 def _rounding_slack(cf: np.ndarray) -> float:
     """Bound on how far rounding the centers to float64 moves the distance
     of any pair: each center moves by less than one ulp of the largest
-    |center|, and the float64 distances round relatively."""
+    |center|, and the float64 distances round relatively. Both callers
+    take it before _distance_rows, so a center that does not fit a float64
+    raises ValueError before any distance is formed from it."""
+    if not np.isfinite(cf).all():
+        raise ValueError("a disk center is too large for the float64 distance prefilter")
     return 4 * float(np.spacing(np.abs(cf).max()))
 
 
@@ -458,37 +444,32 @@ def all_roots(
 ) -> PCFParameterSet:
     """All complex roots of a squarefree p with disjoint certified disks.
 
-    Raises NonSquarefreeInput when gcd(p, p') is nonconstant, and
-    PrecisionExhausted when certification still fails at max_precision.
+    Every input of degree >= 2 starts from evaluator.starts_f64(p) and the
+    float64 Aberth stage; the arbitrary-precision sweeps serve only the
+    repair passes. Degree 1 is solved exactly and needs no evaluator. With
+    no evaluator, p gets a CoefficientEvaluator, which refuses (ValueError)
+    a coefficient wider than MAX_COEFF_BITS and raises NonSquarefreeInput
+    when gcd(p, p') is nonconstant. An orbit evaluator's factor is not
+    checked: deg pairwise disjoint inclusion disks, each holding a root,
+    prove deg simple roots. Raises PrecisionExhausted when certification
+    still fails at max_precision.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    if not is_squarefree(p):
-        raise NonSquarefreeInput("apply squarefree_part before root finding")
     degree = p.degree
-    if evaluator is None:
-        evaluator = CoefficientEvaluator(p)
-
     if degree == 1:
         a0, a1 = p.coeffs
         with mp.workprec(precision_bits + 16):
             root = bl.exact_ball(Fraction(-a0, a1))
         return PCFParameterSet(source if source is not None else p, precision_bits, (root,))
+    if evaluator is None:
+        evaluator = CoefficientEvaluator(p)
 
-    every = range(degree)
-    if evaluator.f64_ok:
-        approx = _aberth_f64(evaluator, _starts_f64(p, evaluator))
-        zs = [mp.mpc(z) for z in approx]
-        stage_a_prec = 53
-    else:
-        stage_a_prec = max(128, getattr(evaluator, "coeff_bits", 0) + 64)
-        with mp.workprec(stage_a_prec):
-            zs = _aberth_mp(evaluator, _starts_mp(p), 200, every)
-
-    wp = max(precision_bits + 64, stage_a_prec + 16)
+    zs = [mp.mpc(z) for z in _aberth_f64(evaluator, evaluator.starts_f64(p))]
+    wp = precision_bits + 64
     wp_limit = max(max_precision + 64, wp)  # always at least one pass
     disks: list = [None] * degree
-    todo: Sequence[int] = every
+    todo: Sequence[int] = range(degree)
     repair = False
     while wp <= wp_limit:
         with mp.workprec(wp):
@@ -527,13 +508,14 @@ def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> 
     if len(balls) < 2:
         raise ValueError("need at least two roots")
     cf = np.array([complex(b.center) for b in balls])
+    slack = _rounding_slack(cf)
     # exact outward-rounded recheck of every pair whose float64 distance is
     # within a margin of the float64 minimum: the true minimizing pair's is
     # at most two center roundings above the true minimum, which is at most
     # two above the float64 minimum. One pass over the row blocks finds that
     # minimum, a second the pairs
     low = min(dist.min() for _, dist in _distance_rows(cf))
-    cutoff = low * (1 + 1e-6) + _rounding_slack(cf) + 1e-300
+    cutoff = low * (1 + 1e-6) + slack + 1e-300
     best = None
     for i0, dist in _distance_rows(cf):
         for i, j in zip(*np.nonzero(dist <= cutoff)):

@@ -209,6 +209,15 @@ class TestExitCodes:
         )
         assert code == 4 and "HypothesisViolated" in err
 
+    def test_alpha_coefficients_over_900_bits(self, tmp_path, capsys):
+        # x^2 - 2*10^350: refused before any work, with the limit named
+        code, out, err = run(
+            ["integral-scan", "--d", "2", "--max-n", "4", "--S", "2",
+             f"--alpha={-2 * 10**350},0,1", "--cache", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 2 and "900-bit limit" in err
+
     def test_equidist_needs_two_levels(self, tmp_path, capsys):
         # equidist's levels start at n = 2: --max-n 1 has no level to report
         # or plot, and is refused before anything is written

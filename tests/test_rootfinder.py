@@ -20,7 +20,7 @@ from pcflab.critical_orbit import (
     gleason_evaluator,
     misiurewicz_factor,
 )
-from pcflab import rootfinder
+from pcflab import polynomials, rootfinder
 from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
 from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint
 from pcflab.polynomials import IntPolynomial
@@ -125,15 +125,47 @@ class TestAllRoots:
                     1 + mp.mpf(1e-10)
                 ) + mp.mpf(2) ** (-300)
 
-    def test_big_coefficient_fallback_path(self):
-        # coefficients too wide for the float64 stage: exercises the mp sweeps
-        c = 10**350
-        p = P([-c, 0, 1])  # x^2 - 10^350
-        ps = all_roots(p, 128)
-        with mp.workprec(400):
-            want = mp.sqrt(mp.mpf(10) ** 350)
-            got = sorted([b.center.real for b in ps.roots])
-            assert abs(got[1] - want) / want < mp.mpf(2) ** (-100)
+    def test_refuses_coefficients_over_900_bits(self, monkeypatch):
+        # 2^900 - 1 is the widest accepted coefficient
+        assert len(all_roots(P([-(2**900 - 1), 0, 1]), 128)) == 2
+        # wider ones are refused before any sweep: the float64 stage, which
+        # every input of degree >= 2 takes, cannot hold them, and the float64
+        # centers of roots near 10^400 would be inf
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no sweep may run")
+
+        monkeypatch.setattr(rootfinder, "_aberth_f64", forbidden)
+        monkeypatch.setattr(rootfinder, "_aberth_mp", forbidden)
+        a = 10**400
+        for p in (P([-(10**350), 0, 1]), P([-a, 1]) * P([-a - 1, 1])):
+            with pytest.raises(ValueError, match="900-bit limit"):
+                all_roots(p, 128)
+
+    def test_linear_needs_no_evaluator(self):
+        # degree 1 is solved exactly, whatever the width of its coefficients
+        ps = all_roots(P([-(10**400), 1]), 128)
+        (b,) = ps.roots
+        with mp.workprec(2000):
+            assert bl.dist_bounds(b, bl.exact_ball(10**400))[0] == 0
+        assert b.radius <= mp.mpf(10) ** 400 * mp.mpf(2) ** -128
+
+    def test_orbit_evaluators_skip_the_squarefree_check(self, monkeypatch):
+        calls = []
+        real = rootfinder.is_squarefree
+
+        def counted(p):
+            calls.append(p.degree)
+            return real(p)
+
+        monkeypatch.setattr(rootfinder, "is_squarefree", counted)
+        monkeypatch.setattr(polynomials, "is_squarefree", counted)
+        for desc in enumerate_factors(2, 6):
+            all_roots(desc.poly, 128, evaluator=factor_evaluator(desc))
+        all_roots(gleason(2, 6), 128, evaluator=gleason_evaluator(2, 6))
+        assert calls == []
+        # the count does see the check on coefficient input
+        all_roots(P(CUBIC), 128)
+        assert calls == [3]
 
 
 class TestDerivedQueries:
@@ -156,6 +188,17 @@ class TestDerivedQueries:
             balls = [bl.ComplexBall(mp.mpc(c), r) for c in centers]
             lo = min_pairwise_distance(balls)
             assert mp.mpf("1e-12") - 2 * r - mp.mpf(2) ** -190 <= lo <= mp.mpf("1e-12")
+
+    def test_min_pairwise_refuses_centers_beyond_float64(self):
+        # the float64 centers are inf and their distances nan, which no
+        # prefilter cutoff selects: the pairs must not be skipped silently
+        with mp.workprec(3000):
+            a = mp.mpf(10) ** 400
+            balls = [bl.ComplexBall(mp.mpc(c), mp.mpf(0)) for c in (a, a + 1, -a)]
+            with pytest.raises(ValueError, match="float64"):
+                min_pairwise_distance(balls)
+            with pytest.raises(ValueError, match="float64"):
+                rootfinder._overlapping(balls)
 
     def test_min_pairwise_needs_two(self):
         ps = all_roots(P([1, 1]), 128)
@@ -369,15 +412,15 @@ class TestLocalizedRepair:
         assert 0 < newton <= 14 * k < desc.poly.degree / 2
 
     def test_coincident_start_points_end_up_separated(self, desc, plain, monkeypatch):
-        starts = rootfinder._starts_f64
+        ev = Widening(factor_evaluator(desc))
+        starts = ev.starts_f64
 
-        def doubled(p, evaluator):
-            z = starts(p, evaluator)
+        def doubled(p):
+            z = starts(p)
             z[1] = z[0]
             return z
 
-        monkeypatch.setattr(rootfinder, "_starts_f64", doubled)
-        ev = Widening(factor_evaluator(desc))
+        monkeypatch.setattr(ev, "starts_f64", doubled, raising=False)
         ps = all_roots(desc.poly, self.BITS, evaluator=ev)
         assert len(ps) == desc.poly.degree
         assert_pairwise_disjoint(ps)
@@ -625,7 +668,7 @@ class CountingNewton:
 
 def float64_sweeps(desc):
     ev = CountingNewton(factor_evaluator(desc))
-    rootfinder._aberth_f64(ev, rootfinder._starts_f64(desc.poly, ev))
+    rootfinder._aberth_f64(ev, ev.starts_f64(desc.poly))
     return ev.sweeps
 
 
@@ -685,7 +728,7 @@ class TestLemniscateStarts:
         cases += [(gleason(2, n), gleason_evaluator(2, n)) for n in range(2, 11)]
         for p, ev in cases:
             if p.degree > 1:  # all_roots solves a linear factor exactly
-                counted(ev, rootfinder._starts_f64(p, ev))
+                counted(ev, ev.starts_f64(p))
 
 
 def ball_ratio(evaluator, z):
@@ -731,7 +774,7 @@ class TestPointKernel:
         # at the float64 Aberth points that polishing starts from, and at
         # the polished roots
         p, ev = point_kernel_case(spec)
-        starts = rootfinder._aberth_f64(ev, rootfinder._starts_f64(p, ev))
+        starts = rootfinder._aberth_f64(ev, ev.starts_f64(p))
         roots = [b.center for b in all_roots(p, 128, evaluator=ev).roots]
         assert len(roots) == p.degree
         for wp in (192, 384):
@@ -801,7 +844,7 @@ class TestRowBlocks:
     @pytest.fixture(scope="class")
     def g11(self):
         ev = gleason_evaluator(2, 11)
-        starts = rootfinder._starts_f64(gleason(2, 11), ev)
+        starts = ev.starts_f64(gleason(2, 11))
         return ev, starts, all_roots(gleason(2, 11), 128, evaluator=ev)
 
     def test_memory_peaks_at_1024_roots(self, g11):
