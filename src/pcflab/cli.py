@@ -483,6 +483,7 @@ def escape_time_grid(d: int, size: int = 800, max_iter: int = 96):
     bail = max(2.0, (2.0 * np.abs(c).max()) ** (1.0 / d), bound) + 1e-9
     for k in range(1, max_iter):
         with np.errstate(all="ignore"):
+            # not critical_orbit.orbit: each step advances the live pixels only
             z[alive] = z[alive] ** d + c[alive]
             escaped = alive & (np.abs(z) > bail)
         counts[escaped] = k

@@ -1,11 +1,12 @@
 """Critical-orbit polynomials of z^d + c and their period/preperiod factors.
 
 The polynomial g_n(c) = f^n_{d,c}(0) (in the parameter c) is built by the
-recurrence g_1 = c, g_{k+1} = g_k^d + c; its roots are exactly the parameters
-where the critical point 0 is periodic of period dividing n, and all simple
-(Gleason's lemma). The exact-period factor is extracted by recursive exact
-division following the divisor lattice; a division that leaves a remainder
-aborts loudly instead of mislabeling orbits.
+recurrence g_0 = 0, g_{k+1} = g_k^d + c, which orbit() runs on integer
+polynomials; its roots are exactly the parameters where the critical point 0
+is periodic of period dividing n, and all simple (Gleason's lemma). The
+exact-period factor is extracted by recursive exact division following the
+divisor lattice; a division that leaves a remainder aborts loudly instead of
+mislabeling orbits.
 
 Preperiodic (Misiurewicz-type) factors come from the algebraic identity
 
@@ -22,12 +23,12 @@ pairwise disjoint disks each holding a root, proves it for every factor it
 isolates.
 
 The module also provides numerically stable (value, derivative) evaluators for
-all of these, driven by the orbit recurrence u <- u^d + c instead of the
-astronomically large coefficients; the root finder uses them for everything
-from float64 sweeps to outward-rounded certification. A Misiurewicz factor
-(m >= 2) is evaluated as itself, with no division. As g_q divides g_{iq},
-R_i = g_{iq}/g_q is a polynomial; with k = (n-1)/q, j = (m-1)/q and
-sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i), the factor raw / g_q^(d-2) is
+all of these, driven by the same orbit() on jets (value and derivative in c)
+instead of the astronomically large coefficients; the root finder uses them
+for everything from float64 sweeps to outward-rounded certification. A
+Misiurewicz factor (m >= 2) is evaluated as itself, with no division. As g_q
+divides g_{iq}, R_i = g_{iq}/g_q is a polynomial; with k = (n-1)/q, j = (m-1)/q
+and sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i), the factor raw / g_q^(d-2) is
 g_q sigma_d(R_k, R_j) = a sigma_{d-1}(R_k, R_j) + b R_j^(d-2). On the orbit
 u_i = g_i, R_1 = 1 and R_{i+1} = 1 + u_{iq}^(d-1) R_i prod_{0<t<q} sigma_d(u_{iq+t}, u_t):
 telescoping x^d - y^d = (x - y) sigma_d(x, y) gives f^q(x) - f^q(0) =
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +49,7 @@ import numpy as np
 from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
-from .polynomials import ONE, ZERO, IntPolynomial, X, divide_exact, serialize
+from .polynomials import ZERO, IntPolynomial, X, divide_exact, serialize
 from .rootfinder import Evaluator, _aberth_f64
 
 DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
@@ -84,13 +86,16 @@ class FactorDescriptor:
         return f"misiurewicz-{self.m}-{self.n}"
 
 
-def _table(d: int) -> list[IntPolynomial]:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    with _lock:
-        if d not in _tables:
-            _tables[d] = [IntPolynomial([]), X]  # g_0 = 0, g_1 = c
-        return _tables[d]
+def orbit(d: int, c, start):
+    """start, then u <- u**d + c forever, in c's ring: the package's one orbit
+    loop, on IntPolynomials (the g_n), _Jets (the evaluators), FixedBalls
+    (escape rates), heights.Residue (the PCF gate) and Fractions (the Vieta
+    average). For c = a/b, u_n (n >= 1) has numerator b^(d^(n-1)) g_n(a/b),
+    which is a^(d^(n-1)) mod b, so prime to b."""
+    u = start
+    while True:
+        yield u
+        u = u**d + c
 
 
 def check_degree_cap(d: int, n: int) -> None:
@@ -100,23 +105,25 @@ def check_degree_cap(d: int, n: int) -> None:
 
 
 def gleason(d: int, n: int) -> IntPolynomial:
-    """g_n(c) = f^n_{d,c}(0) as an exact integer polynomial in c: monic, degree d^(n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """g_n(c) = f^n_{d,c}(0) as an exact integer polynomial in c: g_0 = 0, and
+    for n >= 1 monic of degree d^(n-1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     check_degree_cap(d, n)
-    table = _table(d)
     with _lock:
-        while len(table) <= n:
-            table.append(table[-1] ** d + X)
+        table = _tables.setdefault(d, [ZERO])  # g_0 = 0
+        if len(table) <= n:
+            table.extend(islice(orbit(d, X, table[-1]), 1, n + 2 - len(table)))
         return table[n]
 
 
 def preperiodic_poly(d: int, m: int, n: int) -> IntPolynomial:
-    """P_{m,n} = g_n - g_m (g_0 taken as the zero polynomial)."""
+    """P_{m,n} = g_n - g_m."""
     if not (n > m >= 0):
         raise ValueError("need n > m >= 0")
-    gm = gleason(d, m) if m >= 1 else ZERO
-    return gleason(d, n) - gm
+    return gleason(d, n) - gleason(d, m)
 
 
 def exact_period_factor(d: int, n: int) -> FactorDescriptor:
@@ -144,6 +151,16 @@ def exact_period_factor(d: int, n: int) -> FactorDescriptor:
     return desc
 
 
+def _sigma(e: int, x, y):
+    """sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i) for e >= 2, on integer
+    polynomials or _Jets; y may be the int 1."""
+    s, ypow = x + y, y
+    for _ in range(e - 2):
+        ypow = ypow * y
+        s = s * x + ypow
+    return s
+
+
 def misiurewicz_factor(d: int, m: int, n: int) -> FactorDescriptor:
     """Level-(m, n) preperiodic factor, with its strictly-preperiodic part.
 
@@ -158,10 +175,10 @@ def misiurewicz_factor(d: int, m: int, n: int) -> FactorDescriptor:
     if not (n > m >= 1):
         raise ValueError("need n > m >= 1")
     a = gleason(d, n - 1)
-    b = gleason(d, m - 1) if m > 1 else ZERO
+    b = gleason(d, m - 1)
     gq = gleason(d, math.gcd(n - 1, m - 1))
     try:
-        strict = divide_exact(_misiurewicz_raw(d, a, b), gq ** (d - 1))
+        strict = divide_exact(_sigma(d, a, b), gq ** (d - 1))
     except NotDivisible as exc:
         raise FactorizationStructureViolated(
             f"misiurewicz cofactor (d={d}, m={m}, n={n}) not divisible by g_q^(d-1)"
@@ -169,14 +186,6 @@ def misiurewicz_factor(d: int, m: int, n: int) -> FactorDescriptor:
     return FactorDescriptor(
         kind="misiurewicz", d=d, n=n, m=m, poly=strict * gq, strict_poly=strict
     )
-
-
-def _misiurewicz_raw(d: int, a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """sum_{j=0}^{d-1} a^j b^(d-1-j) — the cofactor of (a - b) in a^d - b^d."""
-    total = ONE
-    for k in range(1, d):
-        total = a * total + b**k
-    return total
 
 
 def enumerate_factors(d: int, max_n: int) -> list[FactorDescriptor]:
@@ -215,6 +224,8 @@ _RESCALE_LIMIT = 2.0**200
 def _orbit_f64(d: int, c: np.ndarray, depth: int):
     """Orbit values/derivatives u_k, u'_k for k = 0..depth, jointly rescaled.
 
+    Apart from orbit(): it rescales float64 values, and its points fix the
+    root-cache bytes.
     Returns (U, DU, S): lists of arrays; true u_k = U[k] * 2^S[k].
     """
     n_pts = c.shape[0]
@@ -246,19 +257,6 @@ def _orbit_f64(d: int, c: np.ndarray, depth: int):
         DU.append(duk1)
         S.append(scale_new)
     return U, DU, S
-
-
-def _orbit(d: int, z, depth: int, num):
-    """Orbit values/derivatives u_k, u'_k for k = 0..depth in z's scalar type."""
-    u = du = num(0)
-    us = [u]
-    dus = [du]
-    for _ in range(depth):
-        upow = u ** (d - 1)
-        u, du = upow * u + z, upow * du * d + 1
-        us.append(u)
-        dus.append(du)
-    return us, dus
 
 
 # Roots of orbit polynomials equidistribute toward the bifurcation measure on
@@ -314,69 +312,10 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
     return np.delete(pts, np.arange(surplus) * pts.size // surplus) if surplus else pts
 
 
-class OrbitEvaluator(Evaluator):
-    """Base of the evaluators driven by the orbit recurrence of z^d + c."""
-
-    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
-        return lemniscate_starts(self.d, p.degree)
-
-
-class GleasonEvaluator(OrbitEvaluator):
-    """(value, derivative) of g_n via the orbit recurrence."""
-
-    def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        U, DU, _ = _orbit_f64(self.d, z, self.n)
-        with np.errstate(all="ignore"):
-            return U[self.n] / DU[self.n]
-
-    def value_deriv(self, z, num):
-        us, dus = _orbit(self.d, z, self.n, num)
-        return us[self.n], dus[self.n]
-
-
-class ExactPeriodEvaluator(OrbitEvaluator):
-    """Evaluates the exact-period factor as the Möbius product of g_k's."""
-
-    def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-        self.exps = [(k, mobius(n // k)) for k in divisors(n) if mobius(n // k) != 0]
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        U, DU, _ = _orbit_f64(self.d, z, self.n)
-        # an exact root of g_n that no lower g_k shares (c = -1 for d = 2,
-        # +-i for d = 3) is a root of the factor, where inv is inf or nan
-        exact = U[self.n] == 0
-        with np.errstate(all="ignore"):
-            inv = np.zeros_like(z)
-            for k, e in self.exps:
-                inv = inv + e * (DU[k] / U[k])
-                if k != self.n:
-                    exact &= U[k] != 0
-            return np.where(exact, 0, 1.0 / inv)
-
-    def value_deriv(self, z, num):
-        # the u_n factor vanishes at the roots, so it enters through the
-        # product rule rather than a log-derivative
-        us, dus = _orbit(self.d, z, self.n, num)
-        rest = num(1)
-        for k, e in self.exps:
-            if k == self.n:
-                continue
-            rest = rest * us[k] if e > 0 else rest / us[k]
-        val = rest * us[self.n]
-        der = dus[self.n] * rest
-        for k, e in self.exps:
-            if k != self.n:
-                der = der + (dus[k] / us[k]) * val * e
-        return val, der
-
-
 class _Jet:
-    """A value and its derivative in c; + and * follow the sum and product
-    rules. The right operand may be an exact int, which enters as a constant."""
+    """A value and its derivative in c; +, * and ** follow the sum, product
+    and power rules. The right operand may be an exact int, which enters as a
+    constant."""
 
     __slots__ = ("v", "d")
 
@@ -400,13 +339,69 @@ class _Jet:
         return _Jet(p * self.v, p * self.d * e)
 
 
-def _sigma(e: int, x, y):
-    """sigma_e(x, y) = sum_{i<e} x^i y^(e-1-i) for e >= 2; y may be the int 1."""
-    s, ypow = x + y, y
-    for _ in range(e - 2):
-        ypow = ypow * y
-        s = s * x + ypow
-    return s
+def _jets(d: int, z, num, depth: int) -> list[_Jet]:
+    """The jets (u_k, u'_k), k = 0..depth, of the orbit of 0 under u^d + z."""
+    return list(islice(orbit(d, _Jet(z, 1), _Jet(num(0), num(0))), depth + 1))
+
+
+class OrbitEvaluator(Evaluator):
+    """Base of the evaluators driven by the orbit recurrence of z^d + c."""
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+
+    def starts_f64(self, p: IntPolynomial) -> np.ndarray:
+        return lemniscate_starts(self.d, p.degree)
+
+
+class GleasonEvaluator(OrbitEvaluator):
+    """(value, derivative) of g_n via the orbit recurrence."""
+
+    def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        U, DU, _ = _orbit_f64(self.d, z, self.n)
+        with np.errstate(all="ignore"):
+            return U[self.n] / DU[self.n]
+
+    def value_deriv(self, z, num):
+        u = _jets(self.d, z, num, self.n)[self.n]
+        return u.v, u.d
+
+
+class ExactPeriodEvaluator(OrbitEvaluator):
+    """Evaluates the exact-period factor as the Möbius product of g_k's."""
+
+    def __init__(self, d: int, n: int):
+        super().__init__(d, n)
+        self.exps = [(k, mobius(n // k)) for k in divisors(n) if mobius(n // k) != 0]
+
+    def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        U, DU, _ = _orbit_f64(self.d, z, self.n)
+        # an exact root of g_n that no lower g_k shares (c = -1 for d = 2,
+        # +-i for d = 3) is a root of the factor, where inv is inf or nan
+        exact = U[self.n] == 0
+        with np.errstate(all="ignore"):
+            inv = np.zeros_like(z)
+            for k, e in self.exps:
+                inv = inv + e * (DU[k] / U[k])
+                if k != self.n:
+                    exact &= U[k] != 0
+            return np.where(exact, 0, 1.0 / inv)
+
+    def value_deriv(self, z, num):
+        # the u_n factor vanishes at the roots, so it enters through the
+        # product rule rather than a log-derivative
+        u = _jets(self.d, z, num, self.n)
+        rest = num(1)
+        for k, e in self.exps:
+            if k == self.n:
+                continue
+            rest = rest * u[k].v if e > 0 else rest / u[k].v
+        val = rest * u[self.n].v
+        der = u[self.n].d * rest
+        for k, e in self.exps:
+            if k != self.n:
+                der = der + (u[k].d / u[k].v) * val * e
+        return val, der
 
 
 class MisiurewiczEvaluator(OrbitEvaluator):
@@ -450,10 +445,10 @@ class MisiurewiczEvaluator(OrbitEvaluator):
 
     def value_deriv(self, z, num):
         d, m, n, q = self.d, self.m, self.n, self.q
-        us, dus = _orbit(d, z, n - 1, num)
+        u = _jets(d, z, num, n - 1)
         if d == 2:
-            return us[n - 1] + us[m - 1], dus[n - 1] + dus[m - 1]
-        u = [_Jet(v, dv) for v, dv in zip(us, dus)]
+            f = u[n - 1] + u[m - 1]
+            return f.v, f.d
         r = rj = 1  # R_1
         for i in range(1, (n - 1) // q):
             t = u[i * q] ** (d - 1) * r

@@ -2,13 +2,14 @@
 
 The empirical average of log|x - alpha| over the degree-d^(n-1) parameter set
 at level n has an exact algebraic form when alpha is rational: the set is the
-root multiset of the monic g_n, so the average is log|g_n(alpha)| / d^(n-1),
-evaluated with exact rational arithmetic through the orbit recurrence. The
-limit object it converges to is the archimedean escape rate of alpha, which
-the heights module computes independently by tail-bounded iteration; the
-discrepancy reports compare the two against the (log N / N)^(1/2) rate shape
-with the ineffective constant exposed as a knob (default 1, with the fitted
-minimal value recorded).
+root multiset of the monic g_n, so the average is log|g_n(alpha)| / d^(n-1).
+g_n(alpha) is u_n of alpha's critical orbit u_0 = 0, u_{k+1} = u_k^d + alpha,
+iterated in exact Fractions by critical_orbit.orbit. The limit object it
+converges to is the archimedean escape rate of alpha, which the heights module
+computes independently by tail-bounded iteration; the discrepancy reports
+compare the two against the (log N / N)^(1/2) rate shape with the ineffective
+constant exposed as a knob (default 1, with the fitted minimal value
+recorded).
 
 Algebraic alphas take the numeric route: certified root balls plus outward
 rounded kernel sums.
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import mpmath as mp
 
 from . import balls as bl
-from .critical_orbit import gleason, gleason_evaluator
+from .critical_orbit import gleason, gleason_evaluator, orbit
 from .errors import HypothesisViolated, KernelSingular
 from .heights import as_algebraic, escape_rate_arch, is_pcf_parameter
 from .rootfinder import PCFParameterSet, all_roots
@@ -51,20 +53,12 @@ class AvgResult:
     error_bound: mp.mpf
 
 
-def exact_orbit_value(d: int, n: int, alpha: Fraction) -> Fraction:
-    """g_n(alpha) as an exact rational, via u <- u^d + alpha."""
-    u = Fraction(0)
-    for _ in range(n):
-        u = u**d + alpha
-    return u
-
-
 def avg_log_distance_vieta(
     d: int, n: int, alpha: Union[Fraction, int], precision_bits: int = 256
 ) -> mp.mpf:
-    """(1/d^(n-1)) log|g_n(alpha)|, exact rational evaluation then one log."""
-    alpha = Fraction(alpha)
-    value = exact_orbit_value(d, n, alpha)
+    """(1/d^(n-1)) log|g_n(alpha)|: u_n of alpha's critical orbit in exact
+    Fractions, then one log."""
+    value = next(islice(orbit(d, Fraction(alpha), Fraction(0)), n, None))
     if value == 0:
         raise KernelSingular(f"alpha={alpha} is a level-{n} PCF parameter")
     with mp.workprec(max(64, precision_bits)):

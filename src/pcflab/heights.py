@@ -1,10 +1,11 @@
 """Escape rates, local heights at all places, Weil and critical heights.
 
 The archimedean escape rate of z^d + c is computed by rigorous ball iteration
-z <- z^d + c seeded at the critical value: once |z| certifiably clears the
-bail radius B = max(2, (2|c|)^(1/d), 2^(1/(d-1))), the normalized logarithm
-d^-k log|z_k| is within log(2)/(d^k (d-1)) of the limit, and the bound
-tightens geometrically with every extra step (see _escape_attempt for the
+of the critical orbit z <- z^d + c (critical_orbit.orbit on FixedBalls),
+seeded at the critical value: once |z| certifiably clears the bail radius
+B = max(2, (2|c|)^(1/d), 2^(1/(d-1))), the normalized logarithm d^-k log|z_k|
+is within log(2)/(d^k (d-1)) of the limit, and the bound tightens
+geometrically with every extra step (see _escape_attempt for the
 derivation). Non-escape within the iteration budget is reported as a verdict
 ("bounded after N steps"), never as set membership. The iteration runs on
 fixed-point balls (pcflab.fixedball) at the working precision, which doubles
@@ -15,6 +16,9 @@ window the last pass certified.
 Finite places never need iteration: the escape rate there is log max(1, |c|_p),
 so everything reduces to Newton polygons of minimal polynomials, computed
 exactly over Fractions.
+
+The PCF gate runs the same orbit exactly, on Residues of Z[t]/(A) for a
+monic minimal polynomial A: u_n is g_n(t) mod A, and a repeat proves PCF.
 """
 
 from __future__ import annotations
@@ -22,20 +26,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from typing import Optional, Union
 
 import mpmath as mp
 
 from . import balls as bl
-from .errors import HypothesisUndecided
+from .critical_orbit import orbit
+from .errors import HypothesisUndecided, NonSquarefreeInput
 from .fixedball import FixedBall
 from .numtheory import factorize, valuation
 from .polynomials import (
+    ZERO,
     IntPolynomial,
+    X,
     divide_exact,
     divmod_exact,
     evaluate_exact,
-    is_squarefree,
     lower_hull,
 )
 from .rootfinder import all_roots
@@ -95,10 +103,9 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
     log4 = mp.log(4)
     c_hi = mp.mpf((cb.abs_bounds()[1], -P))
     bail = int(mp.ceil(mp.ldexp(_bail_radius(d, c_hi), P)))  # in units of 2^-P
-    z = z0b
     escaped_at: Optional[int] = None
     dk = mp.mpf(1)  # d^k
-    for k in range(max_iter + 1):
+    for k, z in zip(range(max_iter + 1), orbit(d, cb, z0b)):
         lo, hi = z.abs_bounds()
         if escaped_at is None and lo >= bail:
             escaped_at = k
@@ -120,9 +127,6 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
         # enclosure degenerated before a decision: radius > (1 + |z|) 2^-16
         if z.rad << 16 > (1 << P) + hi:
             return k if escaped_at is None else escaped_at
-        if k == max_iter:
-            break
-        z = z**d + cb
         dk *= d
     if escaped_at is not None:
         return escaped_at
@@ -201,6 +205,7 @@ def local_height_functional_check(
         target_error,
         max_iter,
         precision_bits,
+        # one step of the map, not an orbit: it seeds the escape iteration
         seed_map=lambda zb, cb: zb**d + cb,
     )
     with mp.workprec(max(64, precision_bits)):
@@ -244,12 +249,12 @@ def nonarch_mass(p: IntPolynomial, prime: int) -> Fraction:
 def green_nonarch(alpha, prime: int, precision_bits: int = DEFAULT_BITS) -> mp.mpf:
     """Averaged escape rate at a finite place:
     (log p / deg) * sum_i max(0, -v_p(alpha_i)) over the conjugates alpha_i."""
-    poly, deg = _min_poly_of(alpha)
-    mass = nonarch_mass(poly, prime)
+    alpha = as_algebraic(alpha)
+    mass = nonarch_mass(alpha.min_poly, prime)
     if mass == 0:
         return mp.mpf(0)
     with mp.workprec(max(64, precision_bits)):
-        return mp.log(prime) * mp.mpf(mass.numerator) / (mass.denominator * deg)
+        return mp.log(prime) * mp.mpf(mass.numerator) / (mass.denominator * alpha.degree)
 
 
 # -- algebraic numbers -------------------------------------------------------------
@@ -285,12 +290,13 @@ class AlgebraicNumber:
     ) -> "AlgebraicNumber":
         poly = coeffs if isinstance(coeffs, IntPolynomial) else IntPolynomial(coeffs)
         poly = poly.primitive_part()
-        if not is_squarefree(poly):
-            raise ValueError("minimal polynomial must be squarefree")
         # from 4 * height + 64 bits on, a root disk holds at most one
         # candidate k/lead of _rational_root (|root| <= 1 + height / lead)
         bits = max(precision_bits, 4 * poly.max_abs_coeff().bit_length() + 64)
-        roots = all_roots(poly, bits).roots
+        try:
+            roots = _root_disks(poly, bits)
+        except NonSquarefreeInput as exc:
+            raise ValueError("minimal polynomial must be squarefree") from exc
         if not 0 <= root_index < len(roots):
             raise ValueError(f"root index {root_index} out of range")
         selected = roots[root_index]
@@ -317,11 +323,33 @@ class AlgebraicNumber:
         if self.is_rational:
             with mp.workprec(max(64, precision_bits)):
                 return (bl.exact_ball(self.as_fraction()),)
-        return all_roots(self.min_poly, precision_bits).roots
+        return _root_disks(self.min_poly, precision_bits)
 
     def selected_conjugate(self, precision_bits: int = DEFAULT_BITS) -> bl.ComplexBall:
         conj = self.conjugates(precision_bits)
         return min(conj, key=lambda b: abs(b.center - self.root_selector.center))
+
+
+@lru_cache(maxsize=64)
+def _root_disks(poly: IntPolynomial, bits: int) -> tuple[bl.ComplexBall, ...]:
+    """The certified roots of poly at bits: a conjugate set is isolated, and
+    its input checked, once per (poly, bits) among the last 64 used."""
+    return all_roots(poly, bits).roots
+
+
+@dataclass(frozen=True)
+class Residue:
+    """The class of poly in Z[t]/(modulus), modulus monic, kept reduced:
+    ** reduces mod modulus, and a sum of reduced residues is reduced."""
+
+    poly: IntPolynomial
+    modulus: IntPolynomial
+
+    def __add__(self, o: "Residue") -> "Residue":
+        return Residue(self.poly + o.poly, self.modulus)
+
+    def __pow__(self, e: int) -> "Residue":
+        return Residue(divmod_exact(self.poly**e, self.modulus)[1], self.modulus)
 
 
 def _fraction(x: mp.mpf) -> Fraction:
@@ -344,13 +372,6 @@ def _rational_root(poly: IntPolynomial, disk: bl.ComplexBall) -> Optional[Fracti
         if evaluate_exact(poly, Fraction(k, lead)) == 0:
             return Fraction(k, lead)
     return None
-
-
-def _min_poly_of(alpha) -> tuple[IntPolynomial, int]:
-    if isinstance(alpha, AlgebraicNumber):
-        return alpha.min_poly, alpha.degree
-    value = Fraction(alpha)
-    return IntPolynomial([-value.numerator, value.denominator]), 1
 
 
 def as_algebraic(alpha) -> AlgebraicNumber:
@@ -455,37 +476,43 @@ def critical_canonical_height(
 # -- post-critically finite gate ------------------------------------------------------
 
 
-def is_pcf_parameter(d: int, alpha, orbit_cap: int = 256) -> bool:
+ORBIT_CAP = 256  # exact orbit steps of the PCF gate before it tries escape rates
+
+
+def is_pcf_parameter(d: int, alpha) -> bool:
     """Exact decision whether z^d + alpha is post-critically finite.
 
     PCF parameters are algebraic integers, so any non-monic minimal
     polynomial decides immediately. For algebraic integers the critical
     orbit is iterated exactly in Z[t]/(min_poly): a collision proves PCF; a
     conjugate whose ball iteration certifiably escapes proves the opposite.
-    Raises HypothesisUndecided when neither happens within the budget (wildly
-    outside desk scale).
+    That may be any conjugate up to degree 3, where from_min_poly certifies
+    min_poly irreducible, but only the selected one above it. Raises
+    HypothesisUndecided when neither happens within the budget.
     """
     alpha = as_algebraic(alpha)
-    if abs(alpha.min_poly.lead) != 1:
+    A = alpha.min_poly  # primitive, with positive leading coefficient
+    if A.lead != 1:
         return False
-    # orbit in Z[t]/(A), A monic
-    A = (
-        alpha.min_poly
-        if alpha.min_poly.lead > 0
-        else IntPolynomial([-c for c in alpha.min_poly.coeffs])
-    )
-    u = IntPolynomial([])
-    t = IntPolynomial([0, 1])
-    seen_polys = set()
-    for _ in range(orbit_cap):
-        u = (u**d) + t
-        _, u = divmod_exact(u, A)
-        if u.coeffs in seen_polys:
+    t = Residue(divmod_exact(X, A)[1], A)  # a constant when deg A = 1
+    seen = set()
+    for u in islice(orbit(d, t, Residue(ZERO, A)), ORBIT_CAP + 1):
+        if u in seen:
             return True
-        seen_polys.add(u.coeffs)
-        if u.max_abs_coeff().bit_length() > 1 << 14:
+        seen.add(u)
+        if u.poly.max_abs_coeff().bit_length() > 1 << 14:
             break
-    for b in alpha.conjugates(DEFAULT_BITS):
+    if alpha.degree > 3:
+        conj = [alpha.selected_conjugate(DEFAULT_BITS)]
+    else:
+        # likely escapers first: largest modulus, then, as for +-sqrt(2),
+        # largest real part (M_2 meets the real axis in [-2, 1/4])
+        conj = sorted(
+            alpha.conjugates(DEFAULT_BITS),
+            key=lambda b: (abs(b.center), b.center.real),
+            reverse=True,
+        )
+    for b in conj:
         res = escape_rate_arch(d, b, target_error=1e-6, max_iter=4096)
         if res.escaped:
             return False

@@ -218,6 +218,18 @@ class TestExitCodes:
         )
         assert code == 2 and "900-bit limit" in err
 
+    def test_reducible_quartic_alpha_is_undecided(self, tmp_path, capsys):
+        # root 2 of (c^2 + c - 1)(c^2 + 1) is i, PCF for d = 2
+        # (0 -> i -> i - 1 -> -i -> i - 1); only the other factor's conjugate
+        # 0.618... escapes, and it may not decide for i
+        code, out, err = run(
+            ["integral-scan", "--d", "2", "--max-n", "3", "--alpha=-1,1,0,1,1:2",
+             "--S", "2", "--cache", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 9 and "HypothesisUndecided" in err
+        assert out == ""
+
     def test_equidist_needs_two_levels(self, tmp_path, capsys):
         # equidist's levels start at n = 2: --max-n 1 has no level to report
         # or plot, and is refused before anything is written

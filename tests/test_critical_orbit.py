@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -22,13 +23,24 @@ from pcflab.critical_orbit import (
     gleason_cache_path,
     gleason_evaluator,
     misiurewicz_factor,
+    orbit,
     preperiodic_poly,
     write_gleason_cache,
 )
 from pcflab.errors import DegreeCapExceeded
 from pcflab.fixedball import FixedBall, FixedPoint
+from pcflab.heights import Residue
 from pcflab.numtheory import divisors, mobius
-from pcflab.polynomials import IntPolynomial, evaluate_exact, is_squarefree, resultant, serialize
+from pcflab.polynomials import (
+    ZERO,
+    IntPolynomial,
+    X,
+    divmod_exact,
+    evaluate_exact,
+    is_squarefree,
+    resultant,
+    serialize,
+)
 from pcflab.rootfinder import CoefficientEvaluator
 
 from oracles import horner_fraction, naive_divmod, naive_gcd, naive_mul
@@ -75,6 +87,32 @@ class TestGleason:
                 vals.append(vals[-1] ** d + a)
             for n in range(1, 6):
                 assert evaluate_exact(gleason(d, n), a) == vals[n]
+
+
+class TestOrbit:
+    """orbit(d, c, start) gives u_n = g_n(c) in the rings of the PCF gate and
+    the Vieta average; the evaluator oracles below cover the jets."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(7, 3), Fraction(-5, 2)])
+    def test_fractions(self, d, alpha):
+        us = list(islice(orbit(d, alpha, Fraction(0)), 6))
+        assert us[0] == 0
+        for n in range(1, 6):
+            assert us[n] == evaluate_exact(gleason(d, n), alpha)
+            # so the numerator is b^(d^(n-1)) g_n(a/b), an integer
+            assert us[n].denominator == alpha.denominator ** (d ** (n - 1))
+
+    @pytest.mark.parametrize(
+        "d, coeffs",
+        [(2, [-3, 1]), (2, [-1, -1, 1]), (2, [1, 1, 2, 1]), (3, [-3, 1]), (3, [-1, -1, 1]),
+         (3, [1, 1, 2, 1]), (3, [-2, 0, 1])],
+    )
+    def test_residues(self, d, coeffs):
+        A = P(coeffs)
+        t = Residue(divmod_exact(X, A)[1], A)
+        for n, u in enumerate(islice(orbit(d, t, Residue(ZERO, A)), 6 if d == 2 else 5)):
+            assert u.poly == divmod_exact(gleason(d, n), A)[1], n
 
 
 class TestPreperiodic:

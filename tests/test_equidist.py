@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
 
 import pcflab.balls as bl
-from pcflab.critical_orbit import gleason
+from pcflab.critical_orbit import gleason, orbit
 from pcflab.equidist import (
     KernelSpec,
     avg_log_distance_roots,
     avg_log_distance_vieta,
     discrepancy_report,
-    exact_orbit_value,
     fitted_min_constant,
 )
 from pcflab.errors import HypothesisViolated, KernelSingular
@@ -24,17 +24,22 @@ from pcflab.rootfinder import all_roots
 from oracles import escape_rate_oracle, horner_fraction
 
 
+def orbit_value(d: int, n: int, alpha: Fraction) -> Fraction:
+    """u_n of alpha's critical orbit, in exact Fractions."""
+    return next(islice(orbit(d, alpha, Fraction(0)), n, None))
+
+
 class TestVietaAverage:
     def test_level_4_at_one(self):
         # orbit 1 -> 2 -> 5 -> 26: average is ln(26)/8 = 0.4072621...
-        assert exact_orbit_value(2, 4, Fraction(1)) == 26
+        assert orbit_value(2, 4, Fraction(1)) == 26
         got = avg_log_distance_vieta(2, 4, 1)
         with mp.workprec(300):
             assert abs(got - mp.log(26) / 8) < 1e-60
         assert mp.nstr(got, 8) == "0.40726207"
 
     def test_level_2_at_three(self):
-        assert exact_orbit_value(2, 2, Fraction(3)) == 12
+        assert orbit_value(2, 2, Fraction(3)) == 12
         got = avg_log_distance_vieta(2, 2, 3)
         with mp.workprec(300):
             assert abs(got - mp.log(12) / 2) < 1e-60
@@ -44,7 +49,7 @@ class TestVietaAverage:
         # the recurrence value equals Horner evaluation of g_n, exactly
         for n in range(1, 7):
             for a in (Fraction(1), Fraction(-3), Fraction(1, 2)):
-                assert exact_orbit_value(2, n, a) == horner_fraction(
+                assert orbit_value(2, n, a) == horner_fraction(
                     list(gleason(2, n).coeffs), a
                 )
 

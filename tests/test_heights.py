@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from pcflab import heights
+from pcflab.errors import HypothesisUndecided
 from pcflab.heights import (
     AlgebraicNumber,
     conjugate_valuations,
@@ -300,6 +302,58 @@ class TestPcfGate:
         alpha = AlgebraicNumber.from_min_poly([0, -2, 0, 1], 0)
         assert alpha.min_poly.coeffs == (-2, 0, 1)
         assert float(alpha.selected_conjugate().center.real) == pytest.approx(-2**0.5)
+
+
+    def test_reducible_quartic_is_decided_by_its_selected_root_only(self):
+        # (c^2 + c - 1)(c^2 + 1) stays whole: its roots are -1.618, -i, i, 0.618
+        quartic = [-1, 1, 0, 1, 1]
+        assert AlgebraicNumber.from_min_poly(quartic, 2).degree == 4
+        # i is PCF, and 0.618, of the other factor, escapes: no verdict
+        with pytest.raises(HypothesisUndecided):
+            is_pcf_parameter(2, AlgebraicNumber.from_min_poly(quartic, 2))
+        # a selected root that escapes still decides
+        assert not is_pcf_parameter(2, AlgebraicNumber.from_min_poly(quartic, 3))
+
+    @pytest.mark.parametrize("coeffs, escaper", [([-1, -1, 1], 1.618), ([-2, 0, 1], 1.414)])
+    def test_escaping_conjugate_goes_first(self, monkeypatch, coeffs, escaper):
+        # the bounded conjugate (-0.618 or -sqrt(2)) would run for thousands of steps
+        real = heights.escape_rate_arch
+        tried = []
+
+        def recording(d, c, *args, **kwargs):
+            tried.append(float(c.center.real))
+            return real(d, c, *args, **kwargs)
+
+        monkeypatch.setattr(heights, "escape_rate_arch", recording)
+        for root in (0, 1):
+            tried.clear()
+            assert not is_pcf_parameter(2, AlgebraicNumber.from_min_poly(coeffs, root))
+            assert tried == [pytest.approx(escaper, abs=1e-3)]
+
+
+class TestConjugateMemo:
+    def test_one_squarefree_check_per_conjugate_set(self, monkeypatch):
+        from pcflab import polynomials, rootfinder
+        from pcflab.cli import parse_alpha
+
+        heights._root_disks.cache_clear()
+        calls = []
+        real = rootfinder.is_squarefree
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(rootfinder, "is_squarefree", counted)
+        monkeypatch.setattr(polynomials, "is_squarefree", counted)
+        alpha = parse_alpha("5,1,3:0")
+        first = alpha.conjugates(256)
+        assert alpha.conjugates(256) is first
+        assert len(calls) == 1
+
+    def test_non_squarefree_input_is_a_value_error(self):
+        with pytest.raises(ValueError, match="squarefree"):
+            AlgebraicNumber.from_min_poly([1, 2, 1], 0)  # (c + 1)^2
 
 
 class TestBoundedWindowModulus:

@@ -1,0 +1,34 @@
+"""Every CLI operation of perfbench/reference.json prints its recorded stdout,
+byte for byte.
+
+The reference is only read here. The operations run in this process, in the
+reference's order, against one temporary cache, so the census operations
+also run on warm memo tables, which must not change a byte either.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from pcflab.cli import main
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+OPS = {
+    name: entry["stdout"]
+    for name, entry in json.loads(REFERENCE.read_text())["ops"].items()
+    if "stdout" in entry and not name.startswith("all_roots")
+}
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference-cache")
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_stdout_matches_reference(name, cache, capsys):
+    assert main(name.split() + ["--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == OPS[name]
