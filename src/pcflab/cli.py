@@ -228,16 +228,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- shared cache-backed root lookup ---------------------------------------------
 
 
-def cached_roots(path: Path, poly, bits: int, evaluator, source=None):
-    """Certified roots of poly, read from path, or computed and written there."""
-    return cached_root_sets([(path, poly, bits, evaluator, source)])[0]
-
-
 def cached_root_sets(jobs):
     """Root sets of jobs (path, poly, bits, evaluator, source), in job order.
 
     Every cache is read first. With two or more misses and two or more usable
-    CPUs, the misses are split in two shares by degree; a forked child
+    CPUs (one where os.sched_getaffinity does not exist, as on macOS and
+    Windows), the misses are split in two shares by degree; a forked child
     isolates one share and writes its caches, which are then read back
     exactly. Each job runs even after another fails; the error raised is that
     of the lowest-indexed failing job, the one a serial loop raises.
@@ -247,7 +243,7 @@ def cached_root_sets(jobs):
             for path, poly, bits, _, source in jobs]
     mine = [i for i, ps in enumerate(sets) if ps is None]
     theirs = []
-    if len(mine) >= 2 and len(os.sched_getaffinity(0)) >= 2:
+    if len(mine) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
         mine, theirs = _split_by_degree(jobs, mine)
     pid, pipe = _fork_isolation(jobs, theirs) if theirs else (0, None)
     try:

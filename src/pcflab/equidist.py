@@ -175,7 +175,6 @@ def discrepancy_report(
             alpha_ball = bl.exact_ball(a)
             green = escape_rate_arch(d, a, target_error=1e-14, precision_bits=precision_bits)
             path = "vieta-exact"
-            label = str(a)
 
             def empirical_at(n):
                 return avg_log_distance_vieta(d, n, a, precision_bits)
@@ -186,7 +185,6 @@ def discrepancy_report(
                 d, alpha_ball, target_error=1e-14, precision_bits=precision_bits
             )
             path = "roots-numeric"
-            label = "deg%d:%s" % (alg.degree, ",".join(str(c) for c in alg.min_poly.coeffs))
 
             def empirical_at(n):
                 return avg_log_distance_roots(roots(n), alpha_ball).value
@@ -203,7 +201,7 @@ def discrepancy_report(
                     n=n,
                     N=big_n,
                     alpha=alg,
-                    alpha_label=label,
+                    alpha_label=alg.label,
                     empirical_avg=empirical,
                     green_value=green.value,
                     discrepancy=disc,

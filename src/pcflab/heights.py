@@ -319,6 +319,13 @@ class AlgebraicNumber:
         a0, a1 = self.min_poly.coeffs
         return Fraction(-a0, a1)
 
+    @property
+    def label(self) -> str:
+        """Report label: the fraction ('7/3'), or 'deg<k>:' and the min-poly coefficients."""
+        if self.is_rational:
+            return str(self.as_fraction())
+        return f"deg{self.degree}:" + ",".join(str(c) for c in self.min_poly.coeffs)
+
     def conjugates(self, precision_bits: int = DEFAULT_BITS) -> tuple[bl.ComplexBall, ...]:
         if self.is_rational:
             with mp.workprec(max(64, precision_bits)):

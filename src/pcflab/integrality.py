@@ -211,14 +211,10 @@ def census(
                 is_S_integral=verdict.is_S_integral,
             )
         )
-    if alpha.is_rational:
-        alpha_label = str(alpha.as_fraction())
-    else:
-        alpha_label = f"deg{alpha.degree}:" + ",".join(str(c) for c in alpha.min_poly.coeffs)
     return CensusResult(
         d=d,
         max_n=max_n,
-        alpha_label=alpha_label,
+        alpha_label=alpha.label,
         S=S,
         rows=tuple(rows),
         threshold=thm15_threshold(1.0, max(1, len(S) + 1), field_degree),

@@ -227,14 +227,7 @@ ZERO = IntPolynomial([])
 
 def compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """p(q(x)) by Horner over polynomials."""
-    if p.is_zero:
-        return ZERO
-    result = IntPolynomial([p.coeffs[-1]])
-    for c in reversed(p.coeffs[:-1]):
-        result = result * q
-        if c:
-            result = result + IntPolynomial([c])
-    return result
+    return horner([IntPolynomial([c]) for c in p.coeffs], q, ZERO)
 
 
 def horner(coeffs: Sequence, z, acc):
@@ -309,20 +302,29 @@ def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a  mod  b."""
-    da, db = a.degree, b.degree
-    lb = b.lead
-    rem = list(a.coeffs)
-    for k in range(da - db, -1, -1):
-        top = rem[k + db]
-        # multiply the tail by lb, then eliminate the top term with b shifted by k
-        for i in range(k + db):
-            rem[i] *= lb
-        if top:
-            for i, c in enumerate(b.coeffs[:-1]):
-                rem[k + i] -= top * c
-        rem[k + db] = 0
-    return IntPolynomial(rem[:db])
+    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a  mod  b (the quotient is integral)."""
+    return divmod_exact(a * b.lead ** (a.degree - b.degree + 1), b)[1]
+
+
+def _subresultants(a: IntPolynomial, b: IntPolynomial):
+    """Collins' subresultant pseudo-remainder sequence of a, b (deg a >= deg b),
+    with the g/h scaling of Brown & Traub (JACM 1971).
+
+    Yields (a_i, b_i, h_i), starting from (a, b, 1). The divisions by g*h^delta
+    are exact and keep coefficient growth polynomial. Ends at the first b_i that
+    is constant or divides a_i: b_i is then a gcd of a and b over Q.
+    """
+    g = h = 1
+    yield a, b, h
+    while b.degree > 0:
+        r = _pseudo_rem(a, b)
+        if r.is_zero:
+            return
+        delta = a.degree - b.degree
+        a, b = b, IntPolynomial([c // (g * h**delta) for c in r.coeffs])
+        g = a.lead
+        h = g**delta // h ** (delta - 1) if delta > 0 else h
+        yield a, b, h
 
 
 def gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -330,32 +332,15 @@ def gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
     Returns the primitive gcd with positive leading coefficient, scaled by the
     gcd of the two contents (so gcd(2p, 2p) == 2p up to sign normalization).
-    The g/h coefficient control keeps intermediate growth tame at the degrees
-    this package reaches.
     """
-    if p.is_zero:
-        return q.primitive_part() * (q.content() if not q.is_zero else 0)
-    if q.is_zero:
-        return p.primitive_part() * p.content()
-    cont = math.gcd(p.content(), q.content())
-    a = p.primitive_part()
-    b = q.primitive_part()
+    if p.is_zero or q.is_zero:
+        f = p + q
+        return f.primitive_part() * f.content()
+    a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
-    g = h = 1
-    while True:
-        delta = a.degree - b.degree
-        r = _pseudo_rem(a, b)
-        if r.is_zero:
-            return b.primitive_part() * cont
-        if b.degree == 0:
-            return IntPolynomial([cont])
-        a, b = b, IntPolynomial([c // (g * h**delta) for c in r.coeffs])
-        g = abs(a.lead)
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
-        if b.degree == 0:
-            # constant nonzero remainder: the polynomials are coprime
-            return IntPolynomial([cont])
+    *_, (_, last, _) = _subresultants(a, b)
+    return last.primitive_part() * math.gcd(p.content(), q.content())
 
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -368,37 +353,20 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant requires nonzero polynomials")
-    a, b = p, q
-    s = 1
+    a, b, s = p, q, 1
     if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            s = -s
-        a, b = b, a
-    if b.degree == 0:
-        return s * b.coeffs[0] ** a.degree
+        a, b, s = b, a, (-1) ** (a.degree * b.degree)
     # contents scale whole Sylvester rows: deg(b) rows of a, deg(a) rows of b
     ca, cb = a.content(), b.content()
     t = ca**b.degree * cb**a.degree
     a = IntPolynomial([c // ca for c in a.coeffs])
     b = IntPolynomial([c // cb for c in b.coeffs])
-    g = h = 1
-    while True:
-        da, db = a.degree, b.degree
-        delta = da - db
-        if (da % 2) and (db % 2):
+    for a, b, h in _subresultants(a, b):
+        if a.degree % 2 and b.degree % 2:
             s = -s
-        r = _pseudo_rem(a, b)
-        if r.is_zero:
-            return 0
-        a = b
-        denom = g * h**delta
-        b = IntPolynomial([c // denom for c in r.coeffs])
-        g = a.lead
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
-        if b.degree == 0:
-            dfin = a.degree
-            core = b.coeffs[0] ** dfin // (h ** (dfin - 1) if dfin > 0 else 1)
-            return s * t * core
+    if b.degree > 0:
+        return 0  # a common factor
+    return s * t * (b.coeffs[0] ** a.degree // h ** max(a.degree - 1, 0))
 
 
 _SQFREE_WITNESS_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -409,9 +377,8 @@ def gcd_degree_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> int:
 
     Vectorized Euclid over F_prime: int64 arithmetic for prime < 2^31, whose
     products fit, and Python integers (object arrays) for any larger prime.
-    Used as a one-sided certificate: the modular gcd degree upper-bounds
-    nothing, but a *trivial* modular gcd proves the rational gcd is trivial
-    whenever prime divides neither leading coefficient.
+    For a prime dividing neither leading coefficient, deg gcd mod prime >=
+    deg gcd over Q, so a *trivial* modular gcd proves the rational gcd trivial.
     """
     import numpy as np
 
@@ -441,6 +408,15 @@ def gcd_degree_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> int:
     return 0 if b.size else a.size - 1
 
 
+def _witnessed_squarefree(p: IntPolynomial, dp: IntPolynomial) -> bool:
+    """Whether some witness prime, dividing neither lead, has trivial gcd(p, dp) mod prime."""
+    return any(
+        gcd_degree_mod(p, dp, prime) == 0
+        for prime in _SQFREE_WITNESS_PRIMES
+        if p.lead % prime and dp.lead % prime
+    )
+
+
 def is_squarefree(p: IntPolynomial) -> bool:
     """Whether p has no repeated roots.
 
@@ -454,12 +430,7 @@ def is_squarefree(p: IntPolynomial) -> bool:
     if p.degree <= 0:
         return True
     dp = p.derivative()
-    for prime in _SQFREE_WITNESS_PRIMES:
-        if p.lead % prime == 0 or (not dp.is_zero and dp.lead % prime == 0):
-            continue
-        if gcd_degree_mod(p, dp, prime) == 0:
-            return True
-    return gcd(p, dp).degree == 0
+    return _witnessed_squarefree(p, dp) or gcd(p, dp).degree == 0
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -468,13 +439,11 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if p.degree == 0:
         return ONE
-    if is_squarefree(p):
-        return p.primitive_part()
-    g = gcd(p, p.derivative())
-    if g.degree == 0:
+    dp = p.derivative()
+    if _witnessed_squarefree(p, dp):
         return p.primitive_part()
     # over Q the quotient is exact; contents may not divide, so clear them first
-    return divide_exact(p.primitive_part(), g.primitive_part()).primitive_part()
+    return divide_exact(p.primitive_part(), gcd(p, dp).primitive_part()).primitive_part()
 
 
 # -- canonical serialization -------------------------------------------------

@@ -433,6 +433,17 @@ class TestForkedIsolation:
         assert forked == serial and forked[0] == 0
         assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
 
+    def test_no_affinity_call_runs_serial(self, tmp_path, capsys, monkeypatch, cpus):
+        # macOS and Windows have no os.sched_getaffinity: one usable CPU
+        args = ["enumerate", "--d", "2", "--max-n", "3"]
+        forks = cpus(1)
+        serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        missing = run_in(tmp_path / "missing", args, capsys, monkeypatch)
+        assert forks == []
+        assert missing == serial and missing[0] == 0
+        assert tree_bytes(tmp_path / "missing" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+
     def test_warm_run_forks_nothing(self, tmp_path, capsys, cpus):
         args = ["bounds", "--d", "2", "--max-n", "5", "--cache", str(tmp_path / "cache")]
         assert run(args, capsys)[0] == 0

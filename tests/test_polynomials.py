@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcflab.critical_orbit import enumerate_factors
 from pcflab.errors import NotDivisible
 from pcflab.polynomials import (
     IntPolynomial,
@@ -22,7 +24,14 @@ from pcflab.polynomials import (
     squarefree_part,
 )
 
-from oracles import horner_fraction, naive_compose, naive_gcd, naive_mul, sylvester_resultant
+from oracles import (
+    horner_fraction,
+    naive_compose,
+    naive_divmod,
+    naive_gcd,
+    naive_mul,
+    sylvester_resultant,
+)
 
 P = IntPolynomial
 
@@ -161,6 +170,67 @@ class TestResultant:
             q = P([-a, 1])
             # q monic linear with root a: |Res(p, q)| = |p(a)|
             assert abs(resultant(p, q)) == abs(evaluate_exact(p, a))
+
+    def test_census_factors_against_non_monic_linear(self):
+        # every factor polynomial up to d = 2, n = 8 (degree up to 120) against
+        # A = b t - a, whose root is a/b: Res(B, A) = (-b)^deg B * B(a/b)
+        polys = {f for desc in enumerate_factors(2, 8) for f in (desc.poly, desc.strict_poly)}
+        polys = [f for f in polys if f is not None and f.degree >= 1]
+        assert max(f.degree for f in polys) == 120
+        for B in polys:
+            for a, b in ((7, 3), (-5, 2), (3, 1), (1, 4)):
+                want = (-b) ** B.degree * evaluate_exact(B, Fraction(a, b))
+                assert resultant(B, P([-a, b])) == want
+
+
+def euclid_inverse(quotients, r, s):
+    """(a, b) whose remainder sequence over Q ends ..., r, s: the quotients
+    rebuild each remainder from the two after it."""
+    for q in reversed(quotients):
+        r, s = q * r + s, r
+    return r, s
+
+
+# (a, b) pairs whose remainder sequence drops degree by >= 2 in one step after
+# the first, with negative and non-unit leads and content on either side; the
+# last shares the factor -3t^2 + 2t - 7 (resultant 0)
+_A1, _B1 = euclid_inverse([P([2, -3]), P([-5, 0, 1])], P([4, 1, 0, -2]), P([-1, 3]))
+_A2, _B2 = euclid_inverse([P([1, 0, 0, -4])], P([3, 0, 0, 5]), P([-2, 7]))
+_A3, _B3 = euclid_inverse([P([0, -1]), P([2, 0, 1])], P([1, 0, 0, 0, -3]), P([5]))
+DEGREE_DROPS = [
+    (_A1, _B1),
+    (6 * _A1, _B1),
+    (_A2, 4 * _B2),
+    (10 * _A3, 15 * _B3),
+    (P([-7, 2, -3]) * _A1, 2 * P([-7, 2, -3]) * _B1),
+]
+
+
+class TestDegreeDrops:
+    @pytest.mark.parametrize("a, b", DEGREE_DROPS)
+    def test_sequence_drops_degree(self, a, b):
+        degrees, x, y = [], list(a.coeffs), list(b.coeffs)
+        while y:
+            degrees.append(len(y) - 1)
+            x, y = y, naive_divmod(x, y)[1]
+        assert any(hi - lo >= 2 for hi, lo in zip(degrees, degrees[1:]))
+
+    @pytest.mark.parametrize("a, b", DEGREE_DROPS)
+    def test_gcd_matches_oracle(self, a, b):
+        cont = math.gcd(a.content(), b.content())
+        want = [c * cont for c in naive_gcd(list(a.coeffs), list(b.coeffs))]
+        assert gcd(a, b).coeffs == gcd(b, a).coeffs == tuple(want)
+
+    @pytest.mark.parametrize("a, b", DEGREE_DROPS)
+    def test_resultant_matches_sylvester_determinant(self, a, b):
+        for p, q in ((a, b), (b, a)):
+            want = sylvester_resultant(list(p.coeffs), list(q.coeffs))
+            assert want.denominator == 1
+            assert resultant(p, q) == want.numerator
+
+    def test_shared_factor_has_resultant_zero(self):
+        a, b = DEGREE_DROPS[-1]
+        assert resultant(a, b) == 0 and gcd(a, b).degree >= 2
 
 
 class TestGcdAndSquarefree:

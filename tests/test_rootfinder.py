@@ -303,7 +303,7 @@ class TestRootCache:
         assert repaired > 0
 
     def test_v1_file_is_a_miss_and_gets_rewritten(self, tmp_path):
-        from pcflab.cli import cached_roots
+        from pcflab.cli import cached_root_sets
 
         p, path = self.written(tmp_path)
         v2 = path.read_bytes()
@@ -311,7 +311,7 @@ class TestRootCache:
         assert lines[0] == "# pcf-lab roots v2" and lines[4].startswith("# roots-sha256=")
         path.write_text("\n".join(["# pcf-lab roots v1"] + lines[1:4] + lines[5:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
-        ps = cached_roots(path, p, 128, None)
+        ps = cached_root_sets([(path, p, 128, None, None)])[0]
         assert len(ps) == p.degree
         assert path.read_bytes() == v2
 
