@@ -36,7 +36,7 @@ from . import balls as bl
 from .critical_orbit import orbit
 from .errors import HypothesisUndecided, NonSquarefreeInput
 from .fixedball import FixedBall
-from .numtheory import factorize, valuation
+from .numtheory import factorize, is_prime, valuation
 from .polynomials import (
     ZERO,
     IntPolynomial,
@@ -223,6 +223,8 @@ def newton_polygon_slopes(p: IntPolynomial, prime: int) -> list[tuple[Fraction, 
     """
     if p.is_zero:
         raise ValueError("newton polygon of the zero polynomial is undefined")
+    if not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
     hull = lower_hull([(i, valuation(c, prime)) for i, c in enumerate(p.coeffs) if c != 0])
     return [
         (Fraction(y2 - y1, x2 - x1), x2 - x1)

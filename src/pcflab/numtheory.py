@@ -5,16 +5,22 @@ base set proven sufficient below 3.3 * 10^24, falling back to a fixed list of
 pseudo-random bases (derived from the input) above that. Above that limit a
 True is a probable prime only, not a proven one, and so is every prime
 factor above it that factorize reports. Factoring runs three stages, each
-only on what the one before left unsplit: trial division below
-10^4; Brent's variant of Pollard rho for a fixed number of steps, which finds
-most factors of up to 9 digits at once; then Lenstra's elliptic curve method
+only on what the one before left unsplit: trial division below 10^4; Brent's
+variant of Pollard rho for a fixed number of steps, which finds factors of up
+to 7 digits and most of 8 digits; then Lenstra's elliptic curve method
 (Montgomery, *Speeding the Pollard and elliptic curve methods*, 1987) on
 Montgomery curves from Suyama's parametrisation with curve seeds 6, 7, 8, ...:
 an x-only ladder for stage 1 up to B1 and the standard continuation for stage
 2 up to B2, with B1 raised on a fixed schedule whenever a batch of curves
 fails. Pollard rho costs about sqrt(p) steps to find a prime factor p; ECM's
-cost grows far more slowly, so the 13-digit factors of desk-scale resultants
-take a few curves.
+cost grows far more slowly, so larger factors are left to it.
+
+Rho never runs on a part of an ECM split. That part divides a number m on
+which rho gave up, and rho would give up on it too: its iterates mod each
+prime of a divisor m' of m are the same whether it runs mod m or mod m', so
+each batch gcd with m' is 1 where the one with m was 1, and a batch that took
+in every prime of m at once takes in every prime of m' at once, as does its
+one-step-at-a-time redo.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ _MR_PROVEN_LIMIT = 3317044064679887385961981
 
 _TRIAL_LIMIT = 10_000
 # Pollard-Brent gives up once its cycle length passes this (about 4x as many
-# squarings in all): enough for most factors of up to 9 digits.
-_RHO_BUDGET = 1 << 14
+# squarings in all): enough for factors of up to 7 digits and most of 8, and
+# a pass that finds nothing costs about one curve of the first ECM batch.
+_RHO_BUDGET = 1 << 12
 # ECM batches of (B1, curves), after the table B1 grows 5-fold per batch of
 # the last size; stage 2 runs to B2 = _ECM_B2_RATIO * B1 in giant steps of
 # _ECM_D (2*3*5*7). Curve seeds are sigma = 6, 7, 8, ... in order.
@@ -111,7 +118,7 @@ def _pollard_brent(n: int) -> Optional[int]:
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n  # the sign of a factor leaves every gcd alone
             g = math.gcd(q, n)
             k += m
         r *= 2
@@ -120,7 +127,7 @@ def _pollard_brent(n: int) -> Optional[int]:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     return g if 1 < g < n else None
 
 
@@ -253,22 +260,28 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    # each entry carries whether rho may run on it: not on a divisor of a
+    # number rho gave up on, since it would give up again (module docstring)
+    stack = [(n, True)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, rho = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m) or _ecm(m)
-        stack.append(d)
-        stack.append(m // d)
+        d = _pollard_brent(m) if rho else None
+        if d is None:
+            d, rho = _ecm(m), False
+        stack.append((d, rho))
+        stack.append((m // d, rho))
     return out
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n (n != 0)."""
+    """Exponent of p in n (n != 0, |p| >= 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if abs(p) < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     n = abs(n)
     v = 0
     while n % p == 0:

@@ -188,6 +188,12 @@ class TestNewtonPolygon:
                 lead_val = valuation(p.lead, prime) if p.lead else 0
                 assert nonarch_mass(p, prime) == lead_val
 
+    @pytest.mark.parametrize("place", [-2, 1, 4])
+    def test_non_prime_place_raises(self, place):
+        for f in (heights.newton_polygon_slopes, conjugate_valuations, nonarch_mass):
+            with pytest.raises(ValueError):
+                f(P([1, 0, 4]), place)
+
 
 class TestGreenNonarch:
     def test_half_at_two_gives_log_two(self):
@@ -201,6 +207,12 @@ class TestGreenNonarch:
 
     def test_unit_at_five(self):
         assert green_nonarch(3, 5) == 0
+
+    def test_non_prime_place_raises(self):
+        with pytest.raises(ValueError):
+            green_nonarch(3, 1)
+        with pytest.raises(ValueError):
+            green_nonarch(AlgebraicNumber.from_min_poly([1, 0, 4], 0), 4)
 
 
 class TestWeilHeight:

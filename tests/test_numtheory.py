@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcflab.numtheory import _ecm, _ecm_curve, _pollard_brent, _primes, factorize, is_prime
+from pcflab import numtheory
+from pcflab.numtheory import (
+    _ecm,
+    _ecm_curve,
+    _pollard_brent,
+    _primes,
+    factorize,
+    is_prime,
+    valuation,
+)
 
 P10 = 1477733329
 P13 = 1968992521747
@@ -22,6 +31,9 @@ TRAP = 60833571145382921
 SMALL_PRIMES = (97, 101, 7919, 10007, 65537, 999983, 15485863, 999999937,
                 P10, 10000000019, 999999999989, P13)
 LARGE_PRIMES = (1000000000000037, 99999999999999997, P18)
+# (n, the factor Pollard-Brent returns for it): the sign of the differences
+# in rho's product must change no gcd, and so no returned factor
+RHO_FACTORS = [(p * P18, p) for p in SMALL_PRIMES if p < 10**8] + [(TRAP // 17, 15667 * 22123)]
 
 
 def test_fixed_primes_are_prime():
@@ -74,11 +86,44 @@ class TestFactorize:
         assert factorize(math.prod(primes)) == expect
 
 
+class TestValuation:
+    def test_signs(self):
+        assert valuation(-24, 2) == 3
+        assert valuation(24, -2) == 3
+        assert valuation(7, 2) == 0
+
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_no_place_below_two(self, p):
+        with pytest.raises(ValueError):
+            valuation(8, p)
+
+
 class TestStages:
     def test_rho_budget_gives_up(self):
-        # a 13-digit smallest factor is past the Pollard-Brent budget
+        # a 13-digit smallest factor is past the Pollard-Brent budget, and so
+        # is this 9-digit one; the 8-digit one is within it
         assert _pollard_brent(P13 * P18) is None
-        assert _pollard_brent(999999937 * P18) == 999999937
+        assert _pollard_brent(15485863 * P18) == 15485863
+        assert _pollard_brent(999999937 * P18) is None
+
+    @pytest.mark.parametrize("n, factor", RHO_FACTORS)
+    def test_rho_factor_is_pinned(self, n, factor):
+        assert _pollard_brent(n) == factor
+
+    def test_no_rho_on_a_divisor_of_a_give_up(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            g = _pollard_brent(m)
+            calls.append((m, g))
+            return g
+
+        monkeypatch.setattr(numtheory, "_pollard_brent", counting)
+        n = P13 * LARGE_PRIMES[0] * P18
+        assert factorize(n) == {P13: 1, LARGE_PRIMES[0]: 1, P18: 1}
+        assert calls[0] == (n, None)
+        for i, (m, _) in enumerate(calls):
+            assert not any(g is None and k % m == 0 for k, g in calls[:i]), m
 
     def test_ecm_splits_13_by_18_digit_semiprime(self):
         assert _ecm(P13 * P18) in (P13, P18)
