@@ -14,13 +14,6 @@ an x-only ladder for stage 1 up to B1 and the standard continuation for stage
 2 up to B2, with B1 raised on a fixed schedule whenever a batch of curves
 fails. Pollard rho costs about sqrt(p) steps to find a prime factor p; ECM's
 cost grows far more slowly, so larger factors are left to it.
-
-Rho never runs on a part of an ECM split. That part divides a number m on
-which rho gave up, and rho would give up on it too: its iterates mod each
-prime of a divisor m' of m are the same whether it runs mod m or mod m', so
-each batch gcd with m' is 1 where the one with m was 1, and a batch that took
-in every prime of m at once takes in every prime of m' at once, as does its
-one-step-at-a-time redo.
 """
 
 from __future__ import annotations
@@ -260,19 +253,15 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # each entry carries whether rho may run on it: not on a divisor of a
-    # number rho gave up on, since it would give up again (module docstring)
-    stack = [(n, True)] if n > 1 else []
+    stack = [n] if n > 1 else []
     while stack:
-        m, rho = stack.pop()
+        m = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m) if rho else None
-        if d is None:
-            d, rho = _ecm(m), False
-        stack.append((d, rho))
-        stack.append((m // d, rho))
+        d = _pollard_brent(m) or _ecm(m)
+        stack.append(d)
+        stack.append(m // d)
     return out
 
 

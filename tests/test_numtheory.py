@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcflab import numtheory
 from pcflab.numtheory import (
     _ecm,
     _ecm_curve,
@@ -109,21 +108,6 @@ class TestStages:
     @pytest.mark.parametrize("n, factor", RHO_FACTORS)
     def test_rho_factor_is_pinned(self, n, factor):
         assert _pollard_brent(n) == factor
-
-    def test_no_rho_on_a_divisor_of_a_give_up(self, monkeypatch):
-        calls = []
-
-        def counting(m):
-            g = _pollard_brent(m)
-            calls.append((m, g))
-            return g
-
-        monkeypatch.setattr(numtheory, "_pollard_brent", counting)
-        n = P13 * LARGE_PRIMES[0] * P18
-        assert factorize(n) == {P13: 1, LARGE_PRIMES[0]: 1, P18: 1}
-        assert calls[0] == (n, None)
-        for i, (m, _) in enumerate(calls):
-            assert not any(g is None and k % m == 0 for k, g in calls[:i]), m
 
     def test_ecm_splits_13_by_18_digit_semiprime(self):
         assert _ecm(P13 * P18) in (P13, P18)
