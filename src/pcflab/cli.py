@@ -241,11 +241,14 @@ def cached_root_sets(jobs):
     jobs = list(jobs)
     sets = [read_roots_cache(path, poly, bits, source=source)
             for path, poly, bits, _, source in jobs]
-    mine = [i for i, ps in enumerate(sets) if ps is None]
-    theirs = []
-    if len(mine) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        mine, theirs = _split_by_degree(jobs, mine)
-    pid, pipe = _fork_isolation(jobs, theirs) if theirs else (0, None)
+    misses = [i for i, ps in enumerate(sets) if ps is None]
+    mine, theirs, pid, pipe = misses, [], 0, None
+    if len(misses) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        mine, theirs = _split_by_degree(jobs, misses)
+        try:
+            pid, pipe = _fork_isolation(jobs, theirs)
+        except OSError:  # no process or descriptor to spare: a serial run
+            mine = misses
     try:
         errors = _isolate(jobs, mine, sets)
         if pid:
@@ -295,7 +298,12 @@ def _fork_isolation(jobs, indices):
     # fork, not spawn: the CLI runs no threads, and a spawned child would pay
     # the 0.3 s import again and rebuild the polynomials it is sent
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
     if pid == 0:
         status = 1
         try:

@@ -57,6 +57,7 @@ DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 # lazily grown per-degree tables of g_1..g_N; single writer, many readers
 _tables: dict[int, list[IntPolynomial]] = {}
 _factor_cache: dict[tuple[int, int], "FactorDescriptor"] = {}
+_starts: dict[tuple[int, int], np.ndarray] = {}  # lemniscate_starts by (d, degree)
 _lock = threading.Lock()
 
 
@@ -263,7 +264,7 @@ def _orbit_f64(d: int, c: np.ndarray, depth: int):
 # the boundary of the Multibrot set, whose equipotentials the lemniscates
 # |g_m| = R approximate (Hubbard-Schleicher-Sutherland, Invent. Math. 2001).
 # Starting there instead of on one circle cuts the float64 Aberth sweeps for
-# g_11 of d=2 from 530 to 39.
+# g_11 of d=2 from 530 to 26.
 _LEMNISCATE_R = 4.0
 
 
@@ -282,13 +283,21 @@ class _LevelCurve:
 def lemniscate_starts(d: int, degree: int) -> np.ndarray:
     """degree points on the lemniscate |g_m| = R of the Multibrot set M_d.
 
-    m is the least with d^(2(m-1)) >= degree, so deg g_m = d^(m-1) is about
-    the square root of degree, and K = ceil(degree / d^(m-1)). The points are
-    the solutions of g_m(c) = R e^(2 pi i (k + t) / K), k < K, each solve
-    started from the one before; the first starts on a circle around M_d.
-    Listed root by root, each root's K points form an arc of the lemniscate;
-    surplus points are dropped evenly spaced over that list. A pure function
-    of (d, degree), computed with float64 arithmetic alone.
+    m is the least with d^(2(m-1)) >= 4 degree, so deg g_m = d^(m-1) is at
+    least 2 sqrt(degree), and K = ceil(degree / d^(m-1)). A higher level lies
+    nearer the roots, so the main solve takes fewer sweeps, but each start
+    solve runs on more points: for d = 2 this is one level above the least m
+    with deg g_m >= sqrt(degree) (g_11 took 26 sweeps, not 39); for d >= 3,
+    one level above a level that already has 2 sqrt(degree) points costs
+    more than it saves (d=3 misiurewicz-m-6, degree 161).
+
+    The points are the solutions of g_m(c) = R e^(2 pi i (k + t) / K), k < K,
+    each solve started from the one before; the first starts on a circle
+    around M_d. Listed root by root, each root's K points form an arc of the
+    lemniscate; surplus points are dropped evenly spaced over that list. A
+    pure function of (d, degree), computed with float64 arithmetic alone, and
+    solved once per process (factors of one level share degrees); each call
+    returns a fresh copy.
 
     M_d is symmetric under c -> conj(c) and c -> e^(2 pi i / (d-1)) c. The
     offset t = 1/(4(d-1)) keeps the start set off every reflection axis of
@@ -296,8 +305,15 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
     each root on it, and a pair splits only once rounding breaks the mirror
     (t = 1/2 cost d=2 misiurewicz-2-5 40 sweeps instead of 10).
     """
+    key = (d, degree)
+    if key not in _starts:
+        _starts[key] = _solve_starts(d, degree)
+    return _starts[key].copy()
+
+
+def _solve_starts(d: int, degree: int) -> np.ndarray:
     m = 2
-    while d ** (2 * (m - 1)) < degree:
+    while d ** (2 * (m - 1)) < 4 * degree:
         m += 1
     D = d ** (m - 1)
     K = -(-degree // D)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import filecmp
 import os
 import signal
@@ -450,6 +451,35 @@ class TestForkedIsolation:
         forks = cpus(2)
         assert run(args, capsys)[0] == 0
         assert forks == []
+
+    @pytest.mark.parametrize("call,error", [
+        ("fork", BlockingIOError(errno.EAGAIN, "fork refused")),
+        ("fork", OSError(errno.ENOMEM, "fork refused")),
+        ("pipe", OSError(errno.EMFILE, "pipe refused")),
+    ], ids=["fork-EAGAIN", "fork-ENOMEM", "pipe-EMFILE"])
+    def test_no_child_to_spare_runs_serial(self, tmp_path, capsys, monkeypatch, cpus, call, error):
+        args = ["enumerate", "--d", "2", "--max-n", "7", "--bits", "128"]
+        cpus(1)
+        serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
+        cpus(2)
+        real_pipe, fds = os.pipe, []
+
+        def pipe():
+            fds.extend(real_pipe())
+            return tuple(fds[-2:])
+
+        def refuse():
+            raise error
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, call, refuse)
+        refused = run_in(tmp_path / "refused", args, capsys, monkeypatch)
+        assert refused == serial and refused[0] == 0
+        assert tree_bytes(tmp_path / "refused" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+        assert len(fds) == (2 if call == "fork" else 0)
+        for fd in fds:  # both pipe ends are closed again
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     # enumerate --d 2 --max-n 5 has root jobs of degrees 1, 2, 4, 8, 16: the
     # degree-16 job stays here, the other four go to the child
