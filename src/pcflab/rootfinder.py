@@ -71,14 +71,13 @@ MAX_PRECISION_BITS = 4096
 # the float64 stage's power-of-two scaling
 MAX_COEFF_BITS = 900
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
-# rows per block of the float64 Aberth pairwise sums: 32 x 1024 complex128 is
-# 512 KiB, within L2, and on g_11 blocks of 64 to 512 rows ran slower. No
-# row's result depends on the block size.
-_ROW_BLOCK = 32
-# rows per block of the distances between finished disks: these blocks run on
-# top of every polished root, so they set the peak memory of isolating g_11
-# (0.7 MiB above the roots at 32 rows, 0.15 MiB at 16)
-_DISK_ROW_BLOCK = 16
+# rows per block of the float64 pairwise kernels: 16 x 1024 complex128 is
+# 256 KiB, within L2. On g_11, 16 rows ran as fast as 32 and 64 to 512 rows
+# slower (degrees 161 to 729: 6-10 % slower than 32). The disjointness
+# prefilter's blocks run on top of every polished root, so they set the peak
+# memory of isolating g_11: 0.7 MiB above the roots at 32 rows, 0.15 at 16.
+# No row's result depends on the block size.
+_ROW_BLOCK = 16
 # roots per batch of the fixed-point passes: Newton steps and disks run on
 # FixedPointArray/FixedBallArray lanes of this many roots. On g_11 of d=2,
 # one batch per pass (1024 roots) peaked 2 MB above batches of 128, which
@@ -391,8 +390,8 @@ def _polished_disks(evaluator, zs: list, batch: Sequence[int], degree: int, prec
 def _distance_rows(cf: np.ndarray):
     """(i0, |cf[i] - cf[k]|) for the rows i of each block from i0 on, with
     inf where k = i."""
-    for i0 in range(0, cf.size, _DISK_ROW_BLOCK):
-        dist = np.abs(cf[i0 : i0 + _DISK_ROW_BLOCK, None] - cf[None, :])
+    for i0 in range(0, cf.size, _ROW_BLOCK):
+        dist = np.abs(cf[i0 : i0 + _ROW_BLOCK, None] - cf[None, :])
         rows = np.arange(dist.shape[0])
         dist[rows, rows + i0] = np.inf
         yield i0, dist
@@ -426,7 +425,7 @@ def _overlapping(disks: list) -> set[int]:
     rf += _rounding_slack(cf) + 1e-290
     bad: set[int] = set()
     for i0, dist in _distance_rows(cf):
-        rsum = rf[i0 : i0 + _DISK_ROW_BLOCK, None] + rf[None, :]
+        rsum = rf[i0 : i0 + _ROW_BLOCK, None] + rf[None, :]
         close = (dist * (1 - 1e-7) <= rsum) | (dist < 1e-6)
         for i, j in zip(*np.nonzero(close)):
             a, b = live[i + i0], live[j]
