@@ -16,7 +16,6 @@ from .critical_orbit import (
     enumerate_factors,
     gleason,
     misiurewicz_factor,
-    preperiodic_poly,
 )
 from .equidist import (
     DiscrepancyReport,
@@ -28,8 +27,6 @@ from .equidist import (
 from .heights import (
     AlgebraicNumber,
     EscapeRateResult,
-    PlaceContribution,
-    critical_canonical_height,
     escape_rate_arch,
     green_nonarch,
     is_pcf_parameter,
@@ -56,14 +53,12 @@ from .bounds import (
 )
 from .polynomials import (
     IntPolynomial,
-    Rational,
-    compose,
     divide_exact,
     evaluate_exact,
     resultant,
     squarefree_part,
 )
-from .rootfinder import PCFParameterSet, all_roots, closest_root_to, min_pairwise_distance
+from .rootfinder import PCFParameterSet, all_roots, min_pairwise_distance
 
 __all__ = [
     "AlgebraicNumber",
@@ -77,17 +72,12 @@ __all__ = [
     "KernelSpec",
     "LinearFormInput",
     "PCFParameterSet",
-    "PlaceContribution",
     "PrimeSet",
-    "Rational",
     "all_roots",
     "avg_log_distance_roots",
     "avg_log_distance_vieta",
     "beg_lower_bound",
     "census",
-    "closest_root_to",
-    "compose",
-    "critical_canonical_height",
     "degree_lower_bound_check",
     "discrepancy_report",
     "divide_exact",
@@ -106,7 +96,6 @@ __all__ = [
     "min_pairwise_distance",
     "misiurewicz_factor",
     "pcf_modulus_bound",
-    "preperiodic_poly",
     "prop31_bound",
     "resultant",
     "squarefree_part",

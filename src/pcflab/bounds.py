@@ -116,20 +116,6 @@ def prop31_bound(h_alpha: float, d: int, orbit_size: int, eps: float, C6: float)
         )
 
 
-def prop31_empirical(roots, alpha_ball) -> mp.mpf:
-    """max over roots of log |x - alpha|^-1, from rigorous distance bounds."""
-    from . import balls as bl
-
-    best = None
-    for b in (roots.roots if hasattr(roots, "roots") else roots):
-        lo, _ = bl.dist_bounds(b, alpha_ball)
-        if lo <= 0:
-            raise ValueError("alpha ball overlaps a root ball")
-        v = -mp.log(lo)
-        best = v if best is None else max(best, v)
-    return best
-
-
 def degree_lower_bound_check(d: int, n: int, base_degree: int) -> BoundReport:
     """Degree of the level-n parameter locus against d^(n-1)/base_degree.
 

@@ -120,13 +120,6 @@ def gleason(d: int, n: int) -> IntPolynomial:
         return table[n]
 
 
-def preperiodic_poly(d: int, m: int, n: int) -> IntPolynomial:
-    """P_{m,n} = g_n - g_m."""
-    if not (n > m >= 0):
-        raise ValueError("need n > m >= 0")
-    return gleason(d, n) - gleason(d, m)
-
-
 def exact_period_factor(d: int, n: int) -> FactorDescriptor:
     """Factor of g_n whose roots have critical period exactly n.
 

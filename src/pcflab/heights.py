@@ -1,4 +1,4 @@
-"""Escape rates, local heights at all places, Weil and critical heights.
+"""Escape rates, local heights at all places, the Weil height and the PCF gate.
 
 The archimedean escape rate of z^d + c is computed by rigorous ball iteration
 of the critical orbit z <- z^d + c (critical_orbit.orbit on FixedBalls),
@@ -7,7 +7,8 @@ B = max(2, (2|c|)^(1/d), 2^(1/(d-1))), the normalized logarithm d^-k log|z_k|
 is within log(2)/(d^k (d-1)) of the limit, and the bound tightens
 geometrically with every extra step (see _escape_attempt for the
 derivation). Non-escape within the iteration budget is reported as a verdict
-("bounded after N steps"), never as set membership. The iteration runs on
+("bounded after N steps", with the rate at most d^-N (log B + log 2/(d-1))),
+never as set membership. The iteration runs on
 fixed-point balls (pcflab.fixedball) at the working precision, which doubles
 whenever a pass cannot decide, up to the precision cap or until the input
 ball's own radius, not rounding, is what limits the pass; N is then the
@@ -18,7 +19,10 @@ so everything reduces to Newton polygons of minimal polynomials, computed
 exactly over Fractions.
 
 The PCF gate runs the same orbit exactly, on Residues of Z[t]/(A) for a
-monic minimal polynomial A: u_n is g_n(t) mod A, and a repeat proves PCF.
+monic minimal polynomial A: u_n is g_n(t) mod A. A repeat proves PCF, and a
+trace |Tr(u_n^k)| above D R^k (D = deg A, R its Cauchy bound) proves that a
+root of A escapes, all in integer arithmetic; up to degree 3 no ball and no
+root isolation is involved.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from . import balls as bl
 from .critical_orbit import orbit
 from .errors import HypothesisUndecided, NonSquarefreeInput
 from .fixedball import FixedBall
-from .numtheory import factorize, is_prime, valuation
+from .numtheory import is_prime, valuation
 from .polynomials import (
     ZERO,
     IntPolynomial,
@@ -60,12 +64,12 @@ _ESCAPE_PREC_CAP = 4096
 class EscapeRateResult:
     """Escape rate with rigorous error bound.
 
-    escaped=False means the orbit stayed below the bail radius for
-    iterations_used certified steps; value is then 0 (a lower bound for the
-    true rate, exact whenever the point really has a bounded orbit). That is
-    max_iter, or, when no pass decides, the bounded window of the last pass:
-    at the precision cap, or where the input ball is too wide for a doubled
-    precision to help.
+    escaped=False is the verdict "bounded after N = iterations_used steps":
+    N is max_iter, or, when no pass decides, the window the last pass
+    certified, at the precision cap or where the input ball is too wide for
+    a doubled precision to help. value is then 0, and the true rate lies in
+    [0, error_bound], error_bound = d^-N (log B + log 2/(d-1)) rounded up,
+    with B the bail radius (or the certified bound on |z_N|, if larger).
     """
 
     value: mp.mpf
@@ -90,8 +94,9 @@ def _bail_radius(d: int, c_abs_hi: mp.mpf) -> mp.mpf:
 def _escape_attempt(d, cb, z0b, target_error, max_iter):
     """One fixed-precision pass on FixedBalls at precision P = cb.prec.
 
-    Returns an EscapeRateResult, or, when this precision cannot decide, the
-    number of steps the orbit was certified to stay below the bail radius.
+    Returns (result, decided): an escaped or max_iter-bounded result, or,
+    when this precision cannot decide, the bounded verdict of the steps it
+    certified.
 
     After escape at step k (z_0 counts as step 0), the remaining tail is
       sum_{j>=k} d^-(j+1) log|1 + c z_j^-d|,
@@ -103,12 +108,21 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
     log4 = mp.log(4)
     c_hi = mp.mpf((cb.abs_bounds()[1], -P))
     bail = int(mp.ceil(mp.ldexp(_bail_radius(d, c_hi), P)))  # in units of 2^-P
-    escaped_at: Optional[int] = None
+
+    def bounded(n, hi):
+        # G(z) <= log B + log2/(d-1) on |z| = B by the tail bound, so inside
+        # too (G is subharmonic), and G(z) <= log|z| + log2/(d-1) outside;
+        # G(z_0) = d^-n G(z_n) with |z_n| <= hi. Rounded up by 2^-(prec/2).
+        top = mp.log(mp.mpf((max(bail, hi), -P))) + log4 / (2 * (d - 1))
+        bound = top / mp.mpf(d) ** n * (1 + mp.mpf(2) ** (-mp.mp.prec // 2))
+        return EscapeRateResult(mp.mpf(0), bound, iterations_used=n, escaped=False)
+
+    escaped_at: Optional[tuple[int, int]] = None  # (step, modulus upper bound)
     dk = mp.mpf(1)  # d^k
     for k, z in zip(range(max_iter + 1), orbit(d, cb, z0b)):
         lo, hi = z.abs_bounds()
         if escaped_at is None and lo >= bail:
-            escaped_at = k
+            escaped_at = (k, hi)
         if escaped_at is not None:
             eps = c_hi / mp.mpf((lo, -P)) ** d
             tail = (eps * log4) / (dk * (d - 1))
@@ -116,23 +130,19 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
                 llo, lhi = bl.log_abs_interval(z.ball())
                 half = (lhi - llo) / 2
                 if half > target_error / 2:
-                    return escaped_at  # ball too wide at this precision
+                    return bounded(*escaped_at), False  # ball too wide at this precision
                 value = (llo + lhi) / 2 / dk
                 return EscapeRateResult(
                     value=value,
                     error_bound=tail + half / dk + mp.mpf(2) ** (-mp.mp.prec // 2),
                     iterations_used=k,
                     escaped=True,
-                )
+                ), True
         # enclosure degenerated before a decision: radius > (1 + |z|) 2^-16
         if z.rad << 16 > (1 << P) + hi:
-            return k if escaped_at is None else escaped_at
+            return bounded(*(escaped_at or (k, hi))), False
         dk *= d
-    if escaped_at is not None:
-        return escaped_at
-    return EscapeRateResult(
-        value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=max_iter, escaped=False
-    )
+    return bounded(*(escaped_at or (max_iter, hi))), escaped_at is None
 
 
 def _escape_rate_seeded(
@@ -151,18 +161,14 @@ def _escape_rate_seeded(
         with mp.workprec(wp + 32):
             cb = _as_fixed(c)
             zb = _as_fixed(z0) if seed_map is None else seed_map(_as_fixed(z0), cb)
-            res = _escape_attempt(d, cb, zb, mp.mpf(target_error), max_iter)
-        if isinstance(res, EscapeRateResult):
-            return res
+            res, decided = _escape_attempt(d, cb, zb, mp.mpf(target_error), max_iter)
         wp *= 2
-        # undecided: report this pass's certified bounded window when it is
-        # the last one, at the precision cap or when an input ball is 2^16
-        # ulps wide (the degeneracy test's margin), so that its own radius,
-        # not rounding, limits the window and a doubled pass starts as wide
-        if max(cb.rad, zb.rad) >> 16 or wp > _ESCAPE_PREC_CAP:
-            return EscapeRateResult(
-                value=mp.mpf(0), error_bound=mp.mpf(0), iterations_used=res, escaped=False
-            )
+        # undecided: report this pass's certified window when it is the last
+        # one, at the precision cap or when an input ball is 2^16 ulps wide
+        # (the degeneracy test's margin), so that its own radius, not
+        # rounding, limits the window and a doubled pass starts as wide
+        if decided or max(cb.rad, zb.rad) >> 16 or wp > _ESCAPE_PREC_CAP:
+            return res
 
 
 def escape_rate_arch(
@@ -360,6 +366,21 @@ class Residue:
     def __pow__(self, e: int) -> "Residue":
         return Residue(divmod_exact(self.poly**e, self.modulus)[1], self.modulus)
 
+    def trace(self) -> int:
+        """The sum of poly's values at the roots of modulus."""
+        return sum(c * s for c, s in zip(self.poly.coeffs, _power_sums(self.modulus)))
+
+
+@lru_cache(maxsize=64)
+def _power_sums(A: IntPolynomial) -> tuple[int, ...]:
+    """Tr(t^j) = sum of r^j over the roots r of monic A, for j < deg A, by
+    Newton's identities: p_k = -(k a_(D-k) + sum_(0<i<k) a_(D-i) p_(k-i))."""
+    a, D = A.coeffs, A.degree
+    p = [D]
+    for k in range(1, D):
+        p.append(-k * a[D - k] - sum(a[D - i] * p[k - i] for i in range(1, k)))
+    return tuple(p)
+
 
 def _fraction(x: mp.mpf) -> Fraction:
     man, exp = x.man_exp
@@ -405,124 +426,58 @@ def weil_height(alpha, precision_bits: int = DEFAULT_BITS) -> mp.mpf:
         return total / alpha.degree
 
 
-@dataclass(frozen=True)
-class PlaceContribution:
-    """One place's share of a height sum.
-
-    place: "arch:<index>" for an embedding, or the rational prime.
-    weight: local degree mass / global degree (sums to 1 over the
-    archimedean block; equals the Newton-polygon mass / degree at a prime).
-    """
-
-    place: Union[str, int]
-    weight: Fraction
-    value: mp.mpf
-
-
-@dataclass(frozen=True)
-class CriticalHeightResult:
-    value: mp.mpf
-    error_bound: mp.mpf
-    undetermined: bool
-    contributions: tuple[PlaceContribution, ...]
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def critical_canonical_height(
-    d: int,
-    alpha,
-    precision_bits: int = DEFAULT_BITS,
-    target_error: float = 1e-12,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CriticalHeightResult:
-    """Canonical height of the critical value of z^d + alpha.
-
-    Averaged archimedean escape rates over all conjugates plus finite-place
-    masses; the finite places that can contribute are exactly the primes
-    dividing the leading coefficient of the minimal polynomial (elsewhere
-    every conjugate is a p-adic integer and log max(1, |.|_p) vanishes).
-    Zero iff the map is post-critically finite, up to the numeric verdict:
-    conjugates that neither escape nor certify boundedness set the
-    undetermined flag, and the value is then a lower bound.
-    """
-    alpha = as_algebraic(alpha)
-    conj = alpha.conjugates(precision_bits)
-    contributions: list[PlaceContribution] = []
-    undetermined = False
-    with mp.workprec(max(64, precision_bits) + 16):
-        total = mp.mpf(0)
-        err = mp.mpf(0)
-        w = Fraction(1, alpha.degree)
-        for i, b in enumerate(conj):
-            res = escape_rate_arch(d, b, target_error, max_iter, precision_bits)
-            if not res.escaped:
-                undetermined = True
-            contributions.append(PlaceContribution(place=f"arch:{i}", weight=w, value=res.value))
-            total += res.value / alpha.degree
-            err += res.error_bound / alpha.degree
-        lead = abs(alpha.min_poly.lead)
-        if lead > 1:
-            for prime in sorted(factorize(lead)):
-                mass = nonarch_mass(alpha.min_poly, prime)
-                if mass == 0:
-                    continue
-                val = mp.log(prime) * mp.mpf(mass.numerator) / (mass.denominator * alpha.degree)
-                contributions.append(
-                    PlaceContribution(place=prime, weight=mass / alpha.degree, value=val)
-                )
-                total += val
-        err += mp.mpf(2) ** (-(max(64, precision_bits) // 2))
-        return CriticalHeightResult(
-            value=total,
-            error_bound=err,
-            undetermined=undetermined,
-            contributions=tuple(contributions),
-        )
-
-
 # -- post-critically finite gate ------------------------------------------------------
 
 
-ORBIT_CAP = 256  # exact orbit steps of the PCF gate before it tries escape rates
+ORBIT_CAP = 256  # exact orbit steps of the PCF gate: its one budget
+
+
+def _escape_witness(u: Residue, R: int) -> bool:
+    """|Tr(u^k)| > D R^k for some k <= D = deg A: then |u(r)| > R at some root r of A."""
+    D = u.modulus.degree
+    return any(abs((u**k).trace()) > D * R**k for k in range(1, D + 1))
 
 
 def is_pcf_parameter(d: int, alpha) -> bool:
     """Exact decision whether z^d + alpha is post-critically finite.
 
     PCF parameters are algebraic integers, so any non-monic minimal
-    polynomial decides immediately. For algebraic integers the critical
-    orbit is iterated exactly in Z[t]/(min_poly): a collision proves PCF; a
-    conjugate whose ball iteration certifiably escapes proves the opposite.
-    That may be any conjugate up to degree 3, where from_min_poly certifies
-    min_poly irreducible, but only the selected one above it. Raises
-    HypothesisUndecided when neither happens within the budget.
+    polynomial A decides immediately. Otherwise the critical orbit u_n is
+    iterated exactly in Z[t]/(A), and a repeat proves every root of A PCF.
+    R = max(2, 1 + max_(i<D) |a_i|) bounds every root of A (Cauchy), so it is
+    an escape radius for each of them, and |Tr(u_n^k)| > D R^k for some
+    k <= D = deg A witnesses a root whose orbit leaves the R-disk and
+    escapes. Up to degree 3, where from_min_poly certifies A irreducible,
+    that witness proves alpha not PCF. By Kronecker's theorem one of the two
+    always happens: an orbit bounded at every root runs through finitely
+    many algebraic integers, and once a root's orbit exceeds C(D) R, Newton's
+    identities and Fujiwara's bound make the witness fire. Above degree 3,
+    A may be reducible and the witness may name a root of another factor, so
+    it only ends the iteration, and the selected root's certified escape
+    decides. Raises HypothesisUndecided when ORBIT_CAP steps decide nothing,
+    or when the selected root of a degree >= 4 alpha does not escape.
     """
     alpha = as_algebraic(alpha)
     A = alpha.min_poly  # primitive, with positive leading coefficient
     if A.lead != 1:
         return False
+    D = A.degree
+    R = max(2, 1 + max(map(abs, A.coeffs[:-1])))
     t = Residue(divmod_exact(X, A)[1], A)  # a constant when deg A = 1
     seen = set()
     for u in islice(orbit(d, t, Residue(ZERO, A)), ORBIT_CAP + 1):
         if u in seen:
             return True
         seen.add(u)
-        if u.poly.max_abs_coeff().bit_length() > 1 << 14:
+        if _escape_witness(u, R):
             break
-    if alpha.degree > 3:
-        conj = [alpha.selected_conjugate(DEFAULT_BITS)]
     else:
-        # likely escapers first: largest modulus, then, as for +-sqrt(2),
-        # largest real part (M_2 meets the real axis in [-2, 1/4])
-        conj = sorted(
-            alpha.conjugates(DEFAULT_BITS),
-            key=lambda b: (abs(b.center), b.center.real),
-            reverse=True,
-        )
-    for b in conj:
-        res = escape_rate_arch(d, b, target_error=1e-6, max_iter=4096)
-        if res.escaped:
-            return False
+        if D <= 3:
+            raise HypothesisUndecided(f"no repeat and no escape witness in {ORBIT_CAP} steps")
+    if D <= 3:
+        return False
+    # A may be reducible: only the selected root's own escape decides
+    sel = alpha.selected_conjugate(DEFAULT_BITS)
+    if escape_rate_arch(d, sel, target_error=1e-6, max_iter=4096).escaped:
+        return False
     raise HypothesisUndecided("orbit neither repeated nor certifiably escaped")

@@ -21,9 +21,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import NotDivisible
 
-# Exact scalar type accepted by evaluation helpers.
-Rational = Fraction
-
 _SCHOOLBOOK_CUTOFF = 48  # below this many coefficients, packing costs more than it saves
 
 
@@ -223,11 +220,6 @@ ZERO = IntPolynomial([])
 
 
 # -- spec operations --------------------------------------------------------
-
-
-def compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """p(q(x)) by Horner over polynomials."""
-    return horner([IntPolynomial([c]) for c in p.coeffs], q, ZERO)
 
 
 def horner(coeffs: Sequence, z, acc):
@@ -455,16 +447,3 @@ def serialize(p: IntPolynomial) -> str:
     lines.extend(str(c) for c in p.coeffs)
     return "\n".join(lines) + "\n"
 
-
-def deserialize(text: str) -> IntPolynomial:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("deg="):
-        raise ValueError("missing deg= header")
-    deg = int(lines[0][4:])
-    coeffs = [int(ln) for ln in lines[1:]]
-    if deg != len(coeffs) - 1:
-        raise ValueError(f"header says deg={deg} but {len(coeffs)} coefficients follow")
-    p = IntPolynomial(coeffs)
-    if p.degree != deg:
-        raise ValueError("non-canonical serialization (trailing zero coefficients)")
-    return p

@@ -529,26 +529,6 @@ def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> 
     return best
 
 
-def closest_root_to(
-    roots: PCFParameterSet | Sequence[bl.ComplexBall], alpha: bl.ComplexBall
-) -> tuple[int, tuple[mp.mpf, mp.mpf]]:
-    """Index of the root nearest alpha plus rigorous (lower, upper) distance bounds.
-
-    Ties on overlapping bounds resolve by center distance, then index.
-    """
-    balls = roots.roots if isinstance(roots, PCFParameterSet) else tuple(roots)
-    if not balls:
-        raise ValueError("empty root set")
-    best_idx = 0
-    best_center = None
-    for i, b in enumerate(balls):
-        dc = abs(b.center - alpha.center)
-        if best_center is None or dc < best_center:
-            best_center = dc
-            best_idx = i
-    return best_idx, bl.dist_bounds(balls[best_idx], alpha)
-
-
 # -- cache files ------------------------------------------------------------------
 
 

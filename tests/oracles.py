@@ -25,20 +25,6 @@ def naive_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def naive_compose(p: list[int], q: list[int]) -> list[int]:
-    """p(q(x)) by accumulating powers of q with naive_mul."""
-    out: list[int] = []
-    qpow = [1]
-    for c in p:
-        term = [c * x for x in qpow]
-        n = max(len(out), len(term))
-        out = [(out[i] if i < len(out) else 0) + (term[i] if i < len(term) else 0) for i in range(n)]
-        qpow = naive_mul(qpow, q)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def naive_divmod(p: list[int], q: list[int]) -> tuple[list[Fraction], list[Fraction]]:
     """Long division over Q, ascending coefficient lists in, Fractions out."""
     rem = [Fraction(c) for c in p]

@@ -24,7 +24,6 @@ from pcflab.critical_orbit import (
     gleason_evaluator,
     misiurewicz_factor,
     orbit,
-    preperiodic_poly,
     write_gleason_cache,
 )
 from pcflab.errors import DegreeCapExceeded
@@ -115,17 +114,6 @@ class TestOrbit:
             assert u.poly == divmod_exact(gleason(d, n), A)[1], n
 
 
-class TestPreperiodic:
-    def test_examples(self):
-        assert preperiodic_poly(2, 0, 2).coeffs == (0, 1, 1)  # g_0 = 0
-        assert preperiodic_poly(2, 1, 2).coeffs == (0, 0, 1)  # c^2
-        assert preperiodic_poly(2, 1, 3).coeffs == (0, 0, 1, 2, 1)  # c^4+2c^3+c^2
-
-    def test_degree(self):
-        for d, m, n in [(2, 1, 4), (3, 2, 3)]:
-            assert preperiodic_poly(d, m, n).degree == d ** (n - 1)
-
-
 class TestExactPeriodFactor:
     def test_small_factors(self):
         assert exact_period_factor(2, 1).poly.coeffs == (0, 1)
@@ -179,11 +167,8 @@ class TestMisiurewiczFactor:
     def test_divides_preperiodic_poly(self):
         for d, m, n in [(2, 2, 4), (2, 3, 5), (3, 2, 4)]:
             desc = misiurewicz_factor(d, m, n)
-            pm = preperiodic_poly(d, m, n)
-            # poly divides P_{m,n}: resultant-free check via exact division
-            from pcflab.polynomials import divmod_exact
-
-            quot, rem = divmod_exact(pm * desc.poly.lead ** 0, desc.poly)
+            # poly divides P_{m,n} = g_n - g_m: resultant-free check via exact division
+            quot, rem = divmod_exact(gleason(d, n) - gleason(d, m), desc.poly)
             assert rem.is_zero
 
     def test_multiplicity_layer_for_d3(self):
@@ -229,7 +214,7 @@ class TestMisiurewiczOracle:
             raw = _naive_add(raw, naive_mul(_naive_pow(a, j), _naive_pow(b, d - 1 - j)))
         # the cofactor identity g_n - g_m = (a - b) * raw
         assert naive_mul(raw, _naive_add(a, [-c for c in b])) == list(
-            preperiodic_poly(d, m, n).coeffs
+            (gleason(d, n) - gleason(d, m)).coeffs
         )
         # poly is the primitive squarefree part of raw
         draw = [i * c for i, c in enumerate(raw)][1:]
@@ -292,9 +277,7 @@ class TestEnumerateAndCache:
     def test_cache_roundtrip(self, tmp_path):
         path = write_gleason_cache(tmp_path, 2, 5)
         assert path == gleason_cache_path(tmp_path, 2, 5)
-        from pcflab.polynomials import deserialize
-
-        assert deserialize(path.read_text()) == gleason(2, 5)
+        assert path.read_text() == serialize(gleason(2, 5))
         before = path.read_bytes()
         write_gleason_cache(tmp_path, 2, 5)
         assert path.read_bytes() == before

@@ -1,8 +1,11 @@
-"""Escape rates, Newton polygons, Weil and critical canonical heights."""
+"""Escape rates, Newton polygons, the Weil height and the PCF gate."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -12,7 +15,6 @@ from pcflab.errors import HypothesisUndecided
 from pcflab.heights import (
     AlgebraicNumber,
     conjugate_valuations,
-    critical_canonical_height,
     escape_rate_arch,
     green_nonarch,
     is_pcf_parameter,
@@ -26,6 +28,21 @@ from pcflab.polynomials import IntPolynomial
 from oracles import escape_rate_oracle, integer_orbit_is_finite
 
 P = IntPolynomial
+
+CUBICS = [(1, 1, 2, 1), (-2, 0, 0, 1), (-1, -1, 0, 1), (1, 1, 0, 1), (1, -3, 0, 1)]
+
+
+@lru_cache(maxsize=1)
+def box_alphas():
+    """Every irreducible monic c^2 + bc + e with |b|, |e| <= 6, and five
+    irreducible cubics, each as (coefficients, AlgebraicNumber)."""
+    quadratics = [
+        (e, b, 1)
+        for b in range(-6, 7)
+        for e in range(-6, 7)
+        if b * b - 4 * e < 0 or math.isqrt(b * b - 4 * e) ** 2 != b * b - 4 * e
+    ]
+    return tuple((c, AlgebraicNumber.from_min_poly(c, 0)) for c in quadratics + CUBICS)
 
 
 class TestEscapeRate:
@@ -93,6 +110,16 @@ class TestEscapeRate:
             assert res.escaped, c
             assert abs(res.value - want) <= res.error_bound < 1e-11, c
 
+    def test_bounded_verdict_bounds_the_rate(self):
+        # 1/4 + 10^-4 escapes slowly, past step 300: a 100-step bounded
+        # verdict's error bound 2^-100 (log B + log 2) must hold its rate
+        c = Fraction(1, 4) + Fraction(1, 10**4)
+        bounded = escape_rate_arch(2, c, max_iter=100)
+        escaped = escape_rate_arch(2, c)
+        assert not bounded.escaped and escaped.escaped
+        assert bounded.value == 0 < bounded.error_bound < 1e-29
+        assert escaped.value + escaped.error_bound <= bounded.error_bound
+
     def test_bounded_orbit_at_precision_cap_runs_one_pass_per_level(self, monkeypatch):
         # c = -2 from z = 1/2 stays in [-2, 2], but its enclosure degenerates
         # at every precision up to the cap; each pass computes its bail
@@ -110,6 +137,7 @@ class TestEscapeRate:
         res = local_height_arch(2, -2, Fraction(1, 2))
         assert not res.escaped and res.value == 0
         assert 0 < res.iterations_used < H.DEFAULT_MAX_ITER
+        assert float(res.error_bound * 2**res.iterations_used) == pytest.approx(math.log(4))
         assert precs == [wp + 32 for wp in (256, 512, 1024, 2048, 4096)]
 
     def test_wide_input_ball_stops_doubling(self, monkeypatch):
@@ -132,6 +160,8 @@ class TestEscapeRate:
         assert not res.escaped and res.value == 0
         assert res.iterations_used == 1951
         assert precs == [288, 544]
+        # B = 2 (1 + 2^-20): the window's bound is 2^-1951 (log B + log 2)
+        assert float(res.error_bound * 2**res.iterations_used) == pytest.approx(math.log(4))
 
 
 class TestLocalHeightFunctional:
@@ -233,56 +263,6 @@ class TestWeilHeight:
             assert abs(weil_height(alpha) - want) < 1e-60
 
 
-class TestCriticalCanonicalHeight:
-    def test_pcf_zero(self):
-        res = critical_canonical_height(2, 0, max_iter=300)
-        assert res.value == 0
-        assert res.undetermined  # bounded-after-N verdict, not a proof
-
-    def test_pcf_basilica(self):
-        res = critical_canonical_height(2, -1, max_iter=300)
-        assert res.value == 0
-
-    def test_integer_point_is_pure_archimedean(self):
-        res = critical_canonical_height(2, 1)
-        want = escape_rate_oracle(2, 1)
-        assert abs(res.value - want) < 1e-10
-        assert not res.undetermined
-        assert [c.place for c in res.contributions] == ["arch:0"]
-
-    def test_one_half_has_finite_part(self):
-        res = critical_canonical_height(2, Fraction(1, 2))
-        arch = escape_rate_oracle(2, Fraction(1, 2))
-        assert arch is not None  # orbit 0.5 -> 0.75 -> 1.0625 -> ... escapes
-        assert abs(res.value - (arch + mp.log(2))) < 1e-10
-        places = [c.place for c in res.contributions]
-        assert places == ["arch:0", 2]
-
-    def test_golden_ratio_embeddings(self):
-        # the conjugate 1 - phi = -0.618... lies inside the Mandelbrot set, so
-        # only the phi embedding contributes; the verdict is then "bounded
-        # after N steps" for that embedding, flagged as undetermined
-        alpha = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
-        res = critical_canonical_height(2, alpha, max_iter=600)
-        o1 = escape_rate_oracle(2, mp.mpf("-0.61803398874989484820458683436563811772"))
-        assert o1 is None
-        o2 = escape_rate_oracle(2, mp.mpf("1.61803398874989484820458683436563811772"))
-        assert abs(res.value - o2 / 2) < 1e-9
-        assert res.undetermined
-        assert sum(c.weight for c in res.contributions) == 1
-
-    def test_pcf_roots_have_tiny_height(self):
-        from pcflab.critical_orbit import exact_period_factor
-        from pcflab.rootfinder import all_roots
-
-        desc = exact_period_factor(2, 3)
-        ps = all_roots(desc.poly, 256)
-        for b in ps.roots:
-            alpha = AlgebraicNumber(min_poly=desc.poly, root_selector=b, degree=3)
-            res = critical_canonical_height(2, alpha, max_iter=400)
-            assert res.value < 1e-8
-
-
 class TestPcfGate:
     def test_rational_cases(self):
         assert is_pcf_parameter(2, 0)
@@ -326,21 +306,71 @@ class TestPcfGate:
         # a selected root that escapes still decides
         assert not is_pcf_parameter(2, AlgebraicNumber.from_min_poly(quartic, 3))
 
-    @pytest.mark.parametrize("coeffs, escaper", [([-1, -1, 1], 1.618), ([-2, 0, 1], 1.414)])
-    def test_escaping_conjugate_goes_first(self, monkeypatch, coeffs, escaper):
-        # the bounded conjugate (-0.618 or -sqrt(2)) would run for thousands of steps
-        real = heights.escape_rate_arch
-        tried = []
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_box_matches_recorded_verdicts(self, d):
+        # verdicts recorded from the escape-rate gate this one replaces; the
+        # integers -10..10 are test_integers_take_the_orbit_path's
+        pcf = {(2, (1, 0, 1)), (3, (1, 0, 1)), (2, (1, 1, 2, 1))}
+        for coeffs, alpha in box_alphas():
+            assert is_pcf_parameter(d, alpha) == ((d, coeffs) in pcf), coeffs
 
-        def recording(d, c, *args, **kwargs):
-            tried.append(float(c.center.real))
-            return real(d, c, *args, **kwargs)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_degree_three_and_below_need_no_balls(self, monkeypatch, d):
+        expected = {c: is_pcf_parameter(d, a) for c, a in box_alphas()}
 
-        monkeypatch.setattr(heights, "escape_rate_arch", recording)
-        for root in (0, 1):
-            tried.clear()
-            assert not is_pcf_parameter(2, AlgebraicNumber.from_min_poly(coeffs, root))
-            assert tried == [pytest.approx(escaper, abs=1e-3)]
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact gate isolated or iterated a ball")
+
+        monkeypatch.setattr(heights, "escape_rate_arch", refuse)
+        monkeypatch.setattr(heights, "all_roots", refuse)
+        monkeypatch.setattr(AlgebraicNumber, "conjugates", refuse)
+        assert {c: is_pcf_parameter(d, a) for c, a in box_alphas()} == expected
+        for a in range(-10, 11):
+            assert is_pcf_parameter(d, a) == integer_orbit_is_finite(d, a), a
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_witness_names_a_conjugate_beyond_the_cauchy_bound(self, d):
+        # Tr(u_n) is the sum of the ball orbits at the conjugates, and one
+        # of those balls is certifiably outside |z| <= R when the witness fires
+        from pcflab.critical_orbit import orbit
+        from pcflab.polynomials import ZERO, X, divmod_exact
+
+        fired = 0
+        for coeffs, alpha in box_alphas():
+            A = alpha.min_poly
+            R = max(2, 1 + max(map(abs, A.coeffs[:-1])))
+            t = heights.Residue(divmod_exact(X, A)[1], A)
+            exact = orbit(d, t, heights.Residue(ZERO, A))
+            for n, u in enumerate(islice(exact, 8)):
+                if heights._escape_witness(u, R):
+                    break
+            else:
+                continue
+            fired += 1
+            with mp.workprec(288):
+                prec = mp.mp.prec
+                zs = []
+                for b in alpha.conjugates(256):
+                    cb = heights._as_fixed(b)
+                    zs.append(next(islice(orbit(d, cb, heights._as_fixed(0)), n, None)))
+                assert max(z.abs_bounds()[0] for z in zs) > R << prec, coeffs
+                total = sum((z.ball().center for z in zs), mp.mpc(0))
+                assert abs(total - u.trace()) <= 1e-30 * (1 + abs(total)), coeffs
+        assert fired == len(box_alphas()) - (2 if d == 2 else 1)
+
+    def test_power_sums_are_the_conjugates(self):
+        # Newton's identities against the certified conjugates' power sums
+        for coeffs, alpha in box_alphas():
+            with mp.workprec(288):
+                conj = alpha.conjugates(256)
+                want = [sum(b.center**j for b in conj) for j in range(len(conj))]
+            got = heights._power_sums(alpha.min_poly)
+            assert all(abs(g - w) < 1e-60 for g, w in zip(got, want, strict=True)), coeffs
+
+    def test_spent_budget_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(heights, "ORBIT_CAP", 1)
+        with pytest.raises(HypothesisUndecided):
+            is_pcf_parameter(2, AlgebraicNumber.from_min_poly([-1, -1, 1], 1))
 
 
 class TestConjugateMemo:

@@ -14,8 +14,6 @@ from pcflab.critical_orbit import enumerate_factors
 from pcflab.errors import NotDivisible
 from pcflab.polynomials import (
     IntPolynomial,
-    compose,
-    deserialize,
     divide_exact,
     evaluate_exact,
     gcd,
@@ -26,7 +24,6 @@ from pcflab.polynomials import (
 
 from oracles import (
     horner_fraction,
-    naive_compose,
     naive_divmod,
     naive_gcd,
     naive_mul,
@@ -73,28 +70,6 @@ class TestBasics:
         assert (p**4).coeffs == (1, 4, 6, 4, 1)
         assert (P([]) ** 0).coeffs == (1,)
         assert (p**0).coeffs == (1,)
-
-
-class TestCompose:
-    def test_binomial_expansion(self):
-        # compose(t^2, t+1) = (t+1)^2
-        assert compose(P([0, 0, 1]), P([1, 1])).coeffs == (1, 2, 1)
-
-    def test_identity_left(self):
-        p = P([3, 0, -2, 1])
-        assert compose(P([0, 1]), p) == p
-
-    def test_self_composition_of_t2_plus_t(self):
-        # q(q(t)) for q = t^2 + t, frozen from the schoolbook oracle
-        q = [0, 1, 1]
-        expected = naive_compose(q, q)
-        assert expected == [0, 1, 2, 2, 1]
-        assert compose(P(q), P(q)).coeffs == tuple(expected)
-
-    @settings(max_examples=60)
-    @given(small_polys, small_polys, st.fractions(min_value=-4, max_value=4))
-    def test_compose_evaluate_commute(self, p, q, a):
-        assert evaluate_exact(compose(p, q), a) == evaluate_exact(p, evaluate_exact(q, a))
 
 
 class TestEvaluate:
@@ -259,19 +234,11 @@ class TestGcdAndSquarefree:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        p = P([-3, 0, 7, 120])
-        text = serialize(p)
-        assert text.splitlines()[0] == "deg=3"
-        assert deserialize(text) == p
+    def test_text_form(self):
+        assert serialize(P([-3, 0, 7, 120])) == "deg=3\n-3\n0\n7\n120\n"
 
     def test_zero_poly(self):
         assert serialize(P([])) == "deg=-1\n"
-        assert deserialize("deg=-1\n").is_zero
-
-    def test_rejects_noncanonical(self):
-        with pytest.raises(ValueError):
-            deserialize("deg=2\n1\n1\n0\n")
 
 
 class TestResultantRootsCrosscheck:

@@ -27,7 +27,6 @@ from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     all_roots,
-    closest_root_to,
     min_pairwise_distance,
     read_roots_cache,
     roots_cache_path,
@@ -205,27 +204,6 @@ class TestDerivedQueries:
         ps = all_roots(P([1, 1]), 128)
         with pytest.raises(ValueError):
             min_pairwise_distance(ps)
-
-    def test_closest_root(self):
-        ps = all_roots(P([0, 1, 1]), 128)
-        with mp.workprec(160):
-            idx, (lo, hi) = closest_root_to(ps, bl.exact_ball(1))
-            assert abs(complex(ps.roots[idx].center)) < 1e-30
-            assert lo <= 1 <= hi
-            idx, (lo, hi) = closest_root_to(ps, bl.exact_ball(Fraction(-9, 10)))
-            assert abs(complex(ps.roots[idx].center) + 1) < 1e-30
-            assert abs(float(lo) - 0.1) < 1e-12
-
-    def test_closest_root_cubic_from_one(self):
-        # closest root to 1 is one of the conjugate pair; expected distance
-        # recomputed from the companion-free oracle roots
-        want = min(abs(1 - complex(r)) for r in cubic_roots_oracle(CUBIC))
-        assert want == pytest.approx(1.3472054872, rel=1e-9)  # frozen digits
-        ps = all_roots(P(CUBIC), 192)
-        with mp.workprec(224):
-            idx, (lo, hi) = closest_root_to(ps, bl.exact_ball(1))
-        assert abs(complex(ps.roots[idx].center).real + 0.12256116687665361) < 1e-12
-        assert float(lo) == pytest.approx(want, rel=1e-12)
 
 
 class TestRootCache:
