@@ -7,6 +7,7 @@ import random
 import mpmath as mp
 import pytest
 
+import pcflab.balls as bl
 from pcflab.bounds import (
     BoundReport,
     LinearFormInput,
@@ -140,6 +141,17 @@ class TestProp31:
         v = prop31_bound(float(mp.log(2)), 2, 3, 1.0, 1.0)
         assert float(v) == pytest.approx((float(mp.log(2)) + 2) * 3**9, rel=1e-12)
         assert float(v) == pytest.approx(53008.3, rel=1e-4)
+
+    def test_empirical_vs_bound(self):
+        # alpha = 1 against the level-3 periodic parameters: every root is at
+        # distance >= 1, so the empirical max of log|x - alpha|^-1 is <= 0
+        ps = all_roots(P([1, 1, 2, 1]), 160)
+        with mp.workprec(200):
+            lows = [bl.dist_bounds(b, bl.exact_ball(1))[0] for b in ps.roots]
+            emp = max(-mp.log(lo) for lo in lows)
+        assert min(lows) > 1
+        bound = prop31_bound(0.0, 2, 3, 0.5, 1.0)
+        assert emp <= 0 <= bound
 
 
 class TestDegreeAndModulus:

@@ -114,6 +114,18 @@ class TestOrbit:
             assert u.poly == divmod_exact(gleason(d, n), A)[1], n
 
 
+class TestPreperiodic:
+    # P_{m,n} = g_n - g_m vanishes at the c with f_c^m(0) = f_c^n(0)
+    def test_examples(self):
+        assert (gleason(2, 2) - gleason(2, 0)).coeffs == (0, 1, 1)  # g_0 = 0
+        assert (gleason(2, 2) - gleason(2, 1)).coeffs == (0, 0, 1)  # c^2
+        assert (gleason(2, 3) - gleason(2, 1)).coeffs == (0, 0, 1, 2, 1)  # c^4+2c^3+c^2
+
+    def test_degree(self):
+        for d, m, n in [(2, 1, 4), (3, 2, 3)]:
+            assert (gleason(d, n) - gleason(d, m)).degree == d ** (n - 1)
+
+
 class TestExactPeriodFactor:
     def test_small_factors(self):
         assert exact_period_factor(2, 1).poly.coeffs == (0, 1)

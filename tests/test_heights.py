@@ -263,6 +263,70 @@ class TestWeilHeight:
             assert abs(weil_height(alpha) - want) < 1e-60
 
 
+class TestCriticalHeightByPlace:
+    """The critical height h(c) = sum over places of the critical escape
+    rate, averaged over conjugates: escape_rate_arch at the archimedean
+    place, green_nonarch at each prime."""
+
+    def test_pcf_zero(self):
+        res = escape_rate_arch(2, 0, max_iter=300)
+        assert not res.escaped and res.value == 0
+        # a bounded-after-N verdict, not a proof: the rate is only bounded
+        assert 0 < res.error_bound < 1e-80
+        assert all(green_nonarch(0, p) == 0 for p in (2, 3, 5))
+
+    def test_pcf_basilica(self):
+        res = escape_rate_arch(2, -1, max_iter=300)
+        assert not res.escaped and res.value == 0
+        assert res.iterations_used == 300
+
+    def test_integer_point_is_pure_archimedean(self):
+        res = escape_rate_arch(2, 1)
+        want = escape_rate_oracle(2, 1)
+        assert res.escaped
+        assert abs(res.value - want) <= res.error_bound < 1e-10
+        assert all(green_nonarch(1, p) == 0 for p in (2, 3, 5, 7))
+
+    def test_one_half_has_finite_part(self):
+        arch = escape_rate_oracle(2, Fraction(1, 2))
+        assert arch is not None  # orbit 0.5 -> 0.75 -> 1.0625 -> ... escapes
+        res = escape_rate_arch(2, Fraction(1, 2))
+        assert res.escaped and abs(res.value - arch) < 1e-10
+        with mp.workprec(300):
+            assert abs(green_nonarch(Fraction(1, 2), 2) - mp.log(2)) < 1e-60
+        assert green_nonarch(Fraction(1, 2), 3) == 0
+
+    def test_golden_ratio_embeddings(self):
+        # the conjugate 1 - phi = -0.618... lies inside the Mandelbrot set, so
+        # only the phi embedding contributes, and at half weight
+        alpha = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
+        o1 = escape_rate_oracle(2, mp.mpf("-0.61803398874989484820458683436563811772"))
+        assert o1 is None
+        o2 = escape_rate_oracle(2, mp.mpf("1.61803398874989484820458683436563811772"))
+        rates = {}
+        for b in alpha.conjugates():
+            res = escape_rate_arch(2, b, max_iter=600)
+            rates[round(float(b.center.real), 3)] = res
+        assert set(rates) == {-0.618, 1.618}
+        assert not rates[-0.618].escaped and rates[-0.618].value == 0
+        assert rates[-0.618].error_bound < 1e-100
+        assert rates[1.618].escaped and abs(rates[1.618].value - o2) < 1e-9
+        assert all(green_nonarch(alpha, p) == 0 for p in (2, 3, 5))
+
+    def test_pcf_roots_have_tiny_height(self):
+        from pcflab.critical_orbit import exact_period_factor
+        from pcflab.rootfinder import all_roots
+
+        desc = exact_period_factor(2, 3)
+        ps = all_roots(desc.poly, 256)
+        assert len(ps.roots) == 3
+        for b in ps.roots:
+            res = escape_rate_arch(2, b, max_iter=400)
+            assert not res.escaped and res.value == 0
+            assert res.error_bound < 1e-8
+        assert all(nonarch_mass(desc.poly, p) == 0 for p in (2, 3, 5))
+
+
 class TestPcfGate:
     def test_rational_cases(self):
         assert is_pcf_parameter(2, 0)

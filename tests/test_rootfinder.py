@@ -205,6 +205,34 @@ class TestDerivedQueries:
         with pytest.raises(ValueError):
             min_pairwise_distance(ps)
 
+    @staticmethod
+    def closest(ps, alpha):
+        """The root nearest alpha by center, with certified distance bounds."""
+        b = min(ps.roots, key=lambda r: abs(r.center - alpha.center))
+        return b, bl.dist_bounds(b, alpha)
+
+    def test_closest_root(self):
+        ps = all_roots(P([0, 1, 1]), 128)
+        with mp.workprec(160):
+            b, (lo, hi) = self.closest(ps, bl.exact_ball(1))
+            assert abs(complex(b.center)) < 1e-30
+            assert lo <= 1 <= hi
+            b, (lo, hi) = self.closest(ps, bl.exact_ball(Fraction(-9, 10)))
+            assert abs(complex(b.center) + 1) < 1e-30
+            assert abs(float(lo) - 0.1) < 1e-12
+
+    def test_closest_root_cubic_from_one(self):
+        # closest root to 1 is one of the conjugate pair; expected distance
+        # recomputed from the companion-free oracle roots
+        want = min(abs(1 - complex(r)) for r in cubic_roots_oracle(CUBIC))
+        assert want == pytest.approx(1.3472054872, rel=1e-9)  # frozen digits
+        ps = all_roots(P(CUBIC), 192)
+        with mp.workprec(224):
+            b, (lo, hi) = self.closest(ps, bl.exact_ball(1))
+        assert abs(complex(b.center).real + 0.12256116687665361) < 1e-12
+        assert float(lo) == pytest.approx(want, rel=1e-12)
+        assert lo <= hi
+
 
 class TestRootCache:
     def test_roundtrip_and_determinism(self, tmp_path):
