@@ -18,28 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath as mp
-
-# multiplicative pad applied to every radius computation (covers the
-# round-to-nearest error of the radius arithmetic itself)
-_UP = None
-_UP_PREC = -1
+from mpmath.libmp import fone, fzero, mpf_add, mpf_div, mpf_gt, mpf_hypot, mpf_mul, mpf_shift
+from mpmath.libmp import mpf_sub, round_nearest as RND  # mpmath's default rounding
 
 
-def _up():
-    # covers a few hundred ulps of radius-arithmetic rounding at the current precision
-    global _UP, _UP_PREC
-    if _UP_PREC != mp.mp.prec:
-        _UP = mp.mpf(1) + mp.mpf(2) ** (10 - mp.mp.prec)
-        _UP_PREC = mp.mp.prec
-    return _UP
+@lru_cache(maxsize=None)
+def _up(prec: int) -> tuple:
+    """1 + 2^(10-prec), the multiplicative pad applied to every radius
+    computation: covers a few hundred ulps of radius-arithmetic rounding."""
+    return mpf_add(fone, mpf_shift(fone, 10 - prec), prec, RND)
 
 
-def _eps() -> mp.mpf:
-    # ulp-scale bound for center rounding at the current precision, with margin
-    return mp.mpf(2) ** (3 - mp.mp.prec)
+def _eps(prec: int) -> tuple:
+    """2^(3-prec): ulp-scale bound for center rounding at prec, with margin."""
+    return mpf_shift(fone, 3 - prec)
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,9 @@ class ComplexBall:
     def abs_bounds(self) -> tuple[mp.mpf, mp.mpf]:
         """Rigorous lower/upper bounds for |z| over the ball."""
         m = abs(self.center)
-        lo = (m - self.radius * _up()) / _up()
-        hi = (m + self.radius) * _up()
+        up = mp.mpf(_up(mp.mp.prec))
+        lo = (m - self.radius * up) / up
+        hi = (m + self.radius) * up
         return (lo if lo > 0 else mp.mpf(0)), hi
 
     def __repr__(self) -> str:
@@ -79,7 +76,8 @@ def exact_ball(x: Number) -> ComplexBall:
     """Ball for a scalar, radius 0 when representable, ulp-sized otherwise."""
     if isinstance(x, int):
         c = mp.mpc(x)
-        r = mp.mpf(0) if abs(x).bit_length() <= mp.mp.prec else abs(c) * _eps()
+        exact = abs(x).bit_length() <= mp.mp.prec
+        r = mp.mpf(0) if exact else abs(c) * mp.mpf(_eps(mp.mp.prec))
         return ComplexBall(c, r)
     if isinstance(x, Fraction):
         c = mp.mpc(mp.mpf(x.numerator) / x.denominator)
@@ -88,7 +86,7 @@ def exact_ball(x: Number) -> ComplexBall:
             and x.denominator.bit_length() <= mp.mp.prec
             and (x.denominator & (x.denominator - 1)) == 0
         )
-        r = mp.mpf(0) if exactish else abs(c) * _eps()
+        r = mp.mpf(0) if exactish else abs(c) * mp.mpf(_eps(mp.mp.prec))
         return ComplexBall(c, r)
     c = mp.mpc(x)
     return ComplexBall(c, mp.mpf(0))
@@ -98,13 +96,25 @@ def ball(center: Number, radius: Number = 0) -> ComplexBall:
     return ComplexBall(mp.mpc(center), mp.mpf(radius))
 
 
+def dist_bounds_raw(z: tuple, w: tuple, rz: tuple, rw: tuple, prec: int) -> tuple:
+    """dist_bounds on _mpf_ tuples: centers z, w as (re, im) pairs, radii rz,
+    rw. Each step is the libmp call the mpf/mpc operators make, rounded to
+    nearest at prec, so the bounds are bit for bit those of the operators."""
+    up = _up(prec)
+    d = mpf_hypot(mpf_sub(z[0], w[0], prec, RND), mpf_sub(z[1], w[1], prec, RND), prec, RND)
+    pad = mpf_add(mpf_add(rz, rw, prec, RND), mpf_mul(d, _eps(prec), prec, RND), prec, RND)
+    pad = mpf_mul(pad, up, prec, RND)
+    lo = mpf_sub(mpf_div(d, up, prec, RND), pad, prec, RND)
+    hi = mpf_mul(mpf_add(d, pad, prec, RND), up, prec, RND)
+    return (lo if mpf_gt(lo, fzero) else fzero), hi
+
+
 def dist_bounds(a: ComplexBall, b: ComplexBall) -> tuple[mp.mpf, mp.mpf]:
     """Rigorous lower/upper bounds for |x - y|, x in a, y in b."""
-    d = abs(a.center - b.center)
-    pad = (a.radius + b.radius + d * _eps()) * _up()
-    lo = (d / _up()) - pad
-    hi = (d + pad) * _up()
-    return (lo if lo > 0 else mp.mpf(0)), hi
+    lo, hi = dist_bounds_raw(
+        a.center._mpc_, b.center._mpc_, a.radius._mpf_, b.radius._mpf_, mp.mp.prec
+    )
+    return mp.mp.make_mpf(lo), mp.mp.make_mpf(hi)
 
 
 def disjoint(a: ComplexBall, b: ComplexBall) -> bool:
@@ -116,7 +126,7 @@ def log_abs_interval(a: ComplexBall) -> tuple[mp.mpf, mp.mpf]:
     lo, hi = a.abs_bounds()
     if lo <= 0:
         raise ZeroDivisionError("log|z| unbounded: ball touches zero")
-    pad = _eps() * 4
+    pad = mp.mpf(_eps(mp.mp.prec)) * 4
     llo = mp.log(lo)
     lhi = mp.log(hi)
     return llo - abs(llo) * pad - pad, lhi + abs(lhi) * pad + pad
@@ -125,7 +135,7 @@ def log_abs_interval(a: ComplexBall) -> tuple[mp.mpf, mp.mpf]:
 def log_plus_interval(a: ComplexBall) -> tuple[mp.mpf, mp.mpf]:
     """Enclosure of log^+ |z| = log max(|z|, 1) over the ball."""
     lo, hi = a.abs_bounds()
-    pad = _eps() * 4
+    pad = mp.mpf(_eps(mp.mp.prec)) * 4
     if hi <= 1:
         return mp.mpf(0), mp.mpf(0)
     lhi = mp.log(hi)

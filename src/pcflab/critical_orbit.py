@@ -15,9 +15,9 @@ Preperiodic (Misiurewicz-type) factors come from the algebraic identity
 With a = g_{n-1}, b = g_{m-1} and q = gcd(n-1, m-1), the cofactor sum
 vanishes to order exactly d-1 on the roots of g_q (its only purely periodic
 roots) and simply at every strictly preperiodic parameter (Hutz-Towsley,
-Misiurewicz points for polynomial maps and transversality, NYJM 2015). So one
-exact division by g_q^(d-1) leaves the strictly preperiodic part, and the
-level-(m, n) factor is that part times g_q. Both are squarefree by these two
+Misiurewicz points for polynomial maps and transversality, NYJM 2015). So an
+exact division by g_q^(d-2) leaves the level-(m, n) factor, and one more by
+g_q its strictly preperiodic part. Both are squarefree by these two
 theorems, so nothing here re-checks it; the root finder's certificate, deg
 pairwise disjoint disks each holding a root, proves it for every factor it
 isolates.
@@ -160,26 +160,28 @@ def misiurewicz_factor(d: int, m: int, n: int) -> FactorDescriptor:
 
     With a = g_{n-1}, b = g_{m-1} (b = 0 for m = 1) and q = gcd(n-1, m-1),
     the cofactor raw = sum_j a^j b^(d-1-j) vanishes to order exactly d-1 on
-    the roots of g_q and simply everywhere else, so strict = raw / g_q^(d-1)
-    and poly = strict * g_q; both are squarefree by that theorem. A division
-    that leaves a remainder raises FactorizationStructureViolated. For m = 1,
-    raw = g_{n-1}^(d-1), so poly = g_{n-1} and strict = 1 (the only preimage
-    of the critical value is the critical point).
+    the roots of g_q and simply everywhere else, so poly = raw / g_q^(d-2)
+    (raw itself for d = 2) and strict = poly / g_q; both are squarefree by
+    that theorem. A division that leaves a remainder raises
+    FactorizationStructureViolated. For m = 1, raw = g_{n-1}^(d-1), so
+    poly = g_{n-1} and strict = 1 (the only preimage of the critical value
+    is the critical point).
     """
     if not (n > m >= 1):
         raise ValueError("need n > m >= 1")
     a = gleason(d, n - 1)
     b = gleason(d, m - 1)
     gq = gleason(d, math.gcd(n - 1, m - 1))
+    poly = _sigma(d, a, b)
     try:
-        strict = divide_exact(_sigma(d, a, b), gq ** (d - 1))
+        if d > 2:
+            poly = divide_exact(poly, gq ** (d - 2))
+        strict = divide_exact(poly, gq)
     except NotDivisible as exc:
         raise FactorizationStructureViolated(
             f"misiurewicz cofactor (d={d}, m={m}, n={n}) not divisible by g_q^(d-1)"
         ) from exc
-    return FactorDescriptor(
-        kind="misiurewicz", d=d, n=n, m=m, poly=strict * gq, strict_poly=strict
-    )
+    return FactorDescriptor(kind="misiurewicz", d=d, n=n, m=m, poly=poly, strict_poly=strict)
 
 
 def enumerate_factors(d: int, max_n: int) -> list[FactorDescriptor]:

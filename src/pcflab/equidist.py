@@ -12,7 +12,7 @@ constant exposed as a knob (default 1, with the fitted minimal value
 recorded).
 
 Algebraic alphas take the numeric route: certified root balls plus outward
-rounded kernel sums.
+rounded kernel sums, the plain-log one on mpmath's raw _mpf_ tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import mpmath as mp
+from mpmath import libmp
 
 from . import balls as bl
 from .critical_orbit import gleason, gleason_evaluator, orbit
@@ -80,28 +81,36 @@ def avg_log_distance_roots(
     balls = roots.roots if isinstance(roots, PCFParameterSet) else tuple(roots)
     if not balls:
         raise ValueError("empty root set")
-    total = mp.mpf(0)
-    halfwidth = mp.mpf(0)
+    n = len(balls)
     if kernel.kind == "plain-log":
+        # on _mpf_ tuples, each step the libmp call that its mpf operator
+        # makes, so both totals are bit for bit those of mpf arithmetic. Each
+        # summand is kept doubled: halving is exact, so it waits for the end
+        prec, rnd = mp.mp.prec, bl.RND
+        w, rw = alpha.center._mpc_, alpha.radius._mpf_
+        total = halfwidth = libmp.fzero
         for b in balls:
-            lo, hi = bl.dist_bounds(b, alpha)
-            if lo <= 0:
+            lo, hi = bl.dist_bounds_raw(b.center._mpc_, w, b.radius._mpf_, rw, prec)
+            if lo == libmp.fzero:
                 raise KernelSingular("alpha ball overlaps a root ball")
-            llo, lhi = mp.log(lo), mp.log(hi)
-            total += (llo + lhi) / 2
-            halfwidth += (lhi - llo) / 2
+            llo, lhi = libmp.mpf_log(lo, prec, rnd), libmp.mpf_log(hi, prec, rnd)
+            total = libmp.mpf_add(total, libmp.mpf_add(llo, lhi, prec, rnd), prec, rnd)
+            halfwidth = libmp.mpf_add(halfwidth, libmp.mpf_sub(lhi, llo, prec, rnd), prec, rnd)
+        total = mp.mp.make_mpf(libmp.mpf_shift(total, -1))
+        halfwidth = mp.mp.make_mpf(libmp.mpf_shift(halfwidth, -1))
     else:
+        total = mp.mpf(0)
+        halfwidth = mp.mpf(0)
         tau = mp.mpf(kernel.tau)
+        aplo, aphi = bl.log_plus_interval(alpha)
         for b in balls:
             xplo, xphi = bl.log_plus_interval(b)
-            aplo, aphi = bl.log_plus_interval(alpha)
             dlo, dhi = bl.dist_bounds(b, alpha)
             mlo, mhi = mp.log(max(tau, dlo)), mp.log(max(tau, dhi))
             lo = xplo + aplo - mhi
             hi = xphi + aphi - mlo
             total += (lo + hi) / 2
             halfwidth += (hi - lo) / 2
-    n = len(balls)
     return AvgResult(value=total / n, error_bound=halfwidth / n)
 
 

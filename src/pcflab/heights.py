@@ -21,8 +21,8 @@ exactly over Fractions.
 The PCF gate runs the same orbit exactly, on Residues of Z[t]/(A) for a
 monic minimal polynomial A: u_n is g_n(t) mod A. A repeat proves PCF, and a
 trace |Tr(u_n^k)| above D R^k (D = deg A, R its Cauchy bound) proves that a
-root of A escapes, all in integer arithmetic; up to degree 3 no ball and no
-root isolation is involved.
+root of A escapes, all in integer arithmetic; up to degree 3, or for an
+Eisenstein A, no ball and no root isolation is involved.
 """
 
 from __future__ import annotations
@@ -438,6 +438,21 @@ def _escape_witness(u: Residue, R: int) -> bool:
     return any(abs((u**k).trace()) > D * R**k for k in range(1, D + 1))
 
 
+_EISENSTEIN_PRIME_BOUND = 1 << 14  # primes tried by _eisenstein
+
+
+def _eisenstein(A: IntPolynomial) -> bool:
+    """A is Eisenstein at a prime p < _EISENSTEIN_PRIME_BOUND: p divides each
+    a_i with i < deg A, and p^2 does not divide a_0. Then A is irreducible
+    over Q. Only small primes are tried, so the test is cheap on any input,
+    and a miss proves nothing."""
+    g = math.gcd(*A.coeffs[:-1])
+    return any(
+        g % p == 0 and A.coeffs[0] % (p * p) != 0 and is_prime(p)
+        for p in range(2, min(g + 1, _EISENSTEIN_PRIME_BOUND))
+    )
+
+
 def is_pcf_parameter(d: int, alpha) -> bool:
     """Exact decision whether z^d + alpha is post-critically finite.
 
@@ -447,15 +462,16 @@ def is_pcf_parameter(d: int, alpha) -> bool:
     R = max(2, 1 + max_(i<D) |a_i|) bounds every root of A (Cauchy), so it is
     an escape radius for each of them, and |Tr(u_n^k)| > D R^k for some
     k <= D = deg A witnesses a root whose orbit leaves the R-disk and
-    escapes. Up to degree 3, where from_min_poly certifies A irreducible,
-    that witness proves alpha not PCF. By Kronecker's theorem one of the two
-    always happens: an orbit bounded at every root runs through finitely
-    many algebraic integers, and once a root's orbit exceeds C(D) R, Newton's
-    identities and Fujiwara's bound make the witness fire. Above degree 3,
-    A may be reducible and the witness may name a root of another factor, so
-    it only ends the iteration, and the selected root's certified escape
+    escapes. When A is irreducible, which from_min_poly certifies up to
+    degree 3 and an Eisenstein prime certifies at any degree, that witness
+    proves alpha not PCF. By Kronecker's theorem one of the two always
+    happens: an orbit bounded at every root runs through finitely many
+    algebraic integers, and once a root's orbit exceeds C(D) R, Newton's
+    identities and Fujiwara's bound make the witness fire. Otherwise A may
+    be reducible and the witness may name a root of another factor, so it
+    only ends the iteration, and the selected root's certified escape
     decides. Raises HypothesisUndecided when ORBIT_CAP steps decide nothing,
-    or when the selected root of a degree >= 4 alpha does not escape.
+    or when the selected root of such an alpha does not escape.
     """
     alpha = as_algebraic(alpha)
     A = alpha.min_poly  # primitive, with positive leading coefficient
@@ -463,6 +479,7 @@ def is_pcf_parameter(d: int, alpha) -> bool:
         return False
     D = A.degree
     R = max(2, 1 + max(map(abs, A.coeffs[:-1])))
+    irreducible = D <= 3 or _eisenstein(A)
     t = Residue(divmod_exact(X, A)[1], A)  # a constant when deg A = 1
     seen = set()
     for u in islice(orbit(d, t, Residue(ZERO, A)), ORBIT_CAP + 1):
@@ -472,9 +489,9 @@ def is_pcf_parameter(d: int, alpha) -> bool:
         if _escape_witness(u, R):
             break
     else:
-        if D <= 3:
+        if irreducible:
             raise HypothesisUndecided(f"no repeat and no escape witness in {ORBIT_CAP} steps")
-    if D <= 3:
+    if irreducible:
         return False
     # A may be reducible: only the selected root's own escape decides
     sel = alpha.selected_conjugate(DEFAULT_BITS)

@@ -204,3 +204,33 @@ def integer_orbit_is_finite(d: int, a: int) -> bool:
         seen.add(u)
         u = u**d + a
     return True
+
+
+def mp_dist_bounds(a, b):
+    """Bounds on |x - y| over two disks (objects with .center and .radius),
+    by the mp-object formula at the working precision: the center distance,
+    padded by both radii plus an eps = 2^(3-prec) share of the distance, and
+    the whole scaled by up = 1 + 2^(10-prec)."""
+    up = mp.mpf(1) + mp.mpf(2) ** (10 - mp.mp.prec)
+    eps = mp.mpf(2) ** (3 - mp.mp.prec)
+    d = abs(a.center - b.center)
+    pad = (a.radius + b.radius + d * eps) * up
+    lo = (d / up) - pad
+    hi = (d + pad) * up
+    return (lo if lo > 0 else mp.mpf(0)), hi
+
+
+def mp_avg_log_distance(disks, alpha):
+    """(value, error_bound) of the plain-log kernel average over disks, in
+    mp objects: the midpoint and half-width of [log lo, log hi] per disk,
+    summed, over the count. None when alpha's disk meets one of them."""
+    total = mp.mpf(0)
+    halfwidth = mp.mpf(0)
+    for b in disks:
+        lo, hi = mp_dist_bounds(b, alpha)
+        if lo <= 0:
+            return None
+        llo, lhi = mp.log(lo), mp.log(hi)
+        total += (llo + lhi) / 2
+        halfwidth += (lhi - llo) / 2
+    return total / len(disks), halfwidth / len(disks)

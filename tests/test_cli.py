@@ -231,6 +231,26 @@ class TestExitCodes:
         assert code == 9 and "HypothesisUndecided" in err
         assert out == ""
 
+    def test_eisenstein_quartic_alpha_is_decided(self, tmp_path, capsys):
+        # root 0 of c^4 - 2 is -2^(1/4), whose orbit stays bounded for d = 2;
+        # c^4 - 2 is Eisenstein at 2, so irreducible, and the escape of its
+        # conjugate 2^(1/4) proves every root non-PCF
+        code, out, err = run(
+            ["integral-scan", "--d", "2", "--max-n", "3", "--alpha=-2,0,0,0,1:0",
+             "--S", "2", "--cache", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("# alpha=deg4:-2,0,0,0,1 S={2}")
+        assert lines[1].startswith("kind\t")
+        assert [line.split("\t")[:3] for line in lines[2:]] == [
+            ["exact-period", "-", "1"],
+            ["exact-period", "-", "2"],
+            ["exact-period", "-", "3"],
+            ["misiurewicz", "2", "3"],
+        ]
+
     def test_equidist_needs_two_levels(self, tmp_path, capsys):
         # equidist's levels start at n = 2: --max-n 1 has no level to report
         # or plot, and is refused before anything is written

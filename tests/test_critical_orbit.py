@@ -26,7 +26,7 @@ from pcflab.critical_orbit import (
     orbit,
     write_gleason_cache,
 )
-from pcflab.errors import DegreeCapExceeded
+from pcflab.errors import DegreeCapExceeded, FactorizationStructureViolated
 from pcflab.fixedball import FixedBall, FixedPoint
 from pcflab.heights import Residue
 from pcflab.numtheory import divisors, mobius
@@ -34,6 +34,7 @@ from pcflab.polynomials import (
     ZERO,
     IntPolynomial,
     X,
+    divide_exact,
     divmod_exact,
     evaluate_exact,
     is_squarefree,
@@ -189,6 +190,34 @@ class TestMisiurewiczFactor:
         desc = misiurewicz_factor(3, 2, 4)
         assert evaluate_exact(desc.poly, 0) == 0
         assert evaluate_exact(desc.strict_poly, 0) != 0
+
+    @pytest.mark.parametrize("d,max_n", [(2, 8), (3, 6), (4, 4)])
+    def test_factor_is_strict_part_times_g_q(self, d, max_n):
+        # poly = raw / g_q^(d-2) and strict = poly / g_q; poly is what strict
+        # times g_q gave, from raw / g_q^(d-1)
+        for n in range(2, max_n + 1):
+            for m in range(1, n):
+                desc = misiurewicz_factor(d, m, n)
+                a, b = gleason(d, n - 1), gleason(d, m - 1)
+                gq = gleason(d, math.gcd(n - 1, m - 1))
+                raw = ZERO
+                for j in range(d):
+                    raw = raw + a**j * b ** (d - 1 - j)
+                assert desc.poly == desc.strict_poly * gq
+                assert desc.poly == divide_exact(raw, gq ** (d - 1)) * gq
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_g_q_not_dividing_raw_raises(self, d, monkeypatch):
+        # (m, n) = (3, 6) has q = 1; c + 1 in place of g_1 divides no cofactor
+        import pcflab.critical_orbit as co
+
+        real = co.gleason
+        monkeypatch.setattr(co, "gleason", lambda d, k: P([1, 1]) if k == 1 else real(d, k))
+        with pytest.raises(FactorizationStructureViolated) as exc:
+            misiurewicz_factor(d, 3, 6)
+        assert str(exc.value) == (
+            f"misiurewicz cofactor (d={d}, m=3, n=6) not divisible by g_q^(d-1)"
+        )
 
 
 def _naive_add(p: list, q: list) -> list:

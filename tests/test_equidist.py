@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 import pcflab.balls as bl
-from pcflab.critical_orbit import gleason, orbit
+from pcflab.critical_orbit import gleason, gleason_evaluator, orbit
 from pcflab.equidist import (
     KernelSpec,
     avg_log_distance_roots,
@@ -21,7 +21,12 @@ from pcflab.errors import HypothesisViolated, KernelSingular
 from pcflab.heights import AlgebraicNumber, escape_rate_arch
 from pcflab.rootfinder import all_roots
 
-from oracles import escape_rate_oracle, horner_fraction
+from oracles import (
+    escape_rate_oracle,
+    horner_fraction,
+    mp_avg_log_distance,
+    mp_dist_bounds,
+)
 
 
 def orbit_value(d: int, n: int, alpha: Fraction) -> Fraction:
@@ -84,6 +89,66 @@ class TestRootsAverage:
                 ps, bl.exact_ball(2), KernelSpec("truncated", 0.5)
             )
             assert abs(res.value - (mp.log(2) - mp.log(2))) < 1e-30
+
+
+GOLDEN = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)  # -0.618..., as rerun's equidist
+
+
+@pytest.fixture(scope="module")
+def golden_root_sets():
+    return {
+        n: all_roots(gleason(2, n), 128, evaluator=gleason_evaluator(2, n)).roots
+        for n in range(2, 9)
+    }
+
+
+def _hand_made_cases():
+    """(root disks, alpha disk): radius 0, a wide radius, alpha nearly on a root."""
+    a = bl.ball(mp.mpc("0.25", "-1.5"))
+    return [
+        ([bl.ball(mp.mpc(1, 2)), bl.ball(mp.mpc("-0.75", 0))], a),
+        ([bl.ball(mp.mpc(3, -4), mp.mpf("1.75")), bl.ball(mp.mpc(-5, 0), mp.mpf(2))], a),
+        ([bl.ball(mp.mpc("0.25", "-1.5") + mp.mpf(2) ** -40, mp.mpf(2) ** -52)], a),
+    ]
+
+
+class TestRawLoopIsBitIdentical:
+    """The plain-log average and dist_bounds run on _mpf_ tuples; they must
+    give the _mpf_ of the mp-object formula exactly, at every precision."""
+
+    @staticmethod
+    def assert_same(disks, alpha):
+        got = avg_log_distance_roots(disks, alpha)
+        want_value, want_error = mp_avg_log_distance(disks, alpha)
+        assert got.value._mpf_ == want_value._mpf_
+        assert got.error_bound._mpf_ == want_error._mpf_
+        for b in disks:
+            got_lo, got_hi = bl.dist_bounds(b, alpha)
+            want_lo, want_hi = mp_dist_bounds(b, alpha)
+            assert (got_lo._mpf_, got_hi._mpf_) == (want_lo._mpf_, want_hi._mpf_)
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_golden_ratio_levels(self, golden_root_sets, prec):
+        with mp.workprec(prec):
+            alpha = GOLDEN.selected_conjugate(prec)
+            for disks in golden_root_sets.values():
+                self.assert_same(disks, alpha)
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("case", range(3))
+    def test_hand_made_disks(self, prec, case):
+        with mp.workprec(prec):
+            self.assert_same(*_hand_made_cases()[case])
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_alpha_inside_a_root_disk_is_singular(self, prec):
+        with mp.workprec(prec):
+            alpha = bl.ball(mp.mpc("0.5", "0.5"), mp.mpf(2) ** -60)
+            disks = [bl.ball(mp.mpc(2, 0)), bl.ball(mp.mpc("0.5", "0.5001"), mp.mpf("0.001"))]
+            assert mp_avg_log_distance(disks, alpha) is None
+            assert bl.dist_bounds(disks[1], alpha)[0] == 0 == mp_dist_bounds(disks[1], alpha)[0]
+            with pytest.raises(KernelSingular):
+                avg_log_distance_roots(disks, alpha)
 
 
 class TestTruncatedKernel:

@@ -370,6 +370,29 @@ class TestPcfGate:
         # a selected root that escapes still decides
         assert not is_pcf_parameter(2, AlgebraicNumber.from_min_poly(quartic, 3))
 
+    def test_eisenstein_criterion(self):
+        assert heights._eisenstein(IntPolynomial([-2, 0, 0, 0, 1]))  # at 2
+        assert heights._eisenstein(IntPolynomial([18, 12, 0, 0, 1]))  # at 2, not 3
+        assert heights._eisenstein(IntPolynomial([-3 * 16381, 0, 0, 0, 1]))  # at 16381
+        assert not heights._eisenstein(IntPolynomial([4, 0, 0, 0, 1]))  # (c^2+2c+2)(c^2-2c+2)
+        assert not heights._eisenstein(IntPolynomial([-1, 1, 0, 1, 1]))
+        assert not heights._eisenstein(IntPolynomial([-16411, 0, 0, 0, 1]))  # past the bound
+
+    def test_eisenstein_quartic_needs_no_balls(self, monkeypatch):
+        # c^4 - 2 is irreducible: the escape of 2^(1/4) decides for all four
+        # roots, the bounded -2^(1/4) included
+        alphas = [AlgebraicNumber.from_min_poly([-2, 0, 0, 0, 1], k) for k in range(4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact gate isolated or iterated a ball")
+
+        monkeypatch.setattr(heights, "escape_rate_arch", refuse)
+        monkeypatch.setattr(heights, "all_roots", refuse)
+        monkeypatch.setattr(AlgebraicNumber, "conjugates", refuse)
+        for alpha in alphas:
+            assert alpha.degree == 4
+            assert not is_pcf_parameter(2, alpha)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_box_matches_recorded_verdicts(self, d):
         # verdicts recorded from the escape-rate gate this one replaces; the
