@@ -38,7 +38,6 @@ from .integrality import (
     PrimeSet,
     census,
     is_S_integral,
-    meeting_primes_fast,
     meeting_test_exact,
 )
 from .bounds import (
@@ -91,7 +90,6 @@ __all__ = [
     "is_pcf_parameter",
     "local_height_functional_check",
     "mahler_separation_bound",
-    "meeting_primes_fast",
     "meeting_test_exact",
     "min_pairwise_distance",
     "misiurewicz_factor",

@@ -176,15 +176,14 @@ def thm15_threshold(C1: float, s_size: int, field_degree: int) -> float:
     return float(C1) * s_size**3 * field_degree**8
 
 
-def separation_check(root_sets) -> list[BoundReport]:
+def separation_check(descs, root_sets) -> list[BoundReport]:
     """Per-factor check: min pairwise root distance >= separation bound.
 
-    Each root set's source is its FactorDescriptor; sets of degree < 2 have
-    no pair to check and are skipped.
+    root_sets[i] holds the roots of the FactorDescriptor descs[i]; factors of
+    degree < 2 have no pair to check and are skipped.
     """
     out = []
-    for ps in root_sets:
-        desc = ps.source
+    for desc, ps in zip(descs, root_sets, strict=True):
         if desc.poly.degree < 2:
             continue
         sep = mahler_separation_bound(desc.poly.degree, desc.poly.max_abs_coeff())

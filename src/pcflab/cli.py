@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="base point: rational a/b, or min-poly coefficients c0,c1,..[:root]",
         )
         p.add_argument("--S", type=str, default=None, help="comma-separated primes")
-        p.add_argument("--tau", type=float, default=None, help="kernel truncation in (0,1)")
+        p.add_argument(
+            "--tau", type=float, default=None, help="in (0,1): the 1/tau term of the rate-shape bound"
+        )
         p.add_argument("--C", type=float, default=None, help="rate-shape constant knob")
         p.add_argument("--plot", action="store_true", default=None, help="emit an SVG plot")
         p.add_argument("--cache", type=str, default=None, help="cache directory")
@@ -229,41 +230,53 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cached_root_sets(jobs):
-    """Root sets of jobs (path, poly, bits, evaluator, source), in job order.
+    """Root sets of jobs (path, poly, bits, evaluator), in job order.
 
     Every cache is read first. With two or more misses and two or more usable
     CPUs (one where os.sched_getaffinity does not exist, as on macOS and
-    Windows), the misses are split in two shares by degree; a forked child
-    isolates one share and writes its caches, which are then read back
-    exactly. Each job runs even after another fails; the error raised is that
-    of the lowest-indexed failing job, the one a serial loop raises.
+    Windows), the misses are split in two shares by degree, and a forked
+    child isolates one share; the caches it writes are its only output. This
+    process isolates the other share, reads the child's caches back exactly,
+    and isolates here whatever the child left unwritten: every job is
+    deterministic, so a job that failed there fails here with the same error.
+    Each job runs even after another fails; the error raised is that of the
+    lowest-indexed failing job, the one a serial loop raises.
     """
     jobs = list(jobs)
-    sets = [read_roots_cache(path, poly, bits, source=source)
-            for path, poly, bits, _, source in jobs]
+    sets = [read_roots_cache(path, poly, bits) for path, poly, bits, _ in jobs]
     misses = [i for i, ps in enumerate(sets) if ps is None]
-    mine, theirs, pid, pipe = misses, [], 0, None
+    mine, theirs, pid = misses, [], 0
     if len(misses) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
         mine, theirs = _split_by_degree(jobs, misses)
         try:
-            pid, pipe = _fork_isolation(jobs, theirs)
-        except OSError:  # no process or descriptor to spare: a serial run
-            mine = misses
+            # fork, not spawn: the CLI runs no threads, and a spawned child
+            # would pay the 0.3 s import again and rebuild the polynomials
+            pid = os.fork()
+        except OSError:  # no process to spare: a serial run
+            mine, theirs = misses, []
+        else:
+            if pid == 0:
+                try:
+                    _isolate(jobs, theirs, sets)
+                finally:
+                    # no atexit hooks, and no flush of the buffers inherited
+                    # from this process; the child's errors are raised here
+                    os._exit(0)
     try:
         errors = _isolate(jobs, mine, sets)
         if pid:
-            payload = pipe.read()
-            child, status = os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
             pid = 0
-            errors.update(_child_outcome(child, status, payload, jobs, theirs, sets))
     finally:
-        if pipe is not None:
-            pipe.close()
         if pid:
             import signal  # here, so that a run that forks nothing imports nothing new
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for i in theirs:
+        path, poly, bits, _ = jobs[i]
+        sets[i] = read_roots_cache(path, poly, bits)
+    errors.update(_isolate(jobs, [i for i in theirs if sets[i] is None], sets))
     if errors:
         raise errors[min(errors)]
     return sets
@@ -283,66 +296,19 @@ def _isolate(jobs, indices, sets) -> dict:
     """Isolate and cache jobs[i] into sets[i]; returns {i: error} of the failures."""
     errors = {}
     for i in indices:
-        path, poly, bits, evaluator, source = jobs[i]
+        path, poly, bits, evaluator = jobs[i]
         try:
-            sets[i] = all_roots(poly, bits, evaluator=evaluator, source=source)
+            sets[i] = all_roots(poly, bits, evaluator=evaluator)
             write_roots_cache(path, poly, sets[i])
         except Exception as exc:
             errors[i] = exc
     return errors
 
 
-def _fork_isolation(jobs, indices):
-    """(pid, read end of its pipe) of a child that isolates and caches jobs[i]
-    for i in indices, then sends its lowest-indexed (i, error), if any."""
-    # fork, not spawn: the CLI runs no threads, and a spawned child would pay
-    # the 0.3 s import again and rebuild the polynomials it is sent
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            errors = _isolate(jobs, indices, [None] * len(jobs))
-            if errors:
-                first = min(errors)
-                with os.fdopen(wfd, "wb") as pipe:
-                    pipe.write(pickle.dumps((first, errors[first])))
-            status = 0
-        finally:
-            # no atexit hooks, and no flush of the buffers inherited from the
-            # parent; an error that does not pickle leaves with status 1
-            os._exit(status)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb")
-
-
-def _child_outcome(pid: int, status: int, payload: bytes, jobs, indices, sets) -> dict:
-    """Read the child's caches back into sets; returns {i: error} of its failures."""
-    if os.WIFSIGNALED(status):
-        raise PcfLabError(f"root isolation child {pid} died by signal {os.WTERMSIG(status)}")
-    if os.WEXITSTATUS(status) != 0:
-        raise PcfLabError(f"root isolation child {pid} exited with status {os.WEXITSTATUS(status)}")
-    errors = dict([pickle.loads(payload)]) if payload else {}
-    for i in indices:
-        if i >= min(errors, default=len(jobs)):
-            break
-        path, poly, bits, _, source = jobs[i]
-        sets[i] = read_roots_cache(path, poly, bits, source=source)
-        if sets[i] is None:
-            errors[i] = PcfLabError(f"root isolation child {pid} left no readable cache at {path}")
-    return errors
-
-
 def _gleason_jobs(cfg: RunConfig, levels, bits: int) -> list:
     return [
         (roots_cache_path(cfg.cache_dir, cfg.d, n, bits), gleason(cfg.d, n), bits,
-         gleason_evaluator(cfg.d, n), None)
+         gleason_evaluator(cfg.d, n))
         for n in levels
     ]
 
@@ -445,14 +411,14 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
         f"pcf-modulus-value-d{cfg.d}\t{mp.nstr(pcf_modulus_bound(cfg.d), 10)}\t-\t-"
     )
     bits = min(cfg.bits, 128)
+    descs = [desc for desc in enumerate_factors(cfg.d, cfg.max_n) if desc.poly.degree >= 1]
     root_sets = cached_root_sets(
         (factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
-         desc.poly, bits, factor_evaluator(desc), desc)
-        for desc in enumerate_factors(cfg.d, cfg.max_n)
-        if desc.poly.degree >= 1
+         desc.poly, bits, factor_evaluator(desc))
+        for desc in descs
     )
     lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
-    lines.extend(rep.line() for rep in separation_check(root_sets))
+    lines.extend(rep.line() for rep in separation_check(descs, root_sets))
     s_size = max(1, len(cfg.s_primes) + 1)
     lines.append(
         f"thm15-threshold\t{thm15_threshold(cfg.C, s_size, alpha.degree):g}\t-\t-"

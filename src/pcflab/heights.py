@@ -40,7 +40,7 @@ from . import balls as bl
 from .critical_orbit import orbit
 from .errors import HypothesisUndecided, NonSquarefreeInput
 from .fixedball import FixedBall
-from .numtheory import is_prime, valuation
+from .numtheory import _MR_PROVEN_LIMIT, is_prime, valuation
 from .polynomials import (
     ZERO,
     IntPolynomial,
@@ -442,15 +442,22 @@ _EISENSTEIN_PRIME_BOUND = 1 << 14  # primes tried by _eisenstein
 
 
 def _eisenstein(A: IntPolynomial) -> bool:
-    """A is Eisenstein at a prime p < _EISENSTEIN_PRIME_BOUND: p divides each
-    a_i with i < deg A, and p^2 does not divide a_0. Then A is irreducible
-    over Q. Only small primes are tried, so the test is cheap on any input,
-    and a miss proves nothing."""
+    """A is Eisenstein at a prime p: p divides each a_i with i < deg A, and
+    p^2 does not divide a_0. Then A is irreducible over Q. The primes tried
+    are those below _EISENSTEIN_PRIME_BOUND that divide g = gcd(a_i, i < deg A),
+    then what is left of g once they are divided out, when that is a proven
+    prime. So the test is cheap on any input, and a miss proves nothing."""
+    a0 = A.coeffs[0]
     g = math.gcd(*A.coeffs[:-1])
-    return any(
-        g % p == 0 and A.coeffs[0] % (p * p) != 0 and is_prime(p)
-        for p in range(2, min(g + 1, _EISENSTEIN_PRIME_BOUND))
-    )
+    p = 2
+    while p <= g and p < _EISENSTEIN_PRIME_BOUND:
+        if g % p == 0:  # prime: every smaller prime is divided out of g
+            if a0 % (p * p):
+                return True
+            while g % p == 0:
+                g //= p
+        p += 1
+    return 1 < g < _MR_PROVEN_LIMIT and is_prime(g) and a0 % (g * g) != 0
 
 
 def is_pcf_parameter(d: int, alpha) -> bool:

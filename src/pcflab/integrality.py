@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .critical_orbit import FactorDescriptor, enumerate_factors
+from .critical_orbit import enumerate_factors
 from .errors import HypothesisViolated
 from .heights import AlgebraicNumber, as_algebraic, is_pcf_parameter
 from .numtheory import factorize, is_prime
@@ -54,39 +54,6 @@ class PrimeSet:
 class IntegralityVerdict:
     meeting_primes: frozenset[int]
     is_S_integral: bool
-    method: str  # "resultant-fast" | "newton-exact"
-
-
-def _factor_poly(x_factor) -> IntPolynomial:
-    if isinstance(x_factor, FactorDescriptor):
-        return x_factor.poly
-    return x_factor
-
-
-def meeting_primes_fast(B: IntPolynomial, A: IntPolynomial) -> set[int]:
-    """Primes p with v_p(Res(B, A)) > deg(B) * v_p(lead(A)).
-
-    B must be monic. Away from lead(A) this is exactly "p divides the
-    resultant"; on primes dividing lead(A) it is a conservative normalization
-    that is_S_integral refines with the exact residue test.
-    """
-    return _meeting_primes(B, A, _lead_factors(A))
-
-
-def _lead_factors(A: IntPolynomial) -> dict[int, int]:
-    lead = abs(A.lead)
-    return factorize(lead) if lead > 1 else {}
-
-
-def _meeting_primes(B: IntPolynomial, A: IntPolynomial, lead_fac: dict[int, int]) -> set[int]:
-    """meeting_primes_fast, given the factorization of lead(A)."""
-    if not B.is_monic:
-        raise ValueError("factor polynomial must be monic")
-    r = resultant(B, A)
-    if r == 0:
-        raise ValueError("factor shares a root with the base point")
-    r_fac = factorize(r) if abs(r) > 1 else {}
-    return {p for p, e in r_fac.items() if e > B.degree * lead_fac.get(p, 0)}
 
 
 def meeting_test_exact(B: IntPolynomial, A: IntPolynomial, p: int) -> bool:
@@ -108,35 +75,29 @@ def meeting_test_exact(B: IntPolynomial, A: IntPolynomial, p: int) -> bool:
 
 
 def is_S_integral(
-    x_factor: Union[FactorDescriptor, IntPolynomial],
+    B: IntPolynomial,
     alpha: Union[AlgebraicNumber, Fraction, int],
     S: Union[PrimeSet, Iterable[int]],
 ) -> IntegralityVerdict:
-    """Verdict for one squarefree monic factor against the base point.
+    """Verdict for one squarefree monic factor B against the base point.
 
-    Fast resultant support everywhere, refined by the exact residue test on
-    the primes dividing lead(A), where the fast normalization can misreport.
+    The meeting primes are the primes of Res(B, A) that do not divide
+    lead(A), where the resultant support is exact, and the primes of lead(A)
+    where the exact residue test holds.
     """
     if not isinstance(S, PrimeSet):
         S = PrimeSet.of(S)
-    B = _factor_poly(x_factor)
     A = as_algebraic(alpha).min_poly
-    lead_fac = _lead_factors(A)
-    meeting = _meeting_primes(B, A, lead_fac)
-    method = "resultant-fast"
-    if lead_fac:
-        method = "newton-exact"
-        for p in lead_fac:
-            if meeting_test_exact(B, A, p):
-                meeting.add(p)
-            else:
-                meeting.discard(p)
-    meeting_frozen = frozenset(meeting)
-    return IntegralityVerdict(
-        meeting_primes=meeting_frozen,
-        is_S_integral=meeting_frozen.issubset(set(S.primes)),
-        method=method,
-    )
+    if not B.is_monic:
+        raise ValueError("factor polynomial must be monic")
+    r = resultant(B, A)
+    if r == 0:
+        raise ValueError("factor shares a root with the base point")
+    lead = abs(A.lead)
+    meeting = {p for p in (factorize(r) if abs(r) > 1 else {}) if lead % p}
+    if lead > 1:
+        meeting.update(p for p in factorize(lead) if meeting_test_exact(B, A, p))
+    return IntegralityVerdict(frozenset(meeting), meeting.issubset(S.primes))
 
 
 @dataclass(frozen=True)

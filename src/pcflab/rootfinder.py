@@ -195,7 +195,6 @@ class CoefficientEvaluator(Evaluator):
 class PCFParameterSet:
     """Certified, isolated roots of one factor polynomial, sorted by center."""
 
-    source: object  # FactorDescriptor or IntPolynomial
     precision_bits: int
     roots: tuple[bl.ComplexBall, ...]
 
@@ -442,8 +441,6 @@ def all_roots(
     p: IntPolynomial,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     evaluator=None,
-    max_precision: int = MAX_PRECISION_BITS,
-    source=None,
 ) -> PCFParameterSet:
     """All complex roots of a squarefree p with disjoint certified disks.
 
@@ -455,7 +452,7 @@ def all_roots(
     when gcd(p, p') is nonconstant. An orbit evaluator's factor is not
     checked: deg pairwise disjoint inclusion disks, each holding a root,
     prove deg simple roots. Raises PrecisionExhausted when certification
-    still fails at max_precision.
+    still fails at MAX_PRECISION_BITS.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -464,13 +461,13 @@ def all_roots(
         a0, a1 = p.coeffs
         with mp.workprec(precision_bits + 16):
             root = bl.exact_ball(Fraction(-a0, a1))
-        return PCFParameterSet(source if source is not None else p, precision_bits, (root,))
+        return PCFParameterSet(precision_bits, (root,))
     if evaluator is None:
         evaluator = CoefficientEvaluator(p)
 
     zs = [mp.mpc(z) for z in _aberth_f64(evaluator, evaluator.starts_f64(p))]
     wp = precision_bits + 64
-    wp_limit = max(max_precision + 64, wp)  # always at least one pass
+    wp_limit = max(MAX_PRECISION_BITS + 64, wp)  # always at least one pass
     disks: list = [None] * degree
     todo: Sequence[int] = range(degree)
     repair = False
@@ -492,13 +489,11 @@ def all_roots(
             todo = sorted(failed | _overlapping(disks))
             if not todo:
                 disks.sort(key=_sort_key)
-                return PCFParameterSet(
-                    source if source is not None else p, precision_bits, tuple(disks)
-                )
+                return PCFParameterSet(precision_bits, tuple(disks))
         wp *= 2
         repair = True
     raise PrecisionExhausted(
-        f"could not certify {degree} disjoint root disks at {max_precision} bits"
+        f"could not certify {degree} disjoint root disks at {MAX_PRECISION_BITS} bits"
     )
 
 
@@ -577,7 +572,7 @@ def write_roots_cache(path: Path, poly: IntPolynomial, pset: PCFParameterSet) ->
     return path
 
 
-def read_roots_cache(path: Path, poly: IntPolynomial, bits: int, source=None):
+def read_roots_cache(path: Path, poly: IntPolynomial, bits: int):
     """The cached root set, or None when the file is missing, is not a v2
     file for this polynomial and precision, or fails its root-line digest."""
     path = Path(path)
@@ -607,4 +602,4 @@ def read_roots_cache(path: Path, poly: IntPolynomial, bits: int, source=None):
             balls.append(bl.ComplexBall(center, mp.mp.make_mpf(_mpf_from_token(r_t))))
     except ValueError:
         return None
-    return PCFParameterSet(source if source is not None else poly, bits, tuple(balls))
+    return PCFParameterSet(bits, tuple(balls))

@@ -172,24 +172,22 @@ class TestDegreeAndModulus:
 
     @staticmethod
     def lattice_root_sets(d, max_n):
-        return [
-            all_roots(desc.poly, 128, evaluator=factor_evaluator(desc), source=desc)
-            for desc in enumerate_factors(d, max_n)
-            if desc.poly.degree >= 1
-        ]
+        """(descriptors, root sets) of the lattice factors of degree >= 1."""
+        descs = [desc for desc in enumerate_factors(d, max_n) if desc.poly.degree >= 1]
+        return descs, [all_roots(desc.poly, 128, evaluator=factor_evaluator(desc)) for desc in descs]
 
     def test_modulus_batch_small(self):
-        rep = pcf_modulus_check(2, 4, self.lattice_root_sets(2, 4))
+        rep = pcf_modulus_check(2, 4, self.lattice_root_sets(2, 4)[1])
         assert rep.satisfied
         assert rep.inputs["roots_checked"] > 0
         # the level-3 Misiurewicz parameter -2 sits exactly on the circle
         assert float(rep.empirical_value) == pytest.approx(2.0, abs=1e-20)
 
     def test_separation_per_factor_in_lattice_order(self):
-        root_sets = self.lattice_root_sets(2, 4)
-        reps = separation_check(root_sets)
+        descs, root_sets = self.lattice_root_sets(2, 4)
+        reps = separation_check(descs, root_sets)
         # one report per set with a pair of roots, named after its descriptor
-        want = [ps.source.label for ps in root_sets if len(ps.roots) >= 2]
+        want = [desc.label for desc, ps in zip(descs, root_sets) if len(ps.roots) >= 2]
         assert [r.name for r in reps] == [f"separation-{label}" for label in want]
         assert reps and all(r.satisfied for r in reps)
 

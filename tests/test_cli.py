@@ -251,6 +251,17 @@ class TestExitCodes:
             ["misiurewicz", "2", "3"],
         ]
 
+    def test_eisenstein_prime_past_the_bound_decides(self, tmp_path, capsys):
+        # c^4 + 16411c + 16411 is Eisenstein only at the prime 16411 > 2^14;
+        # its root 1, near -1.00006, stays bounded for d = 2
+        code, out, err = run(
+            ["integral-scan", "--d", "2", "--max-n", "3", "--alpha=16411,16411,0,0,1:1",
+             "--S", "2", "--cache", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("# alpha=deg4:16411,16411,0,0,1 S={2}")
+
     def test_equidist_needs_two_levels(self, tmp_path, capsys):
         # equidist's levels start at n = 2: --max-n 1 has no level to report
         # or plot, and is refused before anything is written
@@ -472,34 +483,23 @@ class TestForkedIsolation:
         assert run(args, capsys)[0] == 0
         assert forks == []
 
-    @pytest.mark.parametrize("call,error", [
-        ("fork", BlockingIOError(errno.EAGAIN, "fork refused")),
-        ("fork", OSError(errno.ENOMEM, "fork refused")),
-        ("pipe", OSError(errno.EMFILE, "pipe refused")),
-    ], ids=["fork-EAGAIN", "fork-ENOMEM", "pipe-EMFILE"])
-    def test_no_child_to_spare_runs_serial(self, tmp_path, capsys, monkeypatch, cpus, call, error):
+    @pytest.mark.parametrize("error", [
+        BlockingIOError(errno.EAGAIN, "fork refused"),
+        OSError(errno.ENOMEM, "fork refused"),
+    ], ids=["fork-EAGAIN", "fork-ENOMEM"])
+    def test_no_child_to_spare_runs_serial(self, tmp_path, capsys, monkeypatch, cpus, error):
         args = ["enumerate", "--d", "2", "--max-n", "7", "--bits", "128"]
         cpus(1)
         serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
         cpus(2)
-        real_pipe, fds = os.pipe, []
-
-        def pipe():
-            fds.extend(real_pipe())
-            return tuple(fds[-2:])
 
         def refuse():
             raise error
 
-        monkeypatch.setattr(os, "pipe", pipe)
-        monkeypatch.setattr(os, call, refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         refused = run_in(tmp_path / "refused", args, capsys, monkeypatch)
         assert refused == serial and refused[0] == 0
         assert tree_bytes(tmp_path / "refused" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
-        assert len(fds) == (2 if call == "fork" else 0)
-        for fd in fds:  # both pipe ends are closed again
-            with pytest.raises(OSError):
-                os.fstat(fd)
 
     # enumerate --d 2 --max-n 5 has root jobs of degrees 1, 2, 4, 8, 16: the
     # degree-16 job stays here, the other four go to the child
@@ -546,19 +546,35 @@ class TestForkedIsolation:
             main(self.ENUMERATE + ["--cache", str(tmp_path / "cache")])
         assert len(forks) == 1 and time.monotonic() - t0 < 30
 
-    def test_child_killed_by_signal(self, tmp_path, capsys, monkeypatch, cpus):
+    def assert_child_fault_runs_as_serial(self, tmp_path, capsys, monkeypatch, cpus, fault):
+        # the child's caches are its only output: whatever it leaves
+        # unwritten, this process isolates itself
         parent_pid = os.getpid()
         real = cli.all_roots
 
         def all_roots(*args, **kwargs):
             if os.getpid() != parent_pid:
-                os.kill(os.getpid(), signal.SIGKILL)
+                fault()
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "all_roots", all_roots)
         forks = cpus(2)
-        code, out, err = run(self.ENUMERATE + ["--cache", str(tmp_path / "cache")], capsys)
+        forked = run_in(tmp_path / "forked", self.ENUMERATE, capsys, monkeypatch)
         assert len(forks) == 1
-        assert code == 10 and out == ""
-        assert f"child {forks[0]} died by signal {int(signal.SIGKILL)}" in err
+        forks = cpus(1)
+        serial = run_in(tmp_path / "serial", self.ENUMERATE, capsys, monkeypatch)
+        assert forks == []
+        assert forked == serial and forked[0] == 0
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
 
+    def test_job_failing_only_in_the_child(self, tmp_path, capsys, monkeypatch, cpus):
+        def fault():
+            raise PrecisionExhausted("only in the child")
+
+        self.assert_child_fault_runs_as_serial(tmp_path, capsys, monkeypatch, cpus, fault)
+
+    def test_child_killed_by_signal(self, tmp_path, capsys, monkeypatch, cpus):
+        def fault():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.assert_child_fault_runs_as_serial(tmp_path, capsys, monkeypatch, cpus, fault)

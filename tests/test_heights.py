@@ -376,7 +376,11 @@ class TestPcfGate:
         assert heights._eisenstein(IntPolynomial([-3 * 16381, 0, 0, 0, 1]))  # at 16381
         assert not heights._eisenstein(IntPolynomial([4, 0, 0, 0, 1]))  # (c^2+2c+2)(c^2-2c+2)
         assert not heights._eisenstein(IntPolynomial([-1, 1, 0, 1, 1]))
-        assert not heights._eisenstein(IntPolynomial([-16411, 0, 0, 0, 1]))  # past the bound
+        # past the prime bound: g itself, a proven prime, is tried
+        assert heights._eisenstein(IntPolynomial([-16411, 0, 0, 0, 1]))
+        assert heights._eisenstein(IntPolynomial([-2 * 2 * 16411, 0, 0, 0, 1]))  # cofactor 16411
+        # a composite cofactor, 16411 * 16417, is not tried
+        assert not heights._eisenstein(IntPolynomial([-16411 * 16417, 0, 0, 0, 1]))
 
     def test_eisenstein_quartic_needs_no_balls(self, monkeypatch):
         # c^4 - 2 is irreducible: the escape of 2^(1/4) decides for all four

@@ -318,7 +318,7 @@ class TestRootCache:
         assert lines[0] == "# pcf-lab roots v2" and lines[4].startswith("# roots-sha256=")
         path.write_text("\n".join(["# pcf-lab roots v1"] + lines[1:4] + lines[5:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
-        ps = cached_root_sets([(path, p, 128, None, None)])[0]
+        ps = cached_root_sets([(path, p, 128, None)])[0]
         assert len(ps) == p.degree
         assert path.read_bytes() == v2
 
@@ -437,10 +437,11 @@ class TestLocalizedRepair:
             for b in ps.roots:
                 assert sum(not bl.disjoint(b, a) for a in plain.roots) == 1
 
-    def test_exhaustion_still_raises(self, desc, plain):
+    def test_exhaustion_still_raises(self, desc, plain, monkeypatch):
         ev = Widening(factor_evaluator(desc), [plain.roots[5].center], below=10**9)
+        monkeypatch.setattr(rootfinder, "MAX_PRECISION_BITS", 1024)
         with pytest.raises(PrecisionExhausted):
-            all_roots(desc.poly, self.BITS, evaluator=ev, max_precision=1024)
+            all_roots(desc.poly, self.BITS, evaluator=ev)
         # one pass per doubling up to the cap: 192, 384, 768 bits
         assert sorted({wp for _, wp in ev.calls}) == [192, 384, 768]
         assert ev.calls_above(self.FIRST_WP)[1] == 2
