@@ -19,7 +19,6 @@ from .critical_orbit import (
 )
 from .equidist import (
     DiscrepancyReport,
-    KernelSpec,
     avg_log_distance_roots,
     avg_log_distance_vieta,
     discrepancy_report,
@@ -68,7 +67,6 @@ __all__ = [
     "FactorDescriptor",
     "IntPolynomial",
     "IntegralityVerdict",
-    "KernelSpec",
     "LinearFormInput",
     "PCFParameterSet",
     "PrimeSet",

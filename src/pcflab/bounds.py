@@ -15,6 +15,9 @@ import mpmath as mp
 
 from .rootfinder import min_pairwise_distance
 
+# slack of pcf_modulus_check over 2^(1/(d-1)), part of the printed bound
+_MODULUS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LinearFormInput:
@@ -46,7 +49,6 @@ class LinearFormInput:
 @dataclass(frozen=True)
 class BoundReport:
     name: str
-    inputs: dict
     bound_value: mp.mpf
     empirical_value: Optional[mp.mpf] = None
     satisfied: Optional[bool] = None
@@ -117,25 +119,13 @@ def prop31_bound(h_alpha: float, d: int, orbit_size: int, eps: float, C6: float)
 
 
 def degree_lower_bound_check(d: int, n: int, base_degree: int) -> BoundReport:
-    """Degree of the level-n parameter locus against d^(n-1)/base_degree.
-
-    The full locus g_n has degree exactly d^(n-1); exact-period factors obey
-    the Möbius formula instead, so the report carries both numbers.
-    """
-    from .critical_orbit import exact_period_factor, gleason
+    """Degree of the level-n parameter locus g_n against d^(n-1)/base_degree."""
+    from .critical_orbit import gleason
 
     g = gleason(d, n)
-    factor = exact_period_factor(d, n)
     threshold = mp.mpf(d) ** (n - 1) / base_degree
     return BoundReport(
         name=f"degree-law-d{d}-n{n}",
-        inputs={
-            "d": d,
-            "n": n,
-            "base_degree": base_degree,
-            "gleason_degree": g.degree,
-            "exact_period_degree": factor.poly.degree,
-        },
         bound_value=threshold,
         empirical_value=mp.mpf(g.degree),
         satisfied=g.degree >= threshold,
@@ -150,22 +140,19 @@ def pcf_modulus_bound(d: int) -> mp.mpf:
         return mp.mpf(2) ** (mp.mpf(1) / (d - 1))
 
 
-def pcf_modulus_check(d: int, max_n: int, root_sets, tol: float = 1e-12) -> BoundReport:
+def pcf_modulus_check(d: int, max_n: int, root_sets) -> BoundReport:
     """Batch check: every root of the given level-<=max_n factor root sets
-    obeys the bound."""
-    bound = pcf_modulus_bound(d)
+    obeys the bound, with _MODULUS_TOL of slack."""
+    bound = pcf_modulus_bound(d) + mp.mpf(_MODULUS_TOL)
     worst = mp.mpf(0)
-    count = 0
     for ps in root_sets:
         for b in ps.roots:
             worst = max(worst, abs(b.center) + b.radius)
-            count += 1
     return BoundReport(
         name=f"pcf-modulus-d{d}-n{max_n}",
-        inputs={"d": d, "max_n": max_n, "roots_checked": count, "tol": tol},
-        bound_value=bound + mp.mpf(tol),
+        bound_value=bound,
         empirical_value=worst,
-        satisfied=worst <= bound + mp.mpf(tol),
+        satisfied=worst <= bound,
     )
 
 
@@ -191,7 +178,6 @@ def separation_check(descs, root_sets) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name=f"separation-{desc.label}",
-                inputs={"d": desc.d, "degree": desc.poly.degree},
                 bound_value=sep.value,
                 empirical_value=actual,
                 satisfied=actual >= sep.value,

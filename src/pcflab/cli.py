@@ -11,7 +11,7 @@ serial run, and there is no flag for it.
 
 Exit codes:
   0  success
-  2  usage or configuration error, an --alpha coefficient over 900 bits included
+  2  usage or configuration error, a coefficient over 900 bits of a degree >= 2 --alpha included
   3  degree cap exceeded
   4  hypothesis violated (post-critically finite base point)
   5  precision exhausted
@@ -36,7 +36,7 @@ import mpmath as mp
 import numpy as np
 
 from . import __version__
-from .cacheio import atomic_write_bytes, atomic_write_text
+from .cacheio import atomic_write_bytes, atomic_write_text, remove_temp_files
 from .critical_orbit import (
     check_degree_cap,
     enumerate_factors,
@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tau", type=float, default=None, help="in (0,1): the 1/tau term of the rate-shape bound"
         )
-        p.add_argument("--C", type=float, default=None, help="rate-shape constant knob")
+        p.add_argument(
+            "--C", type=float, default=None, help="> 0: constant factor of the rate-shape bound and of thm15-threshold"
+        )
         p.add_argument("--plot", action="store_true", default=None, help="emit an SVG plot")
         p.add_argument("--cache", type=str, default=None, help="cache directory")
         p.add_argument("--config", type=str, default=None, help="key=value config file")
@@ -262,6 +264,7 @@ def cached_root_sets(jobs):
                     # no atexit hooks, and no flush of the buffers inherited
                     # from this process; the child's errors are raised here
                     os._exit(0)
+    child = pid
     try:
         errors = _isolate(jobs, mine, sets)
         if pid:
@@ -273,6 +276,9 @@ def cached_root_sets(jobs):
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        # a child killed inside os.replace leaves its temp file behind
+        for i in theirs:
+            remove_temp_files(jobs[i][0], child)
     for i in theirs:
         path, poly, bits, _ = jobs[i]
         sets[i] = read_roots_cache(path, poly, bits)
@@ -316,8 +322,7 @@ def _gleason_jobs(cfg: RunConfig, levels, bits: int) -> list:
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_enumerate(cfg: RunConfig) -> int:
     check_degree_cap(cfg.d, cfg.max_n)
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
     levels = range(1, cfg.max_n + 1)
@@ -335,12 +340,11 @@ def cmd_enumerate(cfg: RunConfig, out=None) -> int:
                 fdir / f"n{desc.n}-{desc.label}.strict.poly", serialize(desc.strict_poly)
             )
         lines.append(f"factor\t{desc.label}\tdeg={desc.poly.degree}")
-    print("\n".join(lines), file=out)
+    print("\n".join(lines))
     return 0
 
 
-def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_integral_scan(cfg: RunConfig) -> int:
     check_degree_cap(cfg.d, cfg.max_n)
     alpha = parse_alpha(cfg.alpha_spec)
     result = census(cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes))
@@ -360,14 +364,13 @@ def cmd_integral_scan(cfg: RunConfig, out=None) -> int:
             )
     else:
         text = summary + body
-    print(text, end="", file=out)
+    print(text, end="")
     report_path = cfg.cache_dir / "reports" / f"census-d{cfg.d}-n{cfg.max_n}.tsv"
     atomic_write_text(report_path, summary + body)
     return 0
 
 
-def cmd_equidist(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_equidist(cfg: RunConfig) -> int:
     alpha = parse_alpha(cfg.alpha_spec)
     # the rational path builds no g_n, but its exact Vieta values grow like
     # d^(n-1) * h(alpha) bits, so the same cap bounds it
@@ -389,7 +392,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
     lines.extend(r.tsv_row() for r in reports)
     lines.append(f"# fitted-min-C\t{fit:.6g}")
     text = "\n".join(lines) + "\n"
-    print(text, end="", file=out)
+    print(text, end="")
     report_path = cfg.cache_dir / "reports" / f"equidist-d{cfg.d}-n{cfg.max_n}.tsv"
     atomic_write_text(report_path, text)
     if cfg.plot:
@@ -400,8 +403,7 @@ def cmd_equidist(cfg: RunConfig, out=None) -> int:
     return 0
 
 
-def cmd_bounds(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_bounds(cfg: RunConfig) -> int:
     check_degree_cap(cfg.d, cfg.max_n)
     alpha = parse_alpha(cfg.alpha_spec)
     lines = ["name\tbound\tempirical\tsatisfied"]
@@ -424,7 +426,7 @@ def cmd_bounds(cfg: RunConfig, out=None) -> int:
         f"thm15-threshold\t{thm15_threshold(cfg.C, s_size, alpha.degree):g}\t-\t-"
     )
     text = "\n".join(lines) + "\n"
-    print(text, end="", file=out)
+    print(text, end="")
     atomic_write_text(cfg.cache_dir / "reports" / f"bounds-d{cfg.d}-n{cfg.max_n}.tsv", text)
     return 0
 
@@ -549,8 +551,7 @@ def _discrepancy_svg(reports) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_plot(cfg: RunConfig) -> int:
     check_degree_cap(cfg.d, cfg.max_n)
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
@@ -566,7 +567,7 @@ def cmd_plot(cfg: RunConfig, out=None) -> int:
     svg = _mandel_svg(cfg, extent, sorted(set(centers)))
     svg_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.svg"
     atomic_write_text(svg_path, svg)
-    print(f"wrote {ppm_path}\nwrote {svg_path}", file=out)
+    print(f"wrote {ppm_path}\nwrote {svg_path}")
     return 0
 
 

@@ -11,8 +11,8 @@ compare the two against the (log N / N)^(1/2) rate shape with the ineffective
 constant exposed as a knob (default 1, with the fitted minimal value
 recorded).
 
-Algebraic alphas take the numeric route: certified root balls plus outward
-rounded kernel sums, the plain-log one on mpmath's raw _mpf_ tuples.
+Algebraic alphas take the numeric route: certified root balls plus an
+outward-rounded sum of log-distances on mpmath's raw _mpf_ tuples.
 """
 
 from __future__ import annotations
@@ -30,22 +30,6 @@ from .critical_orbit import gleason, gleason_evaluator, orbit
 from .errors import HypothesisViolated, KernelSingular
 from .heights import as_algebraic, escape_rate_arch, is_pcf_parameter
 from .rootfinder import PCFParameterSet, all_roots
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Log-distance kernel: plain log|x - alpha|, or the bounded truncation
-    log^+|x| + log^+|alpha| - log max(tau, |x - alpha|)."""
-
-    kind: str = "plain-log"
-    tau: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("plain-log", "truncated"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "truncated":
-            if self.tau is None or not 0 < self.tau < 1:
-                raise ValueError("truncated kernel needs 0 < tau < 1")
 
 
 @dataclass(frozen=True)
@@ -69,49 +53,34 @@ def avg_log_distance_vieta(
 
 
 def avg_log_distance_roots(
-    roots: Union[PCFParameterSet, Sequence[bl.ComplexBall]],
-    alpha: bl.ComplexBall,
-    kernel: KernelSpec = KernelSpec(),
+    roots: Union[PCFParameterSet, Sequence[bl.ComplexBall]], alpha: bl.ComplexBall
 ) -> AvgResult:
-    """Outward-rounded kernel average over certified root balls.
+    """Outward-rounded average of log|x - alpha| over certified root balls.
 
-    The plain-log kernel requires alpha's ball to be disjoint from every root
-    ball (otherwise the kernel is unbounded on the data: KernelSingular).
+    alpha's ball must be disjoint from every root ball (otherwise the kernel
+    is unbounded on the data: KernelSingular).
     """
     balls = roots.roots if isinstance(roots, PCFParameterSet) else tuple(roots)
     if not balls:
         raise ValueError("empty root set")
+    # on _mpf_ tuples, each step the libmp call that its mpf operator makes,
+    # so both totals are bit for bit those of mpf arithmetic. Each summand is
+    # kept doubled: halving is exact, so it waits for the end
+    prec, rnd = mp.mp.prec, bl.RND
+    w, rw = alpha.center._mpc_, alpha.radius._mpf_
+    total = halfwidth = libmp.fzero
+    for b in balls:
+        lo, hi = bl.dist_bounds_raw(b.center._mpc_, w, b.radius._mpf_, rw, prec)
+        if lo == libmp.fzero:
+            raise KernelSingular("alpha ball overlaps a root ball")
+        llo, lhi = libmp.mpf_log(lo, prec, rnd), libmp.mpf_log(hi, prec, rnd)
+        total = libmp.mpf_add(total, libmp.mpf_add(llo, lhi, prec, rnd), prec, rnd)
+        halfwidth = libmp.mpf_add(halfwidth, libmp.mpf_sub(lhi, llo, prec, rnd), prec, rnd)
     n = len(balls)
-    if kernel.kind == "plain-log":
-        # on _mpf_ tuples, each step the libmp call that its mpf operator
-        # makes, so both totals are bit for bit those of mpf arithmetic. Each
-        # summand is kept doubled: halving is exact, so it waits for the end
-        prec, rnd = mp.mp.prec, bl.RND
-        w, rw = alpha.center._mpc_, alpha.radius._mpf_
-        total = halfwidth = libmp.fzero
-        for b in balls:
-            lo, hi = bl.dist_bounds_raw(b.center._mpc_, w, b.radius._mpf_, rw, prec)
-            if lo == libmp.fzero:
-                raise KernelSingular("alpha ball overlaps a root ball")
-            llo, lhi = libmp.mpf_log(lo, prec, rnd), libmp.mpf_log(hi, prec, rnd)
-            total = libmp.mpf_add(total, libmp.mpf_add(llo, lhi, prec, rnd), prec, rnd)
-            halfwidth = libmp.mpf_add(halfwidth, libmp.mpf_sub(lhi, llo, prec, rnd), prec, rnd)
-        total = mp.mp.make_mpf(libmp.mpf_shift(total, -1))
-        halfwidth = mp.mp.make_mpf(libmp.mpf_shift(halfwidth, -1))
-    else:
-        total = mp.mpf(0)
-        halfwidth = mp.mpf(0)
-        tau = mp.mpf(kernel.tau)
-        aplo, aphi = bl.log_plus_interval(alpha)
-        for b in balls:
-            xplo, xphi = bl.log_plus_interval(b)
-            dlo, dhi = bl.dist_bounds(b, alpha)
-            mlo, mhi = mp.log(max(tau, dlo)), mp.log(max(tau, dhi))
-            lo = xplo + aplo - mhi
-            hi = xphi + aphi - mlo
-            total += (lo + hi) / 2
-            halfwidth += (hi - lo) / 2
-    return AvgResult(value=total / n, error_bound=halfwidth / n)
+    return AvgResult(
+        value=mp.mp.make_mpf(libmp.mpf_shift(total, -1)) / n,
+        error_bound=mp.mp.make_mpf(libmp.mpf_shift(halfwidth, -1)) / n,
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +88,6 @@ class DiscrepancyReport:
     d: int
     n: int
     N: int
-    alpha: object  # AlgebraicNumber (or the Fraction it wraps)
     alpha_label: str
     empirical_avg: mp.mpf
     green_value: mp.mpf
@@ -209,7 +177,6 @@ def discrepancy_report(
                     d=d,
                     n=n,
                     N=big_n,
-                    alpha=alg,
                     alpha_label=alg.label,
                     empirical_avg=empirical,
                     green_value=green.value,

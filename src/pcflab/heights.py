@@ -50,7 +50,7 @@ from .polynomials import (
     evaluate_exact,
     lower_hull,
 )
-from .rootfinder import all_roots
+from .rootfinder import CoefficientEvaluator, all_roots
 
 DEFAULT_BITS = 256
 DEFAULT_MAX_ITER = 10_000
@@ -278,6 +278,9 @@ class AlgebraicNumber:
     factor the selected root lies on, so input of degree <= 3 is certified
     irreducible. A higher-degree polynomial may still be reducible; heights
     and Newton polygon masses are then computed from its full root multiset.
+    A linear input is returned as its rational, at any coefficient width;
+    only input of degree >= 2 is isolated, and refused (ValueError) when a
+    coefficient is wider than rootfinder.MAX_COEFF_BITS.
     """
 
     min_poly: IntPolynomial
@@ -298,6 +301,13 @@ class AlgebraicNumber:
     ) -> "AlgebraicNumber":
         poly = coeffs if isinstance(coeffs, IntPolynomial) else IntPolynomial(coeffs)
         poly = poly.primitive_part()
+        if poly.degree < 1:
+            raise ValueError("need degree >= 1")
+        if not 0 <= root_index < poly.degree:
+            raise ValueError(f"root index {root_index} out of range")
+        if poly.degree == 1:
+            # exact at any coefficient width: a linear input is never isolated
+            return cls.from_rational(Fraction(-poly.coeffs[0], poly.coeffs[1]))
         # from 4 * height + 64 bits on, a root disk holds at most one
         # candidate k/lead of _rational_root (|root| <= 1 + height / lead)
         bits = max(precision_bits, 4 * poly.max_abs_coeff().bit_length() + 64)
@@ -305,8 +315,6 @@ class AlgebraicNumber:
             roots = _root_disks(poly, bits)
         except NonSquarefreeInput as exc:
             raise ValueError("minimal polynomial must be squarefree") from exc
-        if not 0 <= root_index < len(roots):
-            raise ValueError(f"root index {root_index} out of range")
         selected = roots[root_index]
         for b in roots:
             x = _rational_root(poly, b)
@@ -348,8 +356,9 @@ class AlgebraicNumber:
 @lru_cache(maxsize=64)
 def _root_disks(poly: IntPolynomial, bits: int) -> tuple[bl.ComplexBall, ...]:
     """The certified roots of poly at bits: a conjugate set is isolated, and
-    its input checked, once per (poly, bits) among the last 64 used."""
-    return all_roots(poly, bits).roots
+    its input checked, once per (poly, bits) among the last 64 used, by the
+    package's one CoefficientEvaluator."""
+    return all_roots(poly, bits, CoefficientEvaluator(poly)).roots
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,11 @@ polished again and gets a new disk. Every other root keeps its disk. The
 pairwise disjointness check runs over the whole set after every round, so the
 set returned has passed it as a whole.
 
-Lattice factors get division-free orbit-recurrence evaluators from
-pcflab.critical_orbit; other polynomials, such as a base point's minimal
-polynomial, go through Horner on the exact coefficients, whose evaluator is
-also the one check of such input: squarefree, with no coefficient wider than
+all_roots takes its evaluator from the caller. Lattice factors get
+division-free orbit-recurrence evaluators from pcflab.critical_orbit; a base
+point's minimal polynomial goes through Horner on the exact coefficients, in
+the CoefficientEvaluator that pcflab.heights builds, which is also the one
+check of such input: squarefree, with no coefficient wider than
 MAX_COEFF_BITS. Lattice factors are squarefree by theorem, and the
 certificate proves it again.
 """
@@ -65,12 +66,15 @@ from .errors import NonSquarefreeInput, PrecisionExhausted
 from .fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray, isqrt_array
 from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
-DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
 # widest coefficient CoefficientEvaluator accepts: wider ones do not survive
 # the float64 stage's power-of-two scaling
 MAX_COEFF_BITS = 900
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
+# the float64 Aberth stage: a point freezes after two sweeps in a row whose
+# relative step is below _F64_TOL; no input takes _F64_MAX_SWEEPS
+_F64_MAX_SWEEPS = 800
+_F64_TOL = 5e-14
 # rows per block of the float64 pairwise kernels: 16 x 1024 complex128 is
 # 256 KiB, within L2. On g_11, 16 rows ran as fast as 32 and 64 to 512 rows
 # slower (degrees 161 to 729: 6-10 % slower than 32). The disjointness
@@ -217,14 +221,14 @@ def _pairwise_inv_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth_f64(evaluator, z0: np.ndarray, max_sweeps: int = 800, tol: float = 5e-14):
+def _aberth_f64(evaluator, z0: np.ndarray):
     """Jacobi-style Aberth sweeps; converged points freeze (but keep repelling)."""
     z = z0.copy()
     n = z.size
     nudge = 0.01 + 0.017j
     active = np.arange(n)
     settle = np.zeros(n, dtype=np.int64)  # consecutive small-step sweeps per point
-    for _ in range(max_sweeps):
+    for _ in range(_F64_MAX_SWEEPS):
         with np.errstate(all="ignore"):
             za = z[active]
             nray = evaluator.newton_f64(za)
@@ -246,7 +250,7 @@ def _aberth_f64(evaluator, z0: np.ndarray, max_sweeps: int = 800, tol: float = 5
             za = za - w
             z[active] = za
             rel = np.abs(w) / (1.0 + np.abs(za))
-            ok = np.isfinite(rel) & (rel < tol) & ~bad
+            ok = np.isfinite(rel) & (rel < _F64_TOL) & ~bad
             settle[active] = np.where(ok, settle[active] + 1, 0)
             active = np.nonzero(settle < 2)[0]
             if active.size == 0:
@@ -437,22 +441,16 @@ def _sort_key(b: bl.ComplexBall):
     return (b.center.real, b.center.imag, b.radius)
 
 
-def all_roots(
-    p: IntPolynomial,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    evaluator=None,
-) -> PCFParameterSet:
+def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PCFParameterSet:
     """All complex roots of a squarefree p with disjoint certified disks.
 
     Every input of degree >= 2 starts from evaluator.starts_f64(p) and the
     float64 Aberth stage; the arbitrary-precision sweeps serve only the
-    repair passes. Degree 1 is solved exactly and needs no evaluator. With
-    no evaluator, p gets a CoefficientEvaluator, which refuses (ValueError)
-    a coefficient wider than MAX_COEFF_BITS and raises NonSquarefreeInput
-    when gcd(p, p') is nonconstant. An orbit evaluator's factor is not
-    checked: deg pairwise disjoint inclusion disks, each holding a root,
-    prove deg simple roots. Raises PrecisionExhausted when certification
-    still fails at MAX_PRECISION_BITS.
+    repair passes. Degree 1 is solved exactly and reads no evaluator. A
+    lattice factor takes its orbit evaluator from pcflab.critical_orbit,
+    whose factor is not checked: deg pairwise disjoint inclusion disks, each
+    holding a root, prove deg simple roots. Raises PrecisionExhausted when
+    certification still fails at MAX_PRECISION_BITS.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -462,8 +460,6 @@ def all_roots(
         with mp.workprec(precision_bits + 16):
             root = bl.exact_ball(Fraction(-a0, a1))
         return PCFParameterSet(precision_bits, (root,))
-    if evaluator is None:
-        evaluator = CoefficientEvaluator(p)
 
     zs = [mp.mpc(z) for z in _aberth_f64(evaluator, evaluator.starts_f64(p))]
     wp = precision_bits + 64

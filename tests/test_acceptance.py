@@ -45,10 +45,10 @@ from oracles import horner_fraction
 _ROOT_MEMO: dict = {}
 
 
-def roots_of(poly, bits, evaluator=None):
+def roots_of(poly, bits, evaluator):
     key = (poly_hash(poly), bits)
     if key not in _ROOT_MEMO:
-        _ROOT_MEMO[key] = all_roots(poly, bits, evaluator=evaluator)
+        _ROOT_MEMO[key] = all_roots(poly, bits, evaluator)
     return _ROOT_MEMO[key]
 
 

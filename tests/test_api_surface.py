@@ -1,4 +1,5 @@
-"""The public names and the benchmark's traced entry points exist.
+"""The public names and the benchmark's traced entry points exist, and the
+Horner evaluator is built in one place.
 
 perfbench/tracer.py wraps the entry points it lists by name and reports a
 per-layer metric as null when one is missing, so a deletion or rename here
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pcflab
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracer_constant(name):
@@ -44,3 +46,17 @@ def test_traced_entry_points_exist():
         if not callable(getattr(importlib.import_module(f"pcflab.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def test_coefficient_evaluator_is_built_only_in_heights():
+    # lattice factors take their orbit evaluators; only a base point's
+    # minimal polynomial goes through Horner on its coefficients
+    sites = set()
+    for path in (ROOT / "src" / "pcflab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "CoefficientEvaluator":
+                    sites.add(path.name)
+    assert sites == {"heights.py"}

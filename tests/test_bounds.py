@@ -23,7 +23,7 @@ from pcflab.bounds import (
 )
 from pcflab.critical_orbit import enumerate_factors, factor_evaluator
 from pcflab.heights import weil_height
-from pcflab.rootfinder import all_roots
+from pcflab.rootfinder import CoefficientEvaluator, all_roots
 from pcflab.polynomials import IntPolynomial
 
 P = IntPolynomial
@@ -125,7 +125,7 @@ class TestMahlerSeparation:
 
     def test_against_actual_separation(self):
         p = P([1, 1, 2, 1])
-        ps = all_roots(p, 192)
+        ps = all_roots(p, 192, CoefficientEvaluator(p))
         from pcflab.rootfinder import min_pairwise_distance
 
         sep = min_pairwise_distance(ps)
@@ -145,7 +145,8 @@ class TestProp31:
     def test_empirical_vs_bound(self):
         # alpha = 1 against the level-3 periodic parameters: every root is at
         # distance >= 1, so the empirical max of log|x - alpha|^-1 is <= 0
-        ps = all_roots(P([1, 1, 2, 1]), 160)
+        p = P([1, 1, 2, 1])
+        ps = all_roots(p, 160, CoefficientEvaluator(p))
         with mp.workprec(200):
             lows = [bl.dist_bounds(b, bl.exact_ball(1))[0] for b in ps.roots]
             emp = max(-mp.log(lo) for lo in lows)
@@ -158,7 +159,7 @@ class TestDegreeAndModulus:
     def test_degree_report(self):
         rep = degree_lower_bound_check(3, 4, 2)
         assert float(rep.bound_value) == pytest.approx(13.5)
-        assert rep.inputs["gleason_degree"] == 27
+        assert rep.empirical_value == 27  # deg g_4 = 3^3
         assert rep.satisfied
 
     def test_degree_trivial(self):
@@ -177,9 +178,10 @@ class TestDegreeAndModulus:
         return descs, [all_roots(desc.poly, 128, evaluator=factor_evaluator(desc)) for desc in descs]
 
     def test_modulus_batch_small(self):
-        rep = pcf_modulus_check(2, 4, self.lattice_root_sets(2, 4)[1])
+        root_sets = self.lattice_root_sets(2, 4)[1]
+        assert root_sets and all(ps.roots for ps in root_sets)
+        rep = pcf_modulus_check(2, 4, root_sets)
         assert rep.satisfied
-        assert rep.inputs["roots_checked"] > 0
         # the level-3 Misiurewicz parameter -2 sits exactly on the circle
         assert float(rep.empirical_value) == pytest.approx(2.0, abs=1e-20)
 
@@ -205,5 +207,5 @@ class TestThm15Threshold:
 
 class TestBoundReport:
     def test_line_format(self):
-        rep = BoundReport(name="x", inputs={}, bound_value=mp.mpf(1))
+        rep = BoundReport(name="x", bound_value=mp.mpf(1))
         assert rep.line().split("\t")[0] == "x"

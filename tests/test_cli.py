@@ -219,6 +219,15 @@ class TestExitCodes:
         )
         assert code == 2 and "900-bit limit" in err
 
+    def test_linear_alpha_of_any_width_is_its_rational(self, tmp_path, capsys):
+        # the 900-bit refusal is for degree >= 2 only: a linear minimal
+        # polynomial is never isolated, and names its rational exactly
+        base = ["integral-scan", "--d", "2", "--max-n", "1", "--S", "2"]
+        linear = run(base + [f"--alpha={-(2**1000)},1", "--cache", str(tmp_path / "a")], capsys)
+        rational = run(base + [f"--alpha={2**1000}", "--cache", str(tmp_path / "b")], capsys)
+        assert linear == rational and linear[0] == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
     def test_reducible_quartic_alpha_is_undecided(self, tmp_path, capsys):
         # root 2 of (c^2 + c - 1)(c^2 + 1) is i, PCF for d = 2
         # (0 -> i -> i - 1 -> -i -> i - 1); only the other factor's conjugate
@@ -576,5 +585,16 @@ class TestForkedIsolation:
     def test_child_killed_by_signal(self, tmp_path, capsys, monkeypatch, cpus):
         def fault():
             os.kill(os.getpid(), signal.SIGKILL)
+
+        self.assert_child_fault_runs_as_serial(tmp_path, capsys, monkeypatch, cpus, fault)
+
+    def test_child_killed_inside_os_replace(self, tmp_path, capsys, monkeypatch, cpus):
+        # the child dies between mkstemp and os.replace of its first cache,
+        # so its temp file is written; this process removes it
+        def kill_self(src, dst):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def fault():
+            monkeypatch.setattr(os, "replace", kill_self)  # in the child only
 
         self.assert_child_fault_runs_as_serial(tmp_path, capsys, monkeypatch, cpus, fault)

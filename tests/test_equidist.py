@@ -11,7 +11,6 @@ import pytest
 import pcflab.balls as bl
 from pcflab.critical_orbit import gleason, gleason_evaluator, orbit
 from pcflab.equidist import (
-    KernelSpec,
     avg_log_distance_roots,
     avg_log_distance_vieta,
     discrepancy_report,
@@ -67,7 +66,7 @@ class TestVietaAverage:
 
 class TestRootsAverage:
     def test_matches_vieta_small(self):
-        ps = all_roots(gleason(2, 2), 192)
+        ps = all_roots(gleason(2, 2), 192, gleason_evaluator(2, 2))
         with mp.workprec(256):
             res = avg_log_distance_roots(ps, bl.exact_ball(3))
             want = avg_log_distance_vieta(2, 2, 3, 192)
@@ -75,20 +74,11 @@ class TestRootsAverage:
             assert res.error_bound < 1e-40
 
     def test_overlap_raises(self):
-        ps = all_roots(gleason(2, 2), 128)
+        ps = all_roots(gleason(2, 2), 128, gleason_evaluator(2, 2))
         with mp.workprec(160):
             fat = bl.ball(0, mp.mpf("0.5"))  # covers the root at 0
             with pytest.raises(KernelSingular):
                 avg_log_distance_roots(ps, fat)
-
-    def test_truncated_average_inactive_truncation(self):
-        # single root at distance 2 with tau = 0.5: kernel = log2 - log2 = 0
-        ps = all_roots(gleason(2, 1), 128)  # root {0}
-        with mp.workprec(160):
-            res = avg_log_distance_roots(
-                ps, bl.exact_ball(2), KernelSpec("truncated", 0.5)
-            )
-            assert abs(res.value - (mp.log(2) - mp.log(2))) < 1e-30
 
 
 GOLDEN = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)  # -0.618..., as rerun's equidist
@@ -151,32 +141,6 @@ class TestRawLoopIsBitIdentical:
                 avg_log_distance_roots(disks, alpha)
 
 
-class TestTruncatedKernel:
-    # log^+|x| + log^+|alpha| - log max(tau, |x - alpha|), as the truncated
-    # kernel average over a one-root set
-    @staticmethod
-    def kernel(x, alpha, tau):
-        one_root = [bl.exact_ball(Fraction(x))]
-        return avg_log_distance_roots(
-            one_root, bl.exact_ball(Fraction(alpha)), KernelSpec("truncated", tau)
-        ).value
-
-    def test_truncation_active(self):
-        with mp.workprec(128):
-            v = self.kernel(Fraction(1, 2), Fraction(1, 2), 0.1)
-            # tau arrives as a float64 literal, so compare at float accuracy
-            assert abs(v - mp.log(10)) < 1e-15
-
-    def test_inactive(self):
-        with mp.workprec(128):
-            assert abs(self.kernel(2, 0, 0.5)) < 1e-25
-
-    def test_negative_value(self):
-        with mp.workprec(128):
-            v = self.kernel(-1, 1, 0.5)
-            assert abs(v + mp.log(2)) < 1e-25
-
-
 class TestDiscrepancyReport:
     def test_level_4_alpha_one(self):
         [rep] = discrepancy_report(2, [4], 1, tau=0.5, C=1.0)
@@ -222,7 +186,7 @@ class TestDiscrepancyReport:
 
         def roots(n):
             looked_up.append(n)
-            return all_roots(gleason(2, n), 128)
+            return all_roots(gleason(2, n), 128, gleason_evaluator(2, n))
 
         reports = discrepancy_report(2, [3, 4], golden, precision_bits=128, roots=roots)
         assert looked_up == [3, 4]

@@ -145,9 +145,10 @@ class TestEscapeRate:
         # 544 bits on, its own radius, not rounding, limits the window, so a
         # third pass would certify the same 1951 steps again
         import pcflab.heights as H
-        from pcflab.rootfinder import all_roots
+        from pcflab.rootfinder import CoefficientEvaluator, all_roots
 
-        c = min(all_roots(P([-2, 0, 1]), 256).roots, key=lambda b: b.center.real)
+        p = P([-2, 0, 1])
+        c = min(all_roots(p, 256, CoefficientEvaluator(p)).roots, key=lambda b: b.center.real)
         precs = []
         bail = H._bail_radius
 
@@ -314,11 +315,11 @@ class TestCriticalHeightByPlace:
         assert all(green_nonarch(alpha, p) == 0 for p in (2, 3, 5))
 
     def test_pcf_roots_have_tiny_height(self):
-        from pcflab.critical_orbit import exact_period_factor
+        from pcflab.critical_orbit import exact_period_factor, factor_evaluator
         from pcflab.rootfinder import all_roots
 
         desc = exact_period_factor(2, 3)
-        ps = all_roots(desc.poly, 256)
+        ps = all_roots(desc.poly, 256, factor_evaluator(desc))
         assert len(ps.roots) == 3
         for b in ps.roots:
             res = escape_rate_arch(2, b, max_iter=400)

@@ -249,7 +249,7 @@ class TestResultantRootsCrosscheck:
 
         import mpmath as mp
 
-        from pcflab.rootfinder import all_roots
+        from pcflab.rootfinder import CoefficientEvaluator, all_roots
 
         rng = random.Random(61)
         done = 0
@@ -264,7 +264,7 @@ class TestResultantRootsCrosscheck:
             r = resultant(p, q)
             if r == 0:
                 continue
-            roots = all_roots(q, 256)
+            roots = all_roots(q, 256, CoefficientEvaluator(q))
             with mp.workprec(360):
                 acc = mp.mpf(abs(q.lead)) ** p.degree
                 for b in roots.roots:

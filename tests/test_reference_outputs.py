@@ -1,5 +1,5 @@
 """Every CLI operation of perfbench/reference.json prints its recorded stdout,
-byte for byte.
+byte for byte, and writes every .poly file with its recorded SHA-256.
 
 The reference is only read here. The operations run in this process, in the
 reference's order, against one temporary cache, so the census operations
@@ -8,6 +8,7 @@ also run on warm memo tables, which must not change a byte either.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from pcflab.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 OPS = {
-    name: entry["stdout"]
+    name: entry
     for name, entry in json.loads(REFERENCE.read_text())["ops"].items()
     if "stdout" in entry and not name.startswith("all_roots")
 }
@@ -31,4 +32,7 @@ def cache(tmp_path_factory):
 @pytest.mark.parametrize("name", list(OPS))
 def test_stdout_matches_reference(name, cache, capsys):
     assert main(name.split() + ["--cache", str(cache)]) == 0
-    assert capsys.readouterr().out == OPS[name]
+    assert capsys.readouterr().out == OPS[name]["stdout"]
+    for rel, spec in OPS[name]["files"].items():
+        if rel.endswith(".poly"):
+            assert hashlib.sha256((cache / rel).read_bytes()).hexdigest() == spec["sha256"], rel

@@ -26,6 +26,7 @@ from pcflab.errors import NonSquarefreeInput, PrecisionExhausted
 from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
+    CoefficientEvaluator,
     all_roots,
     min_pairwise_distance,
     read_roots_cache,
@@ -45,18 +46,18 @@ def approx_roots(pset):
 
 class TestAllRoots:
     def test_linear(self):
-        ps = all_roots(P([1, 1]), 128)
+        ps = all_roots(P([1, 1]), 128, CoefficientEvaluator(P([1, 1])))
         assert len(ps.roots) == 1
         assert complex(ps.roots[0].center) == -1
 
     def test_two_roots(self):
-        ps = all_roots(P([0, 1, 1]), 128)
+        ps = all_roots(P([0, 1, 1]), 128, CoefficientEvaluator(P([0, 1, 1])))
         got = sorted(complex(b.center).real for b in ps.roots)
         assert got == pytest.approx([-1.0, 0.0], abs=1e-30)
 
     def test_cubic_against_independent_oracle(self):
         want = sorted((complex(r) for r in cubic_roots_oracle(CUBIC)), key=lambda z: (z.real, z.imag))
-        ps = all_roots(P(CUBIC), 256)
+        ps = all_roots(P(CUBIC), 256, CoefficientEvaluator(P(CUBIC)))
         got = sorted((complex(b.center) for b in ps.roots), key=lambda z: (z.real, z.imag))
         for w, g in zip(want, got):
             assert abs(w - g) < 1e-50
@@ -66,13 +67,19 @@ class TestAllRoots:
 
     def test_radius_meets_contract(self):
         bits = 192
-        ps = all_roots(P(CUBIC), bits)
+        ps = all_roots(P(CUBIC), bits, CoefficientEvaluator(P(CUBIC)))
         for b in ps.roots:
             assert b.radius <= mp.mpf(2) ** (-bits // 2) * (1 + abs(b.center))
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(NonSquarefreeInput):
-            all_roots(P([1, 2, 1]), 128)  # (x+1)^2
+            CoefficientEvaluator(P([1, 2, 1]))  # (x+1)^2
+
+    def test_evaluator_is_required(self):
+        # no Horner fallback: a lattice factor without its orbit evaluator
+        # fails at once, not after a 12-18 s run to PrecisionExhausted
+        with pytest.raises(TypeError):
+            all_roots(exact_period_factor(2, 8).poly, 128)
 
     def test_sorted_by_real_then_imag(self):
         ps = all_roots(gleason(2, 4), 128, evaluator=gleason_evaluator(2, 4))
@@ -91,7 +98,7 @@ class TestAllRoots:
             p = squarefree_part(p)
             if p.degree < 2:
                 continue
-            ps = all_roots(p, 128)
+            ps = all_roots(p, 128, CoefficientEvaluator(p))
             with mp.workprec(192):
                 ssum = FixedBall(0, 0, 0, 192)
                 prod = ssum.lift(1)
@@ -114,8 +121,8 @@ class TestAllRoots:
         # pair by proximity: conjugate pairs share a real part, so the sort
         # order between them can flip across precisions
         p = exact_period_factor(2, 5).poly
-        lo_ps = all_roots(p, 128)
-        hi_ps = all_roots(p, 256)
+        lo_ps = all_roots(p, 128, CoefficientEvaluator(p))
+        hi_ps = all_roots(p, 256, CoefficientEvaluator(p))
         assert len(lo_ps.roots) == len(hi_ps.roots)
         with mp.workprec(320):
             for b in hi_ps.roots:
@@ -125,25 +132,22 @@ class TestAllRoots:
                     1 + mp.mpf(1e-10)
                 ) + mp.mpf(2) ** (-300)
 
-    def test_refuses_coefficients_over_900_bits(self, monkeypatch):
+    def test_refuses_coefficients_over_900_bits(self):
         # 2^900 - 1 is the widest accepted coefficient
-        assert len(all_roots(P([-(2**900 - 1), 0, 1]), 128)) == 2
-        # wider ones are refused before any sweep: the float64 stage, which
-        # every input of degree >= 2 takes, cannot hold them, and the float64
-        # centers of roots near 10^400 would be inf
-        def forbidden(*args, **kwargs):
-            raise AssertionError("no sweep may run")
-
-        monkeypatch.setattr(rootfinder, "_aberth_f64", forbidden)
-        monkeypatch.setattr(rootfinder, "_aberth_mp", forbidden)
+        p = P([-(2**900 - 1), 0, 1])
+        assert len(all_roots(p, 128, CoefficientEvaluator(p))) == 2
+        # wider ones are refused by the evaluator, before all_roots can run:
+        # the float64 stage, which every input of degree >= 2 takes, cannot
+        # hold them, and the float64 centers of roots near 10^400 would be inf
         a = 10**400
         for p in (P([-(10**350), 0, 1]), P([-a, 1]) * P([-a - 1, 1])):
             with pytest.raises(ValueError, match="900-bit limit"):
-                all_roots(p, 128)
+                CoefficientEvaluator(p)
 
     def test_linear_needs_no_evaluator(self):
-        # degree 1 is solved exactly, whatever the width of its coefficients
-        ps = all_roots(P([-(10**400), 1]), 128)
+        # degree 1 is solved exactly, whatever the width of its coefficients,
+        # and the evaluator is not read
+        ps = all_roots(P([-(10**400), 1]), 128, None)
         (b,) = ps.roots
         with mp.workprec(2000):
             assert bl.dist_bounds(b, bl.exact_ball(10**400))[0] == 0
@@ -164,18 +168,18 @@ class TestAllRoots:
         all_roots(gleason(2, 6), 128, evaluator=gleason_evaluator(2, 6))
         assert calls == []
         # the count does see the check on coefficient input
-        all_roots(P(CUBIC), 128)
+        all_roots(P(CUBIC), 128, CoefficientEvaluator(P(CUBIC)))
         assert calls == [3]
 
 
 class TestDerivedQueries:
     def test_min_pairwise_simple(self):
-        ps = all_roots(P([0, 1, 1]), 128)
+        ps = all_roots(P([0, 1, 1]), 128, CoefficientEvaluator(P([0, 1, 1])))
         assert float(min_pairwise_distance(ps)) == pytest.approx(1.0, rel=1e-20)
 
     def test_min_pairwise_cubic(self):
         # conjugate pair distance = 2 * 0.74486176... frozen from the oracle
-        ps = all_roots(P(CUBIC), 192)
+        ps = all_roots(P(CUBIC), 192, CoefficientEvaluator(P(CUBIC)))
         assert float(min_pairwise_distance(ps)) == pytest.approx(1.4897235332394885, rel=1e-12)
 
     def test_min_pairwise_covers_center_rounding(self):
@@ -201,7 +205,7 @@ class TestDerivedQueries:
                 rootfinder._overlapping(balls)
 
     def test_min_pairwise_needs_two(self):
-        ps = all_roots(P([1, 1]), 128)
+        ps = all_roots(P([1, 1]), 128, CoefficientEvaluator(P([1, 1])))
         with pytest.raises(ValueError):
             min_pairwise_distance(ps)
 
@@ -212,7 +216,7 @@ class TestDerivedQueries:
         return b, bl.dist_bounds(b, alpha)
 
     def test_closest_root(self):
-        ps = all_roots(P([0, 1, 1]), 128)
+        ps = all_roots(P([0, 1, 1]), 128, CoefficientEvaluator(P([0, 1, 1])))
         with mp.workprec(160):
             b, (lo, hi) = self.closest(ps, bl.exact_ball(1))
             assert abs(complex(b.center)) < 1e-30
@@ -226,7 +230,7 @@ class TestDerivedQueries:
         # recomputed from the companion-free oracle roots
         want = min(abs(1 - complex(r)) for r in cubic_roots_oracle(CUBIC))
         assert want == pytest.approx(1.3472054872, rel=1e-9)  # frozen digits
-        ps = all_roots(P(CUBIC), 192)
+        ps = all_roots(P(CUBIC), 192, CoefficientEvaluator(P(CUBIC)))
         with mp.workprec(224):
             b, (lo, hi) = self.closest(ps, bl.exact_ball(1))
         assert abs(complex(b.center).real + 0.12256116687665361) < 1e-12
@@ -237,7 +241,7 @@ class TestDerivedQueries:
 class TestRootCache:
     def test_roundtrip_and_determinism(self, tmp_path):
         p = exact_period_factor(2, 4).poly
-        ps = all_roots(p, 128)
+        ps = all_roots(p, 128, CoefficientEvaluator(p))
         path = roots_cache_path(tmp_path, 2, 4, 128)
         write_roots_cache(path, p, ps)
         data1 = path.read_bytes()
@@ -247,13 +251,13 @@ class TestRootCache:
         for a, b in zip(ps.roots, back.roots):
             assert a.center == b.center and a.radius == b.radius
         # recompute + rewrite: byte identical
-        ps2 = all_roots(p, 128)
+        ps2 = all_roots(p, 128, CoefficientEvaluator(p))
         write_roots_cache(path, p, ps2)
         assert path.read_bytes() == data1
 
     def test_cache_rejects_wrong_poly(self, tmp_path):
         p = exact_period_factor(2, 4).poly
-        ps = all_roots(p, 128)
+        ps = all_roots(p, 128, CoefficientEvaluator(p))
         path = roots_cache_path(tmp_path, 2, 4, 128)
         write_roots_cache(path, p, ps)
         other = exact_period_factor(2, 3).poly
@@ -262,7 +266,7 @@ class TestRootCache:
     def test_cache_rejects_truncated_or_garbled(self, tmp_path):
         p = exact_period_factor(2, 5).poly
         path = roots_cache_path(tmp_path, 2, 5, 128)
-        write_roots_cache(path, p, all_roots(p, 128))
+        write_roots_cache(path, p, all_roots(p, 128, CoefficientEvaluator(p)))
         lines = path.read_text().splitlines()
         assert lines[3] == "# count=15"
         path.write_text("\n".join(lines[:14]) + "\n")  # 9 of 15 root lines
@@ -278,7 +282,7 @@ class TestRootCache:
     def written(tmp_path):
         p = exact_period_factor(2, 4).poly
         path = roots_cache_path(tmp_path, 2, 4, 128)
-        write_roots_cache(path, p, all_roots(p, 128))
+        write_roots_cache(path, p, all_roots(p, 128, CoefficientEvaluator(p)))
         return p, path
 
     def test_cache_rejects_moved_center(self, tmp_path):
@@ -298,7 +302,7 @@ class TestRootCache:
         # repair pass, so their centers carry more bits than bits + 64; read
         # back rounded, they moved by far more than their radii
         p = exact_period_factor(2, 7).poly
-        ps = all_roots(p, 128)
+        ps = all_roots(p, 128, CoefficientEvaluator(p))
         path = roots_cache_path(tmp_path, 2, 7, 128)
         write_roots_cache(path, p, ps)
         back = read_roots_cache(path, p, 128)
@@ -318,7 +322,7 @@ class TestRootCache:
         assert lines[0] == "# pcf-lab roots v2" and lines[4].startswith("# roots-sha256=")
         path.write_text("\n".join(["# pcf-lab roots v1"] + lines[1:4] + lines[5:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
-        ps = cached_root_sets([(path, p, 128, None)])[0]
+        ps = cached_root_sets([(path, p, 128, CoefficientEvaluator(p))])[0]
         assert len(ps) == p.degree
         assert path.read_bytes() == v2
 
@@ -734,10 +738,10 @@ class TestLemniscateStarts:
         # the start solves of g_m - w included
         aberth = rootfinder._aberth_f64
 
-        def counted(evaluator, z0, max_sweeps=800, tol=5e-14):
+        def counted(evaluator, z0):
             ev = CountingNewton(evaluator)
-            out = aberth(ev, z0, max_sweeps, tol)
-            assert ev.sweeps < max_sweeps
+            out = aberth(ev, z0)
+            assert ev.sweeps < rootfinder._F64_MAX_SWEEPS
             return out
 
         monkeypatch.setattr(rootfinder, "_aberth_f64", counted)
