@@ -50,7 +50,7 @@ from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
 from .polynomials import ZERO, IntPolynomial, X, divide_exact, serialize
-from .rootfinder import Evaluator, _aberth_f64
+from .rootfinder import Evaluator
 
 DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 
@@ -255,44 +255,30 @@ def _orbit_f64(d: int, c: np.ndarray, depth: int):
     return U, DU, S
 
 
-# Roots of orbit polynomials equidistribute toward the bifurcation measure on
-# the boundary of the Multibrot set, whose equipotentials the lemniscates
-# |g_m| = R approximate (Hubbard-Schleicher-Sutherland, Invent. Math. 2001).
-# Starting there instead of on one circle cuts the float64 Aberth sweeps for
-# g_11 of d=2 from 530 to 26.
-_LEMNISCATE_R = 4.0
-
-
-class _LevelCurve:
-    """g_m(c) - w, solved by the float64 Aberth stage for the starts."""
-
-    def __init__(self, d: int, m: int, w: complex):
-        self.d, self.m, self.w = d, m, w
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        U, DU, S = _orbit_f64(self.d, z, self.m)
-        with np.errstate(all="ignore"):
-            return (U[self.m] - self.w * np.exp2(-S[self.m])) / DU[self.m]
+# Roots of orbit polynomials equidistribute toward the bifurcation measure of
+# M_d, which is the harmonic measure, uniform in the external angle (Levin;
+# Favre-Rivera-Letelier). So points evenly spaced in external angle on an
+# equipotential near M_d start the float64 Aberth stage about one root
+# spacing from the roots: for g_11 of d=2 it takes 13 sweeps from them, and
+# 530 from one circle around M_d.
 
 
 def lemniscate_starts(d: int, degree: int) -> np.ndarray:
-    """degree points on the lemniscate |g_m| = R of the Multibrot set M_d.
+    """degree points on the lemniscate |g_m| = R of the Multibrot set M_d, at
+    the external angles theta_j = (j + t) / degree, j < degree.
 
-    m is the least with d^(2(m-1)) >= 4 degree, so deg g_m = d^(m-1) is at
-    least 2 sqrt(degree), and K = ceil(degree / d^(m-1)). A higher level lies
-    nearer the roots, so the main solve takes fewer sweeps, but each start
-    solve runs on more points: for d = 2 this is one level above the least m
-    with deg g_m >= sqrt(degree) (g_11 took 26 sweeps, not 39); for d >= 3,
-    one level above a level that already has 2 sqrt(degree) points costs
-    more than it saves (d=3 misiurewicz-m-6, degree 161).
-
-    The points are the solutions of g_m(c) = R e^(2 pi i (k + t) / K), k < K,
-    each solve started from the one before; the first starts on a circle
-    around M_d. Listed root by root, each root's K points form an arc of the
-    lemniscate; surplus points are dropped evenly spaced over that list. A
-    pure function of (d, degree), computed with float64 arithmetic alone, and
-    solved once per process (factors of one level share degrees); each call
-    returns a fresh copy.
+    m is the least level with deg g_m = d^(m-1) >= degree. R = 4, or
+    2^(512/d) for d > 256, so that R^d stays in float64 range. Each point
+    starts at c = R e^(2 pi i theta_j), where the Böttcher coordinate is
+    about c, and is traced down its external ray as in Kawahira's algorithm:
+    at each level k = 2..m the target g_k(c) = R^(d^(1-i/s)) e^(2 pi i
+    theta_j d^(k-1)) falls from |g_k| = R^d, where level k-1 ended, to R in
+    s = ceil(2 log2 d) steps i, each with two Newton steps on log g_k, and
+    four more at the last target. A step on log g_k, unlike one on g_k - w,
+    keeps up with the potential for d >= 16. theta_j d^(k-1) mod 1 is
+    formed exactly in integers. A pure function of (d, degree), computed
+    with float64 arithmetic alone, once per process (factors of one level
+    share degrees); each call returns a fresh copy.
 
     M_d is symmetric under c -> conj(c) and c -> e^(2 pi i / (d-1)) c. The
     offset t = 1/(4(d-1)) keeps the start set off every reflection axis of
@@ -302,25 +288,25 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
     """
     key = (d, degree)
     if key not in _starts:
-        _starts[key] = _solve_starts(d, degree)
+        m = 1
+        while d ** (m - 1) < degree:
+            m += 1
+        r = min(2.0, 512 / d)  # log2 R
+        s = math.ceil(2 * math.log2(d))
+        q = 4 * (d - 1) * degree  # theta_j = num_j / q; q^2 < 2^63 under DEGREE_CAP
+        num = 4 * (d - 1) * np.arange(degree, dtype=np.int64) + 1
+        c = 2.0**r * np.exp(2j * np.pi * num / q)
+        steps = [
+            (k, r * d ** (1 - i / s)) for k in range(2, m + 1) for i in range(1, s + 1) for _ in (0, 1)
+        ]
+        with np.errstate(all="ignore"):
+            for k, e in steps + [(m, r)] * 4:  # log2 |g_k| = e at the target
+                U, DU, S = _orbit_f64(d, c, k)
+                turn = np.exp(-2j * np.pi * (num * pow(d, k - 1, q) % q) / q)
+                c = c - (np.log(U[k] * turn) + (S[k] - e) * math.log(2)) * (U[k] / DU[k])
+                del U, DU, S  # so that two orbits are never held at once
+        _starts[key] = c
     return _starts[key].copy()
-
-
-def _solve_starts(d: int, degree: int) -> np.ndarray:
-    m = 2
-    while d ** (2 * (m - 1)) < 4 * degree:
-        m += 1
-    D = d ** (m - 1)
-    K = -(-degree // D)
-    z = (2.0 ** (1.0 / (d - 1)) + 0.5) * np.exp(1j * (2.0 * np.pi * np.arange(D) / D + 0.4))
-    arcs = np.empty((D, K), dtype=np.complex128)
-    for k in range(K):
-        w = _LEMNISCATE_R * np.exp(2j * np.pi * (k + 0.25 / (d - 1)) / K)
-        z = _aberth_f64(_LevelCurve(d, m, w), z)
-        arcs[:, k] = z
-    pts = arcs.ravel()
-    surplus = pts.size - degree
-    return np.delete(pts, np.arange(surplus) * pts.size // surplus) if surplus else pts
 
 
 class _Jet:

@@ -3,14 +3,15 @@
 Pipeline: deterministic starting points, a vectorized float64 Aberth-Ehrlich
 stage, Newton polishing, then an outward-rounded inclusion disk per root.
 The evaluator picks the starts: orbit evaluators of pcflab.critical_orbit
-put them on a lemniscate of the Multibrot set (a pure function of d and the
-degree), every other polynomial gets root-modulus annuli from its coefficient
-hull (fixed 0.4 rad offset). Either way they are float64 functions of the
-input alone, so cache files are byte-reproducible. The
-certificate per approximation z is the classical inclusion disk of radius
-deg * |p(z)/p'(z)| (at least one root lies inside, because p'/p is the sum of
-reciprocal root distances); when all deg disks are pairwise disjoint, each
-contains exactly one root and the set is a complete isolation certificate.
+trace them down external rays of the Multibrot set to one of its lemniscates
+(a pure function of d and the degree), every other polynomial gets
+root-modulus annuli from its coefficient hull (fixed 0.4 rad offset). Either
+way they are float64 functions of the input alone, so cache files are
+byte-reproducible. The certificate per approximation z is the classical
+inclusion disk of radius deg * |p(z)/p'(z)| (at least one root lies inside,
+because p'/p is the sum of reciprocal root distances); when all deg disks are
+pairwise disjoint, each contains exactly one root and the set is a complete
+isolation certificate.
 
 Polishing and certification run on the fixed-point kernel of
 pcflab.fixedball, on the grid 2^-wp for working precision wp, from the
@@ -238,6 +239,11 @@ def _aberth_f64(evaluator, z0: np.ndarray):
                 z[active] = za
                 nray[bad] = 0.0
             s = _pairwise_inv_sum(z, active)
+            # a point on another one: its copies would step alike forever
+            clash = ~np.isfinite(s)
+            if clash.any():
+                za[clash] += 1e-9 * (1 + np.abs(za[clash])) * np.exp(1j * active[clash])
+                z[active] = za
             denom = 1.0 - nray * s
             w = nray / denom
             nf = ~np.isfinite(w)
@@ -250,7 +256,7 @@ def _aberth_f64(evaluator, z0: np.ndarray):
             za = za - w
             z[active] = za
             rel = np.abs(w) / (1.0 + np.abs(za))
-            ok = np.isfinite(rel) & (rel < _F64_TOL) & ~bad
+            ok = np.isfinite(rel) & (rel < _F64_TOL) & ~bad & ~clash
             settle[active] = np.where(ok, settle[active] + 1, 0)
             active = np.nonzero(settle < 2)[0]
             if active.size == 0:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -435,6 +434,25 @@ class TestLocalizedRepair:
         ps = all_roots(desc.poly, self.BITS, evaluator=ev)
         assert len(ps) == desc.poly.degree
         assert_pairwise_disjoint(ps)
+        # the float64 stage split the copies, so no disk was repaired
+        assert ev.calls_above(self.FIRST_WP) == (0, 0)
+        with mp.workprec(512):
+            for b in ps.roots:
+                assert sum(not bl.disjoint(b, a) for a in plain.roots) == 1
+
+    def test_coincident_float64_points_end_up_separated(self, desc, plain, monkeypatch):
+        aberth = rootfinder._aberth_f64
+
+        def doubled(evaluator, z0):
+            z = aberth(evaluator, z0)
+            z[1] = z[0]
+            return z
+
+        monkeypatch.setattr(rootfinder, "_aberth_f64", doubled)
+        ev = Widening(factor_evaluator(desc))
+        ps = all_roots(desc.poly, self.BITS, evaluator=ev)
+        assert len(ps) == desc.poly.degree
+        assert_pairwise_disjoint(ps)
         # both copies were repaired, and each disk holds its own root
         assert ev.calls_above(self.FIRST_WP)[1] == 2
         with mp.workprec(512):
@@ -686,39 +704,45 @@ def float64_sweeps(desc):
 
 class TestLemniscateStarts:
     def test_gleason_11_sweeps(self):
-        # hull starts on one circle took 530 float64 sweeps here, and starts
-        # on the lemniscate one level lower 39; these take 26
+        # hull starts on one circle took 530 float64 sweeps here, starts on
+        # lemniscate arcs 26; the external-ray starts take 13
         ev = CountingNewton(gleason_evaluator(2, 11))
         ps = all_roots(gleason(2, 11), 128, evaluator=ev)
         assert len(ps) == 1024
-        assert ev.sweeps <= 30
+        assert ev.sweeps <= 16
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 5), (3, 7)])
     def test_exact_roots_of_g_q_settle(self, m, n):
         # a point that lands on c = 0 or -1 exactly used to be nudged off
         # and drawn back, for all 800 sweeps
-        assert float64_sweeps(misiurewicz_factor(2, m, n)) <= 30
+        assert float64_sweeps(misiurewicz_factor(2, m, n)) <= 12
 
-    @pytest.mark.parametrize("d,degree", [(2, 1024), (3, 2160), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "d,degree",
+        [(2, 1024), (3, 2160), (2, 3), (3, 2), (2, 4096), (4, 64), (5, 100), (600, 599)],
+    )
     def test_pure_float64_function_of_d_and_degree(self, d, degree, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("LAPACK is not deterministic across builds")
 
         monkeypatch.setattr(np, "roots", forbidden)
         monkeypatch.setattr(np, "linalg", None)
-        monkeypatch.setattr(critical_orbit, "_starts", {})  # solve, not recall
+        monkeypatch.setattr(critical_orbit, "_starts", {})  # trace, not recall
         z = critical_orbit.lemniscate_starts(d, degree)
         assert z.shape == (degree,) and np.isfinite(z).all()
-        assert np.array_equal(z, critical_orbit._solve_starts(d, degree))
+        assert np.array_equal(z, critical_orbit.lemniscate_starts(d, degree))
         assert len(set(z.tolist())) == degree
-        # on the lemniscate |g_m| = 4, to float64 accuracy, where m is the
-        # least with deg g_m = d^(m-1) >= 2 sqrt(degree)
-        m = 2
-        while d ** (m - 1) < 2 * math.sqrt(degree):
+        # on the lemniscate |g_m| = R, where m is the least level with
+        # deg g_m = d^(m-1) >= degree and R = 4 up to d = 256, with
+        # arg g_m(z_j) = 2 pi (j + t) d^(m-1) / degree, t = 1/(4(d-1))
+        m = 1
+        while d ** (m - 1) < degree:
             m += 1
         U, _, S = critical_orbit._orbit_f64(d, z, m)
         assert (S[m] == 0).all()
-        assert np.allclose(np.abs(U[m]), 4.0, rtol=1e-9)
+        assert np.allclose(np.abs(U[m]), 2.0 ** min(2.0, 512 / d), rtol=1e-9)
+        turns = (np.arange(degree) + 0.25 / (d - 1)) * d ** (m - 1) / degree
+        assert np.allclose(np.angle(U[m] * np.exp(-2j * np.pi * turns)), 0, atol=1e-8)
 
     def test_each_call_returns_its_own_array(self):
         # start sets are kept per (d, degree); a caller that writes into the
@@ -734,26 +758,16 @@ class TestLemniscateStarts:
             for f in enumerate_factors(d, 5):
                 assert isinstance(factor_evaluator(f), critical_orbit.OrbitEvaluator), f.label
 
-    def test_no_float64_stage_reaches_max_sweeps(self, monkeypatch):
-        # the start solves of g_m - w included
-        aberth = rootfinder._aberth_f64
-
-        def counted(evaluator, z0):
-            ev = CountingNewton(evaluator)
-            out = aberth(ev, z0)
-            assert ev.sweeps < rootfinder._F64_MAX_SWEEPS
-            return out
-
-        monkeypatch.setattr(rootfinder, "_aberth_f64", counted)
-        monkeypatch.setattr(critical_orbit, "_aberth_f64", counted)
-        monkeypatch.setattr(critical_orbit, "_starts", {})  # solve, not recall
+    def test_no_float64_stage_reaches_max_sweeps(self):
         cases = [(f.poly, factor_evaluator(f)) for f in enumerate_factors(2, 8)]
         cases += [(f.poly, factor_evaluator(f)) for f in enumerate_factors(3, 6)]
         cases += [(f.poly, factor_evaluator(f)) for f in enumerate_factors(4, 4)]
         cases += [(gleason(2, n), gleason_evaluator(2, n)) for n in range(2, 12)]
-        for p, ev in cases:
+        for p, inner in cases:
             if p.degree > 1:  # all_roots solves a linear factor exactly
-                counted(ev, ev.starts_f64(p))
+                ev = CountingNewton(inner)
+                rootfinder._aberth_f64(ev, ev.starts_f64(p))
+                assert ev.sweeps <= 20
 
 
 def ball_ratio(evaluator, z):
