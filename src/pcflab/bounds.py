@@ -86,26 +86,15 @@ def beg_lower_bound(inp: LinearFormInput) -> mp.mpf:
         return -c1 * (nv / mp.log(nv)) * theta * mp.log(big_b)
 
 
-@dataclass(frozen=True)
-class MahlerSeparation:
-    """Root-separation lower bound sqrt(3) (d+1)^(-(2d+1)/2) H^(1-d), together
-    with the chained weaker form (2d)^(-d) H^(1-d)."""
-
-    value: mp.mpf
-    weak: mp.mpf
-
-
-def mahler_separation_bound(d_c: int, H) -> MahlerSeparation:
+def mahler_separation_bound(d_c: int, H) -> mp.mpf:
+    """Root-separation lower bound sqrt(3) (d+1)^(-(2d+1)/2) H^(1-d)."""
     if d_c < 2:
         raise ValueError("separation bound needs degree >= 2")
     with mp.workprec(96):
         hh = mp.mpf(H)
         if hh < 1:
             raise ValueError("polynomial height H must be >= 1")
-        hpow = hh ** (1 - d_c)
-        value = mp.sqrt(3) * mp.mpf(d_c + 1) ** (-mp.mpf(2 * d_c + 1) / 2) * hpow
-        weak = mp.mpf(2 * d_c) ** (-d_c) * hpow
-        return MahlerSeparation(value=value, weak=weak)
+        return mp.sqrt(3) * mp.mpf(d_c + 1) ** (-mp.mpf(2 * d_c + 1) / 2) * hh ** (1 - d_c)
 
 
 def prop31_bound(h_alpha: float, d: int, orbit_size: int, eps: float, C6: float) -> mp.mpf:
@@ -178,9 +167,9 @@ def separation_check(descs, root_sets) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name=f"separation-{desc.label}",
-                bound_value=sep.value,
+                bound_value=sep,
                 empirical_value=actual,
-                satisfied=actual >= sep.value,
+                satisfied=actual >= sep,
             )
         )
     return out

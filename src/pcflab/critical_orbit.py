@@ -208,28 +208,46 @@ def write_gleason_cache(root: Path, d: int, n: int) -> Path:
 
 # -- stable evaluators ---------------------------------------------------------
 #
-# The float64 stage tracks a shared power-of-two scale per point so the orbit
-# recurrence never overflows while far-from-set points migrate inward: stored
-# values satisfy true = stored * 2^scale, and every Newton ratio used by the
-# root finder is scale-free. Near the parameter region that actually contains
+# The float64 stage tracks a shared scale per point so the orbit recurrence
+# never overflows while far-from-set points migrate inward: stored values
+# satisfy true = stored * 2^scale, and every Newton ratio used by the root
+# finder is scale-free. Near the parameter region that actually contains
 # roots the scale stays 0 and the arithmetic is plain float64.
 
 _RESCALE_LIMIT = 2.0**200
+_POWER_LIMIT = 1016  # log2 bound on |U|^d and d |U|^(d-1) |DU| in a step
 
 
 def _orbit_f64(d: int, c: np.ndarray, depth: int):
     """Orbit values/derivatives u_k, u'_k for k = 0..depth, jointly rescaled.
 
     Apart from orbit(): it rescales float64 values, and its points fix the
-    root-cache bytes.
+    root-cache bytes. A value or derivative above _RESCALE_LIMIT moves down
+    to about 2^8 by a power of two. Before a step, a value of an escaping
+    orbit whose d-th power, or d |U|^(d-1) |DU| with |DU| <= _RESCALE_LIMIT,
+    would leave 2^+-_POWER_LIMIT (|U| above hi or below lo) first moves to
+    |U| = 1 by a fractional scale, so S_k + log2 |U_k| follows log2 |u_k| up
+    to d = 4096. For d <= 5, hi is above _RESCALE_LIMIT, and no |U| falls
+    below lo within DEGREE_CAP's depths: only the power-of-two rescale acts.
     Returns (U, DU, S): lists of arrays; true u_k = U[k] * 2^S[k].
     """
     n_pts = c.shape[0]
     U = [np.zeros(n_pts, dtype=np.complex128)]
     DU = [np.zeros(n_pts, dtype=np.complex128)]
     S = [np.zeros(n_pts)]
+    hi = 2.0 ** min(_POWER_LIMIT / d, (_POWER_LIMIT - math.log2(d * _RESCALE_LIMIT)) / (d - 1))
+    lo = 2.0 ** (-_POWER_LIMIT / d)
     for _ in range(depth):
         uk, duk, sk = U[-1], DU[-1], S[-1]
+        if hi < _RESCALE_LIMIT or sk.any():
+            with np.errstate(all="ignore"):
+                absu = np.abs(uk)
+                # |u| = |U| 2^S > 1: the low side never moves a bounded value
+                pre = (absu > hi) | ((absu < lo) & (absu * np.exp2(sk) > 1))
+                if pre.any():
+                    a = np.where(pre, np.log2(absu), 0.0)
+                    adj = np.exp2(-a)
+                    uk, duk, sk = uk * adj, duk * adj, sk + a
         scale_new = d * sk
         damp = np.exp2(-scale_new)  # 0 when the scale is huge: relatively negligible
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):

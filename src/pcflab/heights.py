@@ -15,8 +15,8 @@ ball's own radius, not rounding, is what limits the pass; N is then the
 window the last pass certified.
 
 Finite places never need iteration: the escape rate there is log max(1, |c|_p),
-so everything reduces to Newton polygons of minimal polynomials, computed
-exactly over Fractions.
+and its average over the conjugates of alpha is (log p) v_p(lead A) / deg A
+for the primitive minimal polynomial A that every AlgebraicNumber carries.
 
 The PCF gate runs the same orbit exactly, on Residues of Z[t]/(A) for a
 monic minimal polynomial A: u_n is g_n(t) mod A. A repeat proves PCF, and a
@@ -48,7 +48,6 @@ from .polynomials import (
     divide_exact,
     divmod_exact,
     evaluate_exact,
-    lower_hull,
 )
 from .rootfinder import CoefficientEvaluator, all_roots
 
@@ -145,22 +144,22 @@ def _escape_attempt(d, cb, z0b, target_error, max_iter):
     return bounded(*(escaped_at or (max_iter, hi))), escaped_at is None
 
 
-def _escape_rate_seeded(
+def local_height_arch(
     d: int,
     c,
-    z0,
+    z,
     target_error: float = 1e-12,
     max_iter: int = DEFAULT_MAX_ITER,
     precision_bits: int = DEFAULT_BITS,
-    seed_map=None,
 ) -> EscapeRateResult:
+    """Call-Silverman local height of z under z^d + c: the escape rate of
+    the orbit of z, at doubling precision until a pass decides."""
     if d < 2:
         raise ValueError("d must be >= 2")
     wp = max(64, precision_bits)
     while True:
         with mp.workprec(wp + 32):
-            cb = _as_fixed(c)
-            zb = _as_fixed(z0) if seed_map is None else seed_map(_as_fixed(z0), cb)
+            cb, zb = _as_fixed(c), _as_fixed(z)
             res, decided = _escape_attempt(d, cb, zb, mp.mpf(target_error), max_iter)
         wp *= 2
         # undecided: report this pass's certified window when it is the last
@@ -178,20 +177,8 @@ def escape_rate_arch(
     max_iter: int = DEFAULT_MAX_ITER,
     precision_bits: int = DEFAULT_BITS,
 ) -> EscapeRateResult:
-    """Escape rate of the critical orbit: iterate z <- z^d + c from z = c."""
-    return _escape_rate_seeded(d, c, c, target_error, max_iter, precision_bits)
-
-
-def local_height_arch(
-    d: int,
-    c,
-    z,
-    target_error: float = 1e-12,
-    max_iter: int = DEFAULT_MAX_ITER,
-    precision_bits: int = DEFAULT_BITS,
-) -> EscapeRateResult:
-    """Call-Silverman local height of z under z^d + c (seeded escape rate)."""
-    return _escape_rate_seeded(d, c, z, target_error, max_iter, precision_bits)
+    """Escape rate of the critical orbit: the local height of z = c."""
+    return local_height_arch(d, c, c, target_error, max_iter, precision_bits)
 
 
 def local_height_functional_check(
@@ -202,18 +189,10 @@ def local_height_functional_check(
     max_iter: int = DEFAULT_MAX_ITER,
     precision_bits: int = DEFAULT_BITS,
 ) -> mp.mpf:
-    """Upper bound for |lambda(z^d + c) - d lambda(z)| at the given point."""
+    """Upper bound for |lambda(z^d + c) - d lambda(z)| at an int or Fraction
+    point z and parameter c, where z^d + c is exact."""
     lam_z = local_height_arch(d, c, z, target_error, max_iter, precision_bits)
-    lam_fz = _escape_rate_seeded(
-        d,
-        c,
-        z,
-        target_error,
-        max_iter,
-        precision_bits,
-        # one step of the map, not an orbit: it seeds the escape iteration
-        seed_map=lambda zb, cb: zb**d + cb,
-    )
+    lam_fz = local_height_arch(d, c, z**d + c, target_error, max_iter, precision_bits)
     with mp.workprec(max(64, precision_bits)):
         return abs(lam_fz.value - d * lam_z.value) + lam_fz.error_bound + d * lam_z.error_bound
 
@@ -221,48 +200,17 @@ def local_height_functional_check(
 # -- non-archimedean places ------------------------------------------------------
 
 
-def newton_polygon_slopes(p: IntPolynomial, prime: int) -> list[tuple[Fraction, int]]:
-    """Slopes (with horizontal lengths) of the lower hull of (i, v_p(a_i)).
-
-    Root valuations are the negated slopes, each counted with the segment
-    length; zero coefficients (infinite valuation) never enter the hull.
-    """
-    if p.is_zero:
-        raise ValueError("newton polygon of the zero polynomial is undefined")
+def green_nonarch(alpha, prime: int, precision_bits: int = DEFAULT_BITS) -> mp.mpf:
+    """Averaged escape rate at a finite place: (log p / deg) times the sum
+    over the conjugates alpha_i of max(0, -v_p(alpha_i)). For the primitive
+    minimal polynomial A of alpha that sum is v_p(lead A), the rise of A's
+    Newton polygon over its roots of negative valuation, so this is
+    (log p) v_p(lead A) / deg A."""
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    hull = lower_hull([(i, valuation(c, prime)) for i, c in enumerate(p.coeffs) if c != 0])
-    return [
-        (Fraction(y2 - y1, x2 - x1), x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull[:-1], hull[1:])
-    ]
-
-
-def conjugate_valuations(p: IntPolynomial, prime: int) -> list[tuple[Fraction, int]]:
-    """p-adic valuations of the roots (value, multiplicity), by Newton polygon."""
-    return [(-slope, length) for slope, length in newton_polygon_slopes(p, prime)]
-
-
-def nonarch_mass(p: IntPolynomial, prime: int) -> Fraction:
-    """sum over roots of max(0, -v_p(root)): the denominator mass at prime.
-
-    For a primitive polynomial this equals v_p(leading coefficient) exactly.
-    """
-    return sum(
-        (max(Fraction(0), -v) * length for v, length in conjugate_valuations(p, prime)),
-        Fraction(0),
-    )
-
-
-def green_nonarch(alpha, prime: int, precision_bits: int = DEFAULT_BITS) -> mp.mpf:
-    """Averaged escape rate at a finite place:
-    (log p / deg) * sum_i max(0, -v_p(alpha_i)) over the conjugates alpha_i."""
     alpha = as_algebraic(alpha)
-    mass = nonarch_mass(alpha.min_poly, prime)
-    if mass == 0:
-        return mp.mpf(0)
     with mp.workprec(max(64, precision_bits)):
-        return mp.log(prime) * mp.mpf(mass.numerator) / (mass.denominator * alpha.degree)
+        return mp.log(prime) * valuation(alpha.min_poly.lead, prime) / alpha.degree
 
 
 # -- algebraic numbers -------------------------------------------------------------
@@ -277,7 +225,8 @@ class AlgebraicNumber:
     from_min_poly divides out every linear factor over Z and keeps the
     factor the selected root lies on, so input of degree <= 3 is certified
     irreducible. A higher-degree polynomial may still be reducible; heights
-    and Newton polygon masses are then computed from its full root multiset.
+    are then computed from its full root multiset, and the finite-place
+    escape rates from its leading coefficient.
     A linear input is returned as its rational, at any coefficient width;
     only input of degree >= 2 is isolated, and refused (ValueError) when a
     coefficient is wider than rootfinder.MAX_COEFF_BITS.

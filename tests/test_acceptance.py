@@ -241,8 +241,8 @@ class TestAcceptance:
             ps = roots_of(desc.poly, 128, factor_evaluator(desc))
             sep = min_pairwise_distance(ps)
             bound = mahler_separation_bound(desc.poly.degree, desc.poly.max_abs_coeff())
-            assert sep >= bound.value, desc.label
-            ratio = sep / bound.value
+            assert sep >= bound, desc.label
+            ratio = sep / bound
             worst_ratio = ratio if worst_ratio is None else min(worst_ratio, ratio)
             checked += 1
         report(

@@ -1,5 +1,6 @@
-"""The public names and the benchmark's traced entry points exist, and the
-Horner evaluator is built in one place.
+"""The public names and the benchmark's traced entry points exist, the
+README's library quick start runs, and the Horner evaluator is built in one
+place.
 
 perfbench/tracer.py wraps the entry points it lists by name and reports a
 per-layer metric as null when one is missing, so a deletion or rename here
@@ -32,6 +33,13 @@ def tracer_constant(name):
 def test_all_names_resolve():
     missing = [name for name in pcflab.__all__ if not hasattr(pcflab, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "frozenset({5}) True"
 
 
 def test_traced_entry_points_exist():

@@ -112,16 +112,11 @@ class TestMahlerSeparation:
     def test_frozen_values(self):
         got = mahler_separation_bound(3, 2)
         # sqrt(3) * 4^(-7/2) * 2^(-2) = sqrt(3)/512
-        assert float(got.value) == pytest.approx(float(mp.sqrt(3) / 512), rel=1e-12)
-        assert float(got.value) == pytest.approx(3.383e-3, rel=1e-3)
+        assert float(got) == pytest.approx(float(mp.sqrt(3) / 512), rel=1e-12)
+        assert float(got) == pytest.approx(3.383e-3, rel=1e-3)
         got2 = mahler_separation_bound(2, 1)
-        assert float(got2.value) == pytest.approx(float(mp.sqrt(3) * 3 ** mp.mpf(-2.5)), rel=1e-12)
-        assert float(got2.value) == pytest.approx(0.11111, rel=1e-3)
-
-    def test_weak_form_is_weaker(self):
-        for d_c, h in [(2, 1), (5, 7), (30, 10**6)]:
-            b = mahler_separation_bound(d_c, h)
-            assert b.weak <= b.value
+        assert float(got2) == pytest.approx(float(mp.sqrt(3) * 3 ** mp.mpf(-2.5)), rel=1e-12)
+        assert float(got2) == pytest.approx(0.11111, rel=1e-3)
 
     def test_against_actual_separation(self):
         p = P([1, 1, 2, 1])
@@ -130,7 +125,7 @@ class TestMahlerSeparation:
 
         sep = min_pairwise_distance(ps)
         bound = mahler_separation_bound(p.degree, p.max_abs_coeff())
-        assert sep >= bound.value
+        assert sep >= bound
 
 
 class TestProp31:

@@ -342,6 +342,24 @@ class TestConfigFile:
         assert code == 0
         assert "exact-period\t-\t3" in (cache / "reports" / "census-d2-n3.tsv").read_text()
 
+    def test_text_format_prints_prose_and_keeps_the_tsv_report(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("version=1\nformat=text\n")
+        cache = tmp_path / "cache"
+        args = ["integral-scan", "--d", "2", "--max-n", "3", "--alpha", "1", "--S", "2,5"]
+        code, out, _ = run([*args, "--config", str(conf), "--cache", str(cache)], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "period-1: degree 1, meeting primes -, S-integral",
+            "period-2: degree 1, meeting primes 2, S-integral",
+            "period-3: degree 3, meeting primes 5, S-integral",
+            "misiurewicz-2-3: degree 1, meeting primes 3, not S-integral",
+        ]
+        tsv = (cache / "reports" / "census-d2-n3.tsv").read_text()
+        code, plain, _ = run([*args, "--cache", str(tmp_path / "plain")], capsys)
+        assert code == 0 and tsv == plain
+        assert tsv.splitlines()[1] == "kind\tm\tn\tdegree\tmeeting_primes\tS_integral"
+
 
 class TestPlot:
     def test_plot_outputs_and_root_placement(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from pcflab.critical_orbit import (
     ExactPeriodEvaluator,
     GleasonEvaluator,
     MisiurewiczEvaluator,
+    _orbit_f64,
     exact_period_factor,
     enumerate_factors,
     factor_evaluator,
@@ -113,6 +115,30 @@ class TestOrbit:
         t = Residue(divmod_exact(X, A)[1], A)
         for n, u in enumerate(islice(orbit(d, t, Residue(ZERO, A)), 6 if d == 2 else 5)):
             assert u.poly == divmod_exact(gleason(d, n), A)[1], n
+
+
+class TestOrbitF64:
+    """The rescaled float64 orbit against mpmath for large d, where |u_k|^d
+    is far outside float64 range: u_2 = 1.2^4096 + 1.2 is about 2^1077."""
+
+    CS = [1.2, 1.05 + 0.3j, -1.3, 0.9 + 0.7j]
+
+    @pytest.mark.parametrize("d", [100, 600, 4096])
+    def test_log_modulus_and_newton_ratio_match_mpmath(self, d):
+        U, DU, S = _orbit_f64(d, np.array(self.CS, dtype=np.complex128), 4)
+        with mp.workprec(64):
+            for i, c in enumerate(self.CS):
+                u = du = mp.mpc(0)
+                for k in range(1, 5):
+                    u, du = u**d + c, d * u ** (d - 1) * du + 1
+                    want = float(mp.log(abs(u), 2))
+                    assert abs(S[k][i] + np.log2(abs(U[k][i])) - want) <= 1e-12 * max(1, abs(want))
+                    ratio = complex(u / du)
+                    assert abs(U[k][i] / DU[k][i] - ratio) <= 1e-12 * abs(ratio), (c, k)
+
+    def test_gleason_newton_ratio_is_finite_at_d_100(self):
+        step = GleasonEvaluator(100, 3).newton_f64(np.array([1.2 + 0j]))
+        assert np.isfinite(step).all() and step[0] != 0
 
 
 class TestPreperiodic:

@@ -1,4 +1,4 @@
-"""Escape rates, Newton polygons, the Weil height and the PCF gate."""
+"""Escape rates, local heights at all places, the Weil height and the PCF gate."""
 
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ from pcflab import heights
 from pcflab.errors import HypothesisUndecided
 from pcflab.heights import (
     AlgebraicNumber,
-    conjugate_valuations,
     escape_rate_arch,
     green_nonarch,
     is_pcf_parameter,
     local_height_arch,
     local_height_functional_check,
-    nonarch_mass,
     weil_height,
 )
 from pcflab.polynomials import IntPolynomial
@@ -185,52 +183,19 @@ class TestLocalHeightFunctional:
             assert local_height_functional_check(2, c, z) < 1e-10
 
 
-class TestNewtonPolygon:
-    def test_half_at_two(self):
-        # 2t - 1: root 1/2 has v_2 = -1
-        assert conjugate_valuations(P([-1, 2]), 2) == [(Fraction(-1), 1)]
-        assert nonarch_mass(P([-1, 2]), 2) == 1
-
-    def test_sqrt2_at_two(self):
-        # t^2 - 2: both roots have v_2 = 1/2; no denominator mass
-        assert conjugate_valuations(P([-2, 0, 1]), 2) == [(Fraction(1, 2), 2)]
-        assert nonarch_mass(P([-2, 0, 1]), 2) == 0
-
-    def test_mixed_slopes(self):
-        # (2t - 1)(t - 2) = 2t^2 - 5t + 2: valuations -1 and +1 at p = 2
-        assert sorted(conjugate_valuations(P([2, -5, 2]), 2)) == [
-            (Fraction(-1), 1),
-            (Fraction(1), 1),
-        ]
-
-    def test_mass_equals_lead_valuation_for_primitive(self):
-        import random
-
-        rng = random.Random(31)
-        for _ in range(40):
-            coeffs = [rng.randint(-40, 40) for _ in range(rng.randint(2, 7))]
-            p = P(coeffs)
-            if p.is_zero or p.degree < 1:
-                continue
-            p = p.primitive_part()
-            for prime in (2, 3, 5, 7):
-                from pcflab.numtheory import valuation
-
-                lead_val = valuation(p.lead, prime) if p.lead else 0
-                assert nonarch_mass(p, prime) == lead_val
-
-    @pytest.mark.parametrize("place", [-2, 1, 4])
-    def test_non_prime_place_raises(self, place):
-        for f in (heights.newton_polygon_slopes, conjugate_valuations, nonarch_mass):
-            with pytest.raises(ValueError):
-                f(P([1, 0, 4]), place)
-
-
 class TestGreenNonarch:
     def test_half_at_two_gives_log_two(self):
         v = green_nonarch(Fraction(1, 2), 2)
         with mp.workprec(300):
             assert abs(v - mp.log(2)) < 1e-60
+
+    def test_conjugates_of_valuations_zero_and_minus_two(self):
+        # 4t^2 + t + 1: its Newton polygon at 2 has slopes 0 and 2, so the
+        # conjugates have v_2 = 0 and -2, a mass of 2 over degree 2
+        alpha = AlgebraicNumber.from_min_poly([1, 1, 4], 0)
+        with mp.workprec(300):
+            assert abs(green_nonarch(alpha, 2) - mp.log(2)) < 1e-60
+        assert green_nonarch(alpha, 3) == 0
 
     def test_sqrt_two_at_two_vanishes(self):
         alpha = AlgebraicNumber.from_min_poly([-2, 0, 1], 0)
@@ -242,6 +207,8 @@ class TestGreenNonarch:
     def test_non_prime_place_raises(self):
         with pytest.raises(ValueError):
             green_nonarch(3, 1)
+        with pytest.raises(ValueError):
+            green_nonarch(Fraction(1, 2), -2)
         with pytest.raises(ValueError):
             green_nonarch(AlgebraicNumber.from_min_poly([1, 0, 4], 0), 4)
 
@@ -325,7 +292,8 @@ class TestCriticalHeightByPlace:
             res = escape_rate_arch(2, b, max_iter=400)
             assert not res.escaped and res.value == 0
             assert res.error_bound < 1e-8
-        assert all(nonarch_mass(desc.poly, p) == 0 for p in (2, 3, 5))
+        alpha = AlgebraicNumber.from_min_poly(desc.poly, 0)
+        assert all(green_nonarch(alpha, p) == 0 for p in (2, 3, 5))
 
 
 class TestPcfGate:
