@@ -183,6 +183,86 @@ class TestLocalHeightFunctional:
             assert local_height_functional_check(2, c, z) < 1e-10
 
 
+def newton_polygon_mass(poly: IntPolynomial, prime: int) -> Fraction:
+    """Sum over the roots of max(0, -v_p(root)), read off the lower convex
+    hull of the points (i, v_p(a_i)): a segment of slope s and width w
+    carries w roots of valuation -s."""
+    from pcflab.numtheory import valuation
+
+    pts = [(i, valuation(a, prime)) for i, a in enumerate(poly.coeffs) if a]
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (pt[0] - x0) >= (pt[1] - y0) * (x1 - x0):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    mass = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        slope = Fraction(y1 - y0, x1 - x0)
+        if slope > 0:
+            mass += slope * (x1 - x0)
+    return mass
+
+
+class TestNewtonPolygon:
+    """green_nonarch against the conjugate valuations of Newton polygons."""
+
+    def test_half_at_two(self):
+        # 2t - 1: root 1/2 has v_2 = -1
+        assert newton_polygon_mass(P([-1, 2]), 2) == 1
+        alpha = AlgebraicNumber.from_min_poly([-1, 2], 0)
+        with mp.workprec(300):
+            assert abs(green_nonarch(alpha, 2) - mp.log(2)) < 1e-60
+
+    def test_sqrt2_at_two(self):
+        # t^2 - 2: both roots have v_2 = 1/2; no denominator mass
+        assert newton_polygon_mass(P([-2, 0, 1]), 2) == 0
+        assert green_nonarch(AlgebraicNumber.from_min_poly([-2, 0, 1], 0), 2) == 0
+
+    def test_mixed_slopes(self):
+        # 2t^2 + t + 2 (irreducible): valuations -1 and +1 at p = 2, so the
+        # mass is 1 over degree 2
+        assert newton_polygon_mass(P([2, 1, 2]), 2) == 1
+        alpha = AlgebraicNumber.from_min_poly([2, 1, 2], 0)
+        assert alpha.degree == 2
+        with mp.workprec(300):
+            assert abs(green_nonarch(alpha, 2) - mp.log(2) / 2) < 1e-60
+
+    def test_mass_equals_lead_valuation_for_primitive(self):
+        import random
+
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(40):
+            coeffs = [rng.randint(-40, 40) for _ in range(rng.randint(3, 4))]
+            p = P(coeffs)
+            if p.is_zero or p.degree < 2:
+                continue
+            if p.lead < 0:
+                p = P([-a for a in p.coeffs])
+            try:
+                alpha = AlgebraicNumber.from_min_poly(p, 0)
+            except ValueError:
+                continue  # not squarefree
+            if not isinstance(alpha, AlgebraicNumber) or alpha.degree != p.degree:
+                continue  # a rational factor was split off
+            p = p.primitive_part()
+            for prime in (2, 3, 5, 7):
+                want = mp.log(prime) * newton_polygon_mass(p, prime) / p.degree
+                assert abs(green_nonarch(alpha, prime) - want) < 1e-15
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("place", [-2, 1, 4])
+    def test_non_prime_place_raises(self, place):
+        for alpha in (Fraction(1, 2), AlgebraicNumber.from_min_poly([1, 0, 4], 0)):
+            with pytest.raises(ValueError):
+                green_nonarch(alpha, place)
+
+
 class TestGreenNonarch:
     def test_half_at_two_gives_log_two(self):
         v = green_nonarch(Fraction(1, 2), 2)
