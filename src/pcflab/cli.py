@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
 from . import __version__
 from .cacheio import atomic_write_bytes, atomic_write_text, remove_temp_files
@@ -250,9 +249,13 @@ def cached_root_sets(jobs):
     mine, theirs, pid = misses, [], 0
     if len(misses) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
         mine, theirs = _split_by_degree(jobs, misses)
+        # both sides isolate on numpy: imported once here, the child
+        # inherits it rather than paying its 0.1 s of CPU again
+        import numpy
+
         try:
             # fork, not spawn: the CLI runs no threads, and a spawned child
-            # would pay the 0.3 s import again and rebuild the polynomials
+            # would pay the 0.17 s set-up again and rebuild the polynomials
             pid = os.fork()
         except OSError:  # no process to spare: a serial run
             mine, theirs = misses, []
@@ -441,6 +444,8 @@ def escape_time_grid(d: int, size: int = 800, max_iter: int = 96):
     means no escape within budget), row i from top; extent = (xmin, xmax,
     ymin, ymax).
     """
+    import numpy as np
+
     bound = float(2 ** (1.0 / (d - 1)))
     half = bound * 1.15
     # pixel centers include the real and imaginary axes exactly: the antenna
@@ -466,6 +471,8 @@ def escape_time_grid(d: int, size: int = 800, max_iter: int = 96):
 
 
 def _ppm_bytes(counts: np.ndarray, max_iter: int, dots: Sequence[tuple[int, int]]) -> bytes:
+    import numpy as np
+
     size_y, size_x = counts.shape
     shade = np.where(
         counts >= max_iter,

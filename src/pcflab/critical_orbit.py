@@ -44,8 +44,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
@@ -231,6 +229,8 @@ def _orbit_f64(d: int, c: np.ndarray, depth: int):
     below lo within DEGREE_CAP's depths: only the power-of-two rescale acts.
     Returns (U, DU, S): lists of arrays; true u_k = U[k] * 2^S[k].
     """
+    import numpy as np
+
     n_pts = c.shape[0]
     U = [np.zeros(n_pts, dtype=np.complex128)]
     DU = [np.zeros(n_pts, dtype=np.complex128)]
@@ -304,6 +304,8 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
     each root on it, and a pair splits only once rounding breaks the mirror
     (t = 1/2 cost d=2 misiurewicz-2-5 40 sweeps instead of 10).
     """
+    import numpy as np
+
     key = (d, degree)
     if key not in _starts:
         m = 1
@@ -373,6 +375,8 @@ class GleasonEvaluator(OrbitEvaluator):
     """(value, derivative) of g_n via the orbit recurrence."""
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         U, DU, _ = _orbit_f64(self.d, z, self.n)
         with np.errstate(all="ignore"):
             return U[self.n] / DU[self.n]
@@ -390,6 +394,8 @@ class ExactPeriodEvaluator(OrbitEvaluator):
         self.exps = [(k, mobius(n // k)) for k in divisors(n) if mobius(n // k) != 0]
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         U, DU, _ = _orbit_f64(self.d, z, self.n)
         # an exact root of g_n that no lower g_k shares (c = -1 for d = 2,
         # +-i for d = 3) is a root of the factor, where inv is inf or nan
@@ -436,6 +442,8 @@ class MisiurewiczEvaluator(OrbitEvaluator):
         self.q = math.gcd(n - 1, m - 1)
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         d, m, n = self.d, self.m, self.n
         U, DU, S = _orbit_f64(d, z, n - 1)
         ua, dua, sa = U[n - 1], DU[n - 1], S[n - 1]

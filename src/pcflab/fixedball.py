@@ -35,8 +35,10 @@ bounds of * and /, with the radius-0 shortcuts), isqrt, max, and the zero
 tests of /, where a lane that may divide by 0 raises for the whole array.
 Each formula is written once, lane i of a result is the scalar result on
 lane i bit for bit, and the scalar code pays nothing for the array form.
-The root finder polishes and certifies its roots in batches this way; the
-escape iteration of pcflab.heights stays scalar.
+The array primitives are made on the first call of one, so importing this
+module does not import numpy. The root finder polishes and certifies its
+roots in batches this way; the escape iteration of pcflab.heights stays
+scalar.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from math import isqrt
 from types import FunctionType
 
 import mpmath as mp
-import numpy as np
 
 from .balls import ComplexBall
 
@@ -72,7 +73,7 @@ def _mul_err(ar: int, ai: int, ra: int, br: int, bi: int, rb: int) -> int:
     return err
 
 
-# the zero tests of /; the array form is np.any
+# the zero tests of /; the array form is numpy.any
 _any = bool
 
 
@@ -290,7 +291,28 @@ class FixedPointArray(FixedPoint):
     __slots__ = ()
 
 
-isqrt_array = np.frompyfunc(isqrt, 1, 1)
+def _first_call(name: str):
+    """A stand-in for the array primitive name. Its first call puts the
+    array primitives, made with numpy, in _ARRAY_GLOBALS in place of the
+    stand-ins, so every later call goes straight to numpy."""
+
+    def call(*args):
+        import numpy as np
+
+        _ARRAY_GLOBALS.update(
+            _mul_err=np.frompyfunc(_mul_err, 6, 1),
+            _any=np.any,
+            isqrt=np.frompyfunc(isqrt, 1, 1),
+            max=np.frompyfunc(max, 2, 1),
+        )
+        return _ARRAY_GLOBALS[name](*args)
+
+    return call
+
+
+def isqrt_array(x):
+    """isqrt on each lane of an object array of Python ints."""
+    return _ARRAY_GLOBALS["isqrt"](x)
 
 
 # The array classes run the scalar classes' method code under these globals:
@@ -301,10 +323,7 @@ _ARRAY_GLOBALS = dict(
     globals(),
     FixedBall=FixedBallArray,
     FixedPoint=FixedPointArray,
-    _mul_err=np.frompyfunc(_mul_err, 6, 1),
-    _any=np.any,
-    isqrt=isqrt_array,
-    max=np.frompyfunc(max, 2, 1),
+    **{name: _first_call(name) for name in ("_mul_err", "_any", "isqrt", "max")},
 )
 for _cls in (FixedBallArray, FixedPointArray):
     for _name, _f in vars(_cls.__base__).items():

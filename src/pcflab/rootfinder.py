@@ -58,7 +58,6 @@ from pathlib import Path
 from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 from mpmath import libmp
 
 from . import balls as bl
@@ -92,6 +91,8 @@ _BATCH = 128
 
 
 def _log2_abs(c: int) -> float:
+    import numpy as np
+
     bits = abs(c).bit_length()
     return float(np.log2(abs(c) >> max(0, bits - 64)) + max(0, bits - 64))
 
@@ -148,6 +149,8 @@ class CoefficientEvaluator(Evaluator):
             raise NonSquarefreeInput("apply squarefree_part before root finding")
         self.poly = p
         self.dpoly = p.derivative()
+        import numpy as np
+
         shift = max(0, coeff_bits - 500)
         self._c64, self._d64 = (
             np.array([float(Fraction(c, 1 << shift)) for c in q.coeffs], dtype=np.float64)
@@ -167,6 +170,8 @@ class CoefficientEvaluator(Evaluator):
         radius. Everything is a pure function of the coefficients, so cache
         files reproduce exactly.
         """
+        import numpy as np
+
         n = p.degree
         log2 = [(i, _log2_abs(c)) for i, c in enumerate(p.coeffs) if c != 0]
         fujiwara = max(((y - log2[-1][1]) / (n - i) for i, y in log2[:-1]), default=0.0)
@@ -188,6 +193,8 @@ class CoefficientEvaluator(Evaluator):
         return np.exp2(np.clip(np.array(rl), -1000.0, 1000.0)) * np.exp(1j * np.array(ang))
 
     def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         zero = np.zeros_like(z)
         with np.errstate(all="ignore"):
             return horner(self._c64, z, zero) / horner(self._d64, z, zero)
@@ -212,6 +219,8 @@ class PCFParameterSet:
 
 def _pairwise_inv_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sum_k 1/(z_i - z_k) for the selected rows i (k runs over everything)."""
+    import numpy as np
+
     out = np.empty(idx.size, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for b0 in range(0, idx.size, _ROW_BLOCK):
@@ -224,6 +233,8 @@ def _pairwise_inv_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _aberth_f64(evaluator, z0: np.ndarray):
     """Jacobi-style Aberth sweeps; converged points freeze (but keep repelling)."""
+    import numpy as np
+
     z = z0.copy()
     n = z.size
     nudge = 0.01 + 0.017j
@@ -321,6 +332,8 @@ def _polish_lanes(evaluator, re: np.ndarray, im: np.ndarray, precision_bits: int
     wp = mp.prec, in place and in lockstep: each point stops at its first
     step w with |w| <= 2^-(bits+24) * (1 + |z|), or when its step raises
     ZeroDivisionError."""
+    import numpy as np
+
     wp = mp.mp.prec
     shift = 2 * (precision_bits + 24)
 
@@ -348,6 +361,8 @@ def _disk_radii(evaluator, re: np.ndarray, im: np.ndarray, degree: int, precisio
     2^-wp, wp = mp.prec, rounded up, or None when the test fails, the ball
     evaluation raises ZeroDivisionError, or the radius misses the
     2^-(bits/2) * (1 + |z|) target."""
+    import numpy as np
+
     wp = mp.mp.prec
 
     def balls(sub):
@@ -378,6 +393,8 @@ def _polished_disks(evaluator, zs: list, batch: Sequence[int], degree: int, prec
     disk. The polished point is floored to wp bits, so it is still a grid
     point and the exact center of a ball of radius 0 for _disk_radii.
     """
+    import numpy as np
+
     wp = mp.mp.prec
     pts = [FixedPoint.from_mpc(zs[j], wp) for j in batch]
     re = np.array([z.re for z in pts], dtype=object)
@@ -399,6 +416,8 @@ def _polished_disks(evaluator, zs: list, batch: Sequence[int], degree: int, prec
 def _distance_rows(cf: np.ndarray):
     """(i0, |cf[i] - cf[k]|) for the rows i of each block from i0 on, with
     inf where k = i."""
+    import numpy as np
+
     for i0 in range(0, cf.size, _ROW_BLOCK):
         dist = np.abs(cf[i0 : i0 + _ROW_BLOCK, None] - cf[None, :])
         rows = np.arange(dist.shape[0])
@@ -412,6 +431,8 @@ def _rounding_slack(cf: np.ndarray) -> float:
     |center|, and the float64 distances round relatively. Both callers
     take it before _distance_rows, so a center that does not fit a float64
     raises ValueError before any distance is formed from it."""
+    import numpy as np
+
     if not np.isfinite(cf).all():
         raise ValueError("a disk center is too large for the float64 distance prefilter")
     return 4 * float(np.spacing(np.abs(cf).max()))
@@ -424,6 +445,8 @@ def _overlapping(disks: list) -> set[int]:
     that covers the center rounding picks the close pairs; each gets the
     exact ball test.
     """
+    import numpy as np
+
     live = [i for i, b in enumerate(disks) if b is not None]
     if len(live) < 2:
         return set()
@@ -504,6 +527,8 @@ def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PC
 
 def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> mp.mpf:
     """Rigorous lower bound on the minimum pairwise root distance."""
+    import numpy as np
+
     balls = roots.roots if isinstance(roots, PCFParameterSet) else tuple(roots)
     if len(balls) < 2:
         raise ValueError("need at least two roots")

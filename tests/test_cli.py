@@ -439,6 +439,44 @@ class TestCrossProcessDeterminism:
         assert trees[0] and trees[0] == trees[1]
 
 
+NUMPY_PROBE = """
+import sys
+import pcflab.cli
+code = None
+if len(sys.argv) > 1:
+    try:
+        code = pcflab.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyOnlyWhereArraysRun:
+    # numpy is a third of the set-up of every CLI run; only the float64
+    # stages, the pairwise kernels, the lane arrays and plot import it. The
+    # runs are fresh interpreters, since this one has numpy loaded
+    @pytest.mark.parametrize("args,code,loaded", [
+        ([], None, False),
+        (["--help"], 0, False),
+        (["enumerate", "--max-n", "0"], 2, False),
+        (["enumerate", "--d", "2", "--max-n", "14"], 3, False),
+        (["integral-scan", "--d", "2", "--max-n", "3", "--alpha=3", "--S", "2,5"], 0, False),
+        (["enumerate", "--d", "2", "--max-n", "3"], 0, True),
+    ])
+    def test_numpy_loaded_only_by_a_run_that_isolates(self, args, code, loaded, tmp_path):
+        src = str(Path(pcflab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if args and args != ["--help"]:
+            args = args + ["--cache", str(tmp_path / "cache")]
+        res = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert res.stdout.splitlines()[-1] == f"{code} {loaded}", res.stderr
+
+
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 

@@ -770,6 +770,32 @@ class TestLemniscateStarts:
                 assert ev.sweeps <= 20
 
 
+class TestLargeDegree:
+    """Isolation for large d, where the float64 orbit rescales before the
+    d-th power and every external-ray start lies outside M_d."""
+
+    def test_gleason_2_of_d_100_from_starts_outside_m_d(self):
+        # g_2 = c (c^99 + 1): its roots are 0 and e^(i pi (2k+1)/99), k < 99
+        starts = critical_orbit.lemniscate_starts(100, 100)
+        assert (np.abs(starts) > 2 ** (1 / 99)).all()
+        ps = all_roots(gleason(100, 2), 128, gleason_evaluator(100, 2))
+        assert len(ps) == 100
+        assert_pairwise_disjoint(ps)
+        with mp.workprec(256):
+            exact = [mp.mpc(0)] + [mp.expjpi(mp.mpf(2 * k + 1) / 99) for k in range(99)]
+            holders = [
+                [i for i, b in enumerate(ps.roots) if abs(b.center - r) < b.radius] for r in exact
+            ]
+        assert all(len(h) == 1 for h in holders)
+        assert len({h[0] for h in holders}) == 100
+
+    def test_gleason_3_of_d_30(self):
+        ps = all_roots(gleason(30, 3), 128, gleason_evaluator(30, 3))
+        assert len(ps) == 900
+        # the exact ball test on every pair the float64 prefilter finds close
+        assert rootfinder._overlapping(list(ps.roots)) == set()
+
+
 def ball_ratio(evaluator, z):
     """The center of val / der of the formula run on FixedBalls: the oracle
     for newton_mp, which runs it on FixedPoints."""
