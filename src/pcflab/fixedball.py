@@ -18,13 +18,15 @@ runs on it too, with abs_bounds for its bail and tail tests.
 A point is a ball without its radius: the same Gaussian integers on the
 same grid, the same exact + and - and int lifts, the same floored * and /.
 The same operations on points and on balls give bit-for-bit the same
-centers. In the root finder, points carry the whole polish: a root enters
-the grid once, every Newton step p/p' is a floored point quotient, and the
-stop rule is tested on the integers. Balls carry the disk: the polished
-point is a ball of radius 0, and the inclusion radius comes from abs_bounds
-of the value and derivative balls, in whole grid units rounded up, before
-the disk leaves as one ComplexBall. A point encloses nothing, so it has no
-conversion to a ComplexBall and no modulus bounds.
+centers. In the root finder, points carry the polish: a root enters the
+grid once, every Newton step p/p' is a floored point quotient, and the stop
+rule is tested on the integers. Balls carry the last step and the disk: the
+point, floored, is a ball of radius 0; the quotient of the value and
+derivative centers is the point step there, and once that step is small
+enough the inclusion radius comes from abs_bounds of the same two balls, in
+whole grid units rounded up, and the disk leaves as one ComplexBall. A point
+encloses nothing, so it has no conversion to a ComplexBall and no modulus
+bounds.
 
 Both have an array form, FixedBallArray and FixedPointArray, whose re, im
 and rad are 1-D numpy object arrays of Python ints, one lane per ball or
@@ -47,6 +49,7 @@ from math import isqrt
 from types import FunctionType
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .balls import ComplexBall
 
@@ -96,12 +99,22 @@ def _to_grid(x: mp.mpf, prec: int) -> tuple[int, int]:
     return v, int((v << -s) != man)
 
 
-def _to_mpf(x: int, prec: int) -> tuple[mp.mpf, int]:
-    """x * 2^-prec floored to mp.prec bits, and the (nonnegative, integer)
-    error of that rounding in units of 2^-prec."""
+def grid_from_float(x: float, prec: int) -> int:
+    """x * 2^prec rounded to nearest, as _to_grid rounds mp.mpf(x): a
+    float64 goes onto the grid without passing through mpmath."""
+    man, den = x.as_integer_ratio()
+    s = den.bit_length() - 1 - prec  # den is 2^(s + prec)
+    if s <= 0:
+        return man << -s
+    return (man + (1 << (s - 1))) >> s
+
+
+def _to_mpf(x: int, prec: int) -> tuple[tuple, int]:
+    """x * 2^-prec floored to mp.prec bits, as an exact _mpf_ tuple, and the
+    (nonnegative, integer) error of that rounding in units of 2^-prec."""
     s = max(0, abs(x).bit_length() - mp.mp.prec)
     v = x >> s
-    return mp.mpf((v, s - prec)), x - (v << s)
+    return from_man_exp(v, s - prec), x - (v << s)
 
 
 class _OnGrid:
@@ -111,7 +124,7 @@ class _OnGrid:
 
     def center(self) -> mp.mpc:
         """The center at the current mpmath precision (floored)."""
-        return mp.mpc(_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0])
+        return mp.mp.make_mpc((_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -159,7 +172,8 @@ class FixedBall(_OnGrid):
         im, eim = _to_mpf(self.im, self.prec)
         rad = self.rad + ere + eim
         s = max(0, rad.bit_length() - mp.mp.prec)
-        return ComplexBall(mp.mpc(re, im), mp.mpf((_ceil_shift(rad, s), s - self.prec)))
+        radius = mp.mp.make_mpf(from_man_exp(_ceil_shift(rad, s), s - self.prec))
+        return ComplexBall(mp.mp.make_mpc((re, im)), radius)
 
     def contains_zero(self) -> bool:
         return self.re * self.re + self.im * self.im <= self.rad * self.rad

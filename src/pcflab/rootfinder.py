@@ -14,24 +14,29 @@ pairwise disjoint, each contains exactly one root and the set is a complete
 isolation certificate.
 
 Polishing and certification run on the fixed-point kernel of
-pcflab.fixedball, on the grid 2^-wp for working precision wp, from the
-float64 Aberth point to the finished disk, in batches of _BATCH roots: each
-evaluator call takes a batch as one FixedPointArray or FixedBallArray, whose
-lanes give bit for bit the scalar results. Each root enters the grid once,
-rounded to nearest. Polishing takes its Newton steps p/p' on points
-(Gaussian integers on the grid), each step floored, and tests its stop rule
-in integers; the batch steps in lockstep and each root leaves at its own
-stop. The polished point is floored to wp bits, so it is still a grid point
-and the exact center of a ball of radius 0. Certification evaluates the
-batch of those balls at once and takes each radius deg * |p/p'| * 1.0000001
-from the integer modulus bounds of the value and derivative balls, rounded
-up to whole grid units, and tests the target in integers too; each disk
-leaves the grid once, as a ComplexBall. A batch whose evaluation raises
-ZeroDivisionError is split in halves and retried, so only the root that
-raises loses its Newton step or its disk. Points and balls floor every
-product and quotient the same way, so their centers are identical, and the
-order of operations in each evaluator formula fixes the rounding, hence the
-polished points, the disks and the cache bytes, whatever the batch size.
+pcflab.fixedball, on the grid 2^-wp for working precision wp, in batches of
+_BATCH roots: each evaluator call takes a batch as one FixedPointArray or
+FixedBallArray, whose lanes give bit for bit the scalar results. all_roots
+holds each root as a Gaussian integer on the grid, from the float64 Aberth
+point, which goes onto the grid rounded to nearest, to the finished disk;
+only a repair pass's mp Aberth sweeps see the points as mpc. Polishing takes
+Newton steps p/p' on points, each floored, in lockstep, until a root's step
+meets the square root of the stop rule |w| <= 2^-(bits+24) * (1 + |z|),
+tested in integers. The root's point is then floored to wp bits, so it is
+the exact center of a ball of radius 0, and its next evaluation is of that
+ball: the quotient of the value and derivative centers is the point step
+there, bit for bit, so one evaluation tests the stop rule and gives the
+disk. When the step meets the rule, the radius deg * |p/p'| * 1.0000001
+comes from the integer modulus bounds of the two balls, rounded up to whole
+grid units, and the target is tested in integers too; otherwise the root
+takes the step and is evaluated again. Each disk leaves the grid once, as a
+ComplexBall, and the set is sorted on exact integer keys. A batch whose
+evaluation raises ZeroDivisionError is split in halves and retried, so only
+the root that raises loses its Newton step or its disk. Points and balls
+floor every product and quotient the same way, so their centers are
+identical, and the order of operations in each evaluator formula fixes the
+rounding, hence the polished points, the disks and the cache bytes, whatever
+the batch size.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
@@ -63,7 +68,8 @@ from mpmath import libmp
 from . import balls as bl
 from .cacheio import atomic_write_text
 from .errors import NonSquarefreeInput, PrecisionExhausted
-from .fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray, isqrt_array
+from .fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray
+from .fixedball import grid_from_float, isqrt_array
 from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
 MAX_PRECISION_BITS = 4096
@@ -106,8 +112,8 @@ class Evaluator:
     kernel pcflab.fixedball, taking and returning its types: newton_mp, for
     polishing and the repair passes' mp Aberth sweeps, maps a FixedPoint to
     the Newton step value / derivative, a FixedPoint floored on the same grid;
-    value_deriv_ball, for certification, maps a FixedBall to the value and
-    derivative FixedBalls.
+    value_deriv_ball, for each root's last step and its disk, maps a
+    FixedBall to the value and derivative FixedBalls.
     Polishing and certification pass a whole batch of roots at once, as a
     FixedPointArray or FixedBallArray, and the same formula then runs on
     every lane. The point and ball centers are identical, so polishing pays
@@ -310,8 +316,10 @@ def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
 def _split_retry(f, lanes: np.ndarray) -> list:
     """[(sub, f(sub))] over lanes: f on the whole batch, and on halves of a
     batch that raises ZeroDivisionError, down to single lanes, whose
-    result is then None. Lanes are independent, so no lane's result
-    depends on the batch it ran in."""
+    result is then None; [] for no lanes. Lanes are independent, so no
+    lane's result depends on the batch it ran in."""
+    if not lanes.size:
+        return []
     try:
         return [(lanes, f(lanes))]
     except ZeroDivisionError:
@@ -327,40 +335,49 @@ def _floor_bits(x: int, bits: int) -> int:
     return (x >> s) << s
 
 
-def _polish_lanes(evaluator, re: np.ndarray, im: np.ndarray, precision_bits: int) -> None:
-    """At most 10 Newton steps on the points re + i*im of the grid 2^-wp,
-    wp = mp.prec, in place and in lockstep: each point stops at its first
-    step w with |w| <= 2^-(bits+24) * (1 + |z|), or when its step raises
+def _one_plus_abs(re, im, wp: int):
+    """1 + |z| for the grid points z = re + i*im, in units of 2^-wp; isqrt
+    bounds |z| from below."""
+    return (1 << wp) + isqrt_array(re * re + im * im)
+
+
+def _polish_lanes(evaluator, re: np.ndarray, im: np.ndarray, steps: np.ndarray, bits: int):
+    """Newton steps on the points re + i*im of the grid 2^-wp, wp = mp.prec,
+    in place and in lockstep, each counted in steps: a point stops at its
+    first step w with |w| <= 2^-(bits+24)/2 * (1 + |z|), the square root of
+    the stop rule, at its tenth step, or when its step raises
     ZeroDivisionError."""
     import numpy as np
 
     wp = mp.mp.prec
-    shift = 2 * (precision_bits + 24)
 
     def newton(sub):
         return evaluator.newton_mp(FixedPointArray(re[sub], im[sub], wp))
 
     active = np.arange(re.size)
-    for _ in range(10):
+    while active.size:
         moving = []
         for sub, w in _split_retry(newton, active):
             if w is None:
                 continue
+            steps[sub] += 1
             z = FixedPointArray(re[sub], im[sub], wp) - w
             re[sub], im[sub] = z.re, z.im
-            # the stop rule in units of 2^-wp, squared; isqrt bounds |z| from below
-            one_plus_z = (1 << wp) + isqrt_array(z.re * z.re + z.im * z.im)
-            moving.append(sub[(w.re * w.re + w.im * w.im) << shift > one_plus_z * one_plus_z])
-        active = np.concatenate(moving) if moving else active[:0]
-        if not active.size:
-            return
+            # the square-root rule, squared, in units of 2^-wp
+            one_plus_z = _one_plus_abs(z.re, z.im, wp)
+            far = (w.re * w.re + w.im * w.im) << (bits + 24) > one_plus_z * one_plus_z
+            moving.append(sub[far & (steps[sub] < 10)])
+        active = np.concatenate([active[:0]] + moving)
 
 
-def _disk_radii(evaluator, re: np.ndarray, im: np.ndarray, degree: int, precision_bits: int):
-    """Per grid point re + i*im: the radius deg*|p/p'|*1.0000001 in units of
-    2^-wp, wp = mp.prec, rounded up, or None when the test fails, the ball
-    evaluation raises ZeroDivisionError, or the radius misses the
-    2^-(bits/2) * (1 + |z|) target."""
+def _disk_radii(evaluator, re, im, steps, degree: int, bits: int) -> list:
+    """Per point re + i*im of the grid 2^-wp, wp = mp.prec: the radius
+    deg*|p/p'|*1.0000001 in units of 2^-wp, rounded up, at the first point,
+    left in place, whose ball step meets the stop rule
+    |w| <= 2^-(bits+24) * (1 + |z|) or would be the root's eleventh Newton
+    step; None when the ball evaluation raises ZeroDivisionError, the test
+    fails, or the radius misses the 2^-(bits/2) * (1 + |z|) target.
+    """
     import numpy as np
 
     wp = mp.mp.prec
@@ -369,43 +386,53 @@ def _disk_radii(evaluator, re: np.ndarray, im: np.ndarray, degree: int, precisio
         return evaluator.value_deriv_ball(FixedBallArray(re[sub], im[sub], 0, wp))
 
     radii: list = [None] * re.size
-    for sub, vd in _split_retry(balls, np.arange(re.size)):
-        if vd is None:
-            continue
-        val, der = vd
-        der_lo = der.abs_bounds()[0]
-        live = der_lo > 0
-        num = degree * val.abs_bounds()[1] * 10000001 << wp
-        rad = -(-num // (np.where(live, der_lo, 1) * 10**7))
-        # the target; isqrt bounds |z| from below
-        zr, zi = re[sub], im[sub]
-        live &= rad << (precision_bits // 2) <= (1 << wp) + isqrt_array(zr * zr + zi * zi)
-        for k in np.nonzero(live)[0]:
-            radii[sub[k]] = rad[k]
+    active = np.arange(re.size)
+    while active.size:
+        re[active] = np.array([_floor_bits(x, wp) for x in re[active]], dtype=object)
+        im[active] = np.array([_floor_bits(x, wp) for x in im[active]], dtype=object)
+        moving = []
+        for sub, vd in _split_retry(balls, active):
+            if vd is None:
+                continue
+            val, der = vd
+            der_lo = der.abs_bounds()[0]
+            live = der_lo > 0
+            # newton_mp's step, bit for bit, where the divisor is not 0
+            w = FixedPointArray(val.re, val.im, wp) / FixedPointArray(
+                np.where(live, der.re, 1), der.im, wp
+            )
+            one_plus_z = _one_plus_abs(re[sub], im[sub], wp)
+            far = (w.re * w.re + w.im * w.im) << 2 * (bits + 24) > one_plus_z * one_plus_z
+            far &= live & (steps[sub] < 10)
+            steps[sub[far]] += 1
+            re[sub[far]] -= w.re[far]
+            im[sub[far]] -= w.im[far]
+            moving.append(sub[far])
+            num = degree * val.abs_bounds()[1] * 10000001 << wp
+            rad = -(-num // (np.where(live, der_lo, 1) * 10**7))
+            # the target
+            live &= ~far & (rad << (bits // 2) <= one_plus_z)
+            for k in np.nonzero(live)[0]:
+                radii[sub[k]] = rad[k]
+        active = np.concatenate([active[:0]] + moving)
     return radii
 
 
-def _polished_disks(evaluator, zs: list, batch: Sequence[int], degree: int, precision_bits: int):
-    """Polish the roots zs[j], j in batch, in place and return their disks,
-    None where the disk fails, on the grid 2^-wp, wp = mp.prec.
-
-    Each root enters the grid rounded to nearest and leaves it once, as its
-    disk. The polished point is floored to wp bits, so it is still a grid
-    point and the exact center of a ball of radius 0 for _disk_radii.
-    """
+def _polished_disks(evaluator, res: list, ims: list, batch: Sequence[int], degree: int, bits: int):
+    """Polish the grid points res[j] + i*ims[j], j in batch, in place and
+    return their disks, None where a disk fails, on the grid 2^-wp,
+    wp = mp.prec; at most 10 Newton steps per root, point and ball steps."""
     import numpy as np
 
     wp = mp.mp.prec
-    pts = [FixedPoint.from_mpc(zs[j], wp) for j in batch]
-    re = np.array([z.re for z in pts], dtype=object)
-    im = np.array([z.im for z in pts], dtype=object)
-    _polish_lanes(evaluator, re, im, precision_bits)
-    re = np.array([_floor_bits(x, wp) for x in re], dtype=object)
-    im = np.array([_floor_bits(x, wp) for x in im], dtype=object)
-    radii = _disk_radii(evaluator, re, im, degree, precision_bits)
+    re = np.array([res[j] for j in batch], dtype=object)
+    im = np.array([ims[j] for j in batch], dtype=object)
+    steps = np.zeros(len(batch), dtype=np.int64)
+    _polish_lanes(evaluator, re, im, steps, bits)
+    radii = _disk_radii(evaluator, re, im, steps, degree, bits)
     disks = []
     for k, j in enumerate(batch):
-        zs[j] = FixedPoint(re[k], im[k], wp).center()
+        res[j], ims[j] = re[k], im[k]
         disks.append(None if radii[k] is None else FixedBall(re[k], im[k], radii[k], wp).ball())
     return disks
 
@@ -466,8 +493,11 @@ def _overlapping(disks: list) -> set[int]:
     return bad
 
 
-def _sort_key(b: bl.ComplexBall):
-    return (b.center.real, b.center.imag, b.radius)
+def _grid_key(b: bl.ComplexBall, wp: int) -> tuple[int, int]:
+    """The center of b as the Gaussian integer it is on the grid 2^-wp,
+    exactly: its _mpc_ mantissas shifted to that grid. wp is the largest
+    grid a disk of the set was certified on, so no shift is negative."""
+    return tuple((-man if sign else man) << (exp + wp) for sign, man, exp, _ in b.center._mpc_)
 
 
 def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PCFParameterSet:
@@ -490,8 +520,12 @@ def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PC
             root = bl.exact_ball(Fraction(-a0, a1))
         return PCFParameterSet(precision_bits, (root,))
 
-    zs = [mp.mpc(z) for z in _aberth_f64(evaluator, evaluator.starts_f64(p))]
+    z = _aberth_f64(evaluator, evaluator.starts_f64(p))
     wp = precision_bits + 64
+    # each root's current point: the Gaussian integer res[j] + i*ims[j] on
+    # the grid 2^-wp
+    res = [grid_from_float(x, wp) for x in z.real.tolist()]
+    ims = [grid_from_float(y, wp) for y in z.imag.tolist()]
     wp_limit = max(MAX_PRECISION_BITS + 64, wp)  # always at least one pass
     disks: list = [None] * degree
     todo: Sequence[int] = range(degree)
@@ -501,11 +535,16 @@ def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PC
             if repair:
                 # only the leftover roots move; the rest keep their points
                 # and their disks
+                zs = [FixedPoint(x, y, wp).center() for x, y in zip(res, ims)]
                 _aberth_mp(evaluator, zs, 4, todo)
+                for j in todo:
+                    pt = FixedPoint.from_mpc(zs[j], wp)
+                    res[j], ims[j] = pt.re, pt.im
+                del zs
             for b0 in range(0, len(todo), _BATCH):
                 batch = todo[b0 : b0 + _BATCH]
                 for j, disk in zip(
-                    batch, _polished_disks(evaluator, zs, batch, degree, precision_bits)
+                    batch, _polished_disks(evaluator, res, ims, batch, degree, precision_bits)
                 ):
                     disks[j] = disk
             # the disjointness check always covers the whole set, so the set
@@ -513,8 +552,11 @@ def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PC
             failed = {j for j, b in enumerate(disks) if b is None}
             todo = sorted(failed | _overlapping(disks))
             if not todo:
-                disks.sort(key=_sort_key)
+                disks.sort(key=lambda b: _grid_key(b, wp))
                 return PCFParameterSet(precision_bits, tuple(disks))
+        # the same points on the grid of the doubled precision
+        res = [x << wp for x in res]
+        ims = [y << wp for y in ims]
         wp *= 2
         repair = True
     raise PrecisionExhausted(

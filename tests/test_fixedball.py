@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+import struct
 from fractions import Fraction
 from math import isqrt
 
@@ -12,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcflab.balls as bl
-from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray
+from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint, FixedPointArray, grid_from_float
 
 # points on the boundary and inside of the unit disk, as exact rationals
 F = Fraction
@@ -267,6 +270,21 @@ class TestConversions:
         z = mp.mpc(x, y)
         b = FixedBall.from_mpc(z, p)
         assert grid(FixedPoint.from_mpc(z, p)) == (b.re, b.im, p)
+
+    @pytest.mark.parametrize("wp", [192, 384])
+    def test_grid_from_float_rounds_like_from_mpc(self, wp):
+        # the float64 Aberth points go onto the grid without mpmath
+        special = [0.0, 5e-324, 2.0**-1022, 2.0**-200 * (1 + 2.0**-52), 3 * 2.0**-194, 1e300]
+        # ties, an odd number of half grid units: they round up, toward +inf
+        ties = [k * 2.0 ** -(wp + 1) for k in (1, 3, 5, 2**52 + 1)]
+        rng = random.Random(wp)
+        patterns = (rng.getrandbits(64).to_bytes(8, "little") for _ in range(500))
+        spread = [x for (x,) in map(struct.Struct("<d").unpack, patterns) if math.isfinite(x)]
+        near = [rng.uniform(-4, 4) * 2.0 ** rng.randint(-wp - 60, 4) for _ in range(500)]
+        with mp.workprec(wp):
+            for x in special + ties + spread + near:
+                for y in (x, -x):
+                    assert grid_from_float(y, wp) == FixedPoint.from_mpc(mp.mpc(y), wp).re, y
 
 
 @st.composite

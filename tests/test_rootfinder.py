@@ -560,19 +560,33 @@ class TestNoEscalation:
 
 class TestStepCounts:
     """The number of Newton steps and disks it takes to certify every root of
-    the d=2 Gleason polynomials: a stop rule that quietly takes one more
-    step, or a disk that needs a second pass, changes these."""
+    the d=2 Gleason polynomials and of one Misiurewicz factor: a stop rule
+    that quietly takes one more step, or a disk that needs a second pass,
+    changes these. Each root takes point steps until one meets the square
+    root of the stop rule; its first ball evaluation then meets the rule
+    itself and certifies, so every root gets one disk."""
 
     # n: (newton_mp calls, value_deriv_ball calls)
-    COUNTS = {2: (2, 2), 3: (10, 4), 4: (20, 8), 5: (46, 16), 6: (92, 32), 7: (190, 64), 8: (380, 128)}
+    COUNTS = {
+        2: (2, 2), 3: (7, 4), 4: (14, 8), 5: (31, 16), 6: (62, 32), 7: (127, 64), 8: (254, 128)
+    }
+
+    @staticmethod
+    def calls(p, inner):
+        ev = Widening(inner)
+        ps = all_roots(p, 128, evaluator=ev)
+        assert len(ps) == p.degree
+        names = [name for name, _ in ev.calls]
+        return names.count("newton_mp"), names.count("value_deriv_ball")
 
     @pytest.mark.parametrize("n", sorted(COUNTS))
     def test_gleason_calls(self, n):
-        ev = Widening(gleason_evaluator(2, n))
-        ps = all_roots(gleason(2, n), 128, evaluator=ev)
-        assert len(ps) == 2 ** (n - 1)
-        names = [name for name, _ in ev.calls]
-        assert (names.count("newton_mp"), names.count("value_deriv_ball")) == self.COUNTS[n]
+        assert self.calls(gleason(2, n), gleason_evaluator(2, n)) == self.COUNTS[n]
+
+    def test_misiurewicz_calls(self):
+        # 483 roots, all on the first pass
+        desc = misiurewicz_factor(3, 5, 7)
+        assert self.calls(desc.poly, factor_evaluator(desc)) == (963, 483)
 
 
 class Certified(Widening):
@@ -608,8 +622,9 @@ def mpf_fraction(x) -> Fraction:
 
 class TestIntegerDisk:
     """Every disk against an independent oracle: its center is the grid point
-    it was certified at, its radius holds deg * |p/p'| * 1.0000001 and meets
-    the target, and the disks are pairwise disjoint."""
+    it was certified at and meets the stop rule there, its radius holds
+    deg * |p/p'| * 1.0000001 and meets the target, and the disks are
+    pairwise disjoint."""
 
     BITS = 128
 
@@ -636,9 +651,12 @@ class TestIntegerDisk:
             assert rad * rad * (dr * dr + di * di) * 10**14 >= (
                 deg * deg * (vr * vr + vi * vi) * 10000001**2
             )
-            # and meets the 2^-(bits/2) * (1 + |c|) target
             with mp.workprec(1024):
+                # and meets the 2^-(bits/2) * (1 + |c|) target
                 assert b.radius * 2 ** (self.BITS // 2) <= 1 + abs(b.center)
+                # the center meets the stop rule: |p/p'| <= 2^-(bits+24) * (1 + |c|)
+                v, d = abs(mp.mpc(vr, vi)), abs(mp.mpc(dr, di))
+                assert v * 2 ** (self.BITS + 24) <= d * (1 + abs(b.center))
         # pairwise disjoint: balls.disjoint on every pair closer than 1e-3;
         # the radii are below 1e-15, so the rest are disjoint by far
         assert all(b.radius < 1e-15 for b in ps.roots)
@@ -886,8 +904,13 @@ class TestBatches:
 
         self.assert_batch_free(desc.poly, widening, tmp_path, monkeypatch)
         ev = widening()
-        all_roots(desc.poly, 128, evaluator=ev)
+        ps = all_roots(desc.poly, 128, evaluator=ev)
         assert ev.calls_above(TestLocalizedRepair.FIRST_WP)[1] == 2
+        # the two repaired centers lie on the finer grid; the integer sort
+        # keys order the mixed grids as the mpf values do
+        fine = [b for b in ps.roots if b.center.real._mpf_[2] < -TestLocalizedRepair.FIRST_WP]
+        assert len(fine) == 2
+        assert list(ps.roots) == sorted(ps.roots, key=lambda b: (b.center.real, b.center.imag))
 
 
 def traced_peak(f, *args):
