@@ -48,7 +48,7 @@ from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
 from .polynomials import ZERO, IntPolynomial, X, divide_exact, serialize
-from .rootfinder import Evaluator
+from .rootfinder import Evaluator, ScaledArray
 
 DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 
@@ -87,7 +87,8 @@ class FactorDescriptor:
 
 def orbit(d: int, c, start):
     """start, then u <- u**d + c forever, in c's ring: the package's one orbit
-    loop, on IntPolynomials (the g_n), _Jets (the evaluators), FixedBalls
+    loop, on IntPolynomials (the g_n), _Jets of FixedPoints, FixedBalls and
+    ScaledArrays (the evaluators and the external-ray starts), FixedBalls
     (escape rates), heights.Residue (the PCF gate) and Fractions (the Vieta
     average). For c = a/b, u_n (n >= 1) has numerator b^(d^(n-1)) g_n(a/b),
     which is a^(d^(n-1)) mod b, so prime to b."""
@@ -205,73 +206,6 @@ def write_gleason_cache(root: Path, d: int, n: int) -> Path:
 
 
 # -- stable evaluators ---------------------------------------------------------
-#
-# The float64 stage tracks a shared scale per point so the orbit recurrence
-# never overflows while far-from-set points migrate inward: stored values
-# satisfy true = stored * 2^scale, and every Newton ratio used by the root
-# finder is scale-free. Near the parameter region that actually contains
-# roots the scale stays 0 and the arithmetic is plain float64.
-
-_RESCALE_LIMIT = 2.0**200
-_POWER_LIMIT = 1016  # log2 bound on |U|^d and d |U|^(d-1) |DU| in a step
-
-
-def _orbit_f64(d: int, c: np.ndarray, depth: int):
-    """Orbit values/derivatives u_k, u'_k for k = 0..depth, jointly rescaled.
-
-    Apart from orbit(): it rescales float64 values, and its points fix the
-    root-cache bytes. A value or derivative above _RESCALE_LIMIT moves down
-    to about 2^8 by a power of two. Before a step, a value of an escaping
-    orbit whose d-th power, or d |U|^(d-1) |DU| with |DU| <= _RESCALE_LIMIT,
-    would leave 2^+-_POWER_LIMIT (|U| above hi or below lo) first moves to
-    |U| = 1 by a fractional scale, so S_k + log2 |U_k| follows log2 |u_k| up
-    to d = 4096. For d <= 5, hi is above _RESCALE_LIMIT, and no |U| falls
-    below lo within DEGREE_CAP's depths: only the power-of-two rescale acts.
-    Returns (U, DU, S): lists of arrays; true u_k = U[k] * 2^S[k].
-    """
-    import numpy as np
-
-    n_pts = c.shape[0]
-    U = [np.zeros(n_pts, dtype=np.complex128)]
-    DU = [np.zeros(n_pts, dtype=np.complex128)]
-    S = [np.zeros(n_pts)]
-    hi = 2.0 ** min(_POWER_LIMIT / d, (_POWER_LIMIT - math.log2(d * _RESCALE_LIMIT)) / (d - 1))
-    lo = 2.0 ** (-_POWER_LIMIT / d)
-    for _ in range(depth):
-        uk, duk, sk = U[-1], DU[-1], S[-1]
-        if hi < _RESCALE_LIMIT or sk.any():
-            with np.errstate(all="ignore"):
-                absu = np.abs(uk)
-                # |u| = |U| 2^S > 1: the low side never moves a bounded value
-                pre = (absu > hi) | ((absu < lo) & (absu * np.exp2(sk) > 1))
-                if pre.any():
-                    a = np.where(pre, np.log2(absu), 0.0)
-                    adj = np.exp2(-a)
-                    uk, duk, sk = uk * adj, duk * adj, sk + a
-        scale_new = d * sk
-        damp = np.exp2(-scale_new)  # 0 when the scale is huge: relatively negligible
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            if d == 2:
-                ukd1 = uk
-                uk1 = uk * uk + c * damp
-            else:
-                ukd1 = uk ** (d - 1)
-                uk1 = ukd1 * uk + c * damp
-            duk1 = d * ukd1 * duk + damp
-            mag = np.maximum(np.abs(uk1), np.abs(duk1))
-            need = mag > _RESCALE_LIMIT
-            if need.any():
-                shift = np.zeros(n_pts)
-                shift[need] = np.ceil(np.log2(mag[need])) - 8
-                adj = np.exp2(-shift)
-                uk1 = uk1 * adj
-                duk1 = duk1 * adj
-                scale_new = scale_new + shift
-        U.append(uk1)
-        DU.append(duk1)
-        S.append(scale_new)
-    return U, DU, S
-
 
 # Roots of orbit polynomials equidistribute toward the bifurcation measure of
 # M_d, which is the harmonic measure, uniform in the external angle (Levin;
@@ -321,10 +255,11 @@ def lemniscate_starts(d: int, degree: int) -> np.ndarray:
         ]
         with np.errstate(all="ignore"):
             for k, e in steps + [(m, r)] * 4:  # log2 |g_k| = e at the target
-                U, DU, S = _orbit_f64(d, c, k)
+                # only the last jet is kept, so two orbits are never held at once
+                u = _jets(d, ScaledArray(c), ScaledArray.lift, k)[k]
                 turn = np.exp(-2j * np.pi * (num * pow(d, k - 1, q) % q) / q)
-                c = c - (np.log(U[k] * turn) + (S[k] - e) * math.log(2)) * (U[k] / DU[k])
-                del U, DU, S  # so that two orbits are never held at once
+                log_u = np.log(u.v.m * turn) + (u.v.s - e) * math.log(2)
+                c = c - log_u * (u.v / u.d).complex128()
         _starts[key] = c
     return _starts[key].copy()
 
@@ -374,13 +309,6 @@ class OrbitEvaluator(Evaluator):
 class GleasonEvaluator(OrbitEvaluator):
     """(value, derivative) of g_n via the orbit recurrence."""
 
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        U, DU, _ = _orbit_f64(self.d, z, self.n)
-        with np.errstate(all="ignore"):
-            return U[self.n] / DU[self.n]
-
     def value_deriv(self, z, num):
         u = _jets(self.d, z, num, self.n)[self.n]
         return u.v, u.d
@@ -392,21 +320,6 @@ class ExactPeriodEvaluator(OrbitEvaluator):
     def __init__(self, d: int, n: int):
         super().__init__(d, n)
         self.exps = [(k, mobius(n // k)) for k in divisors(n) if mobius(n // k) != 0]
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        U, DU, _ = _orbit_f64(self.d, z, self.n)
-        # an exact root of g_n that no lower g_k shares (c = -1 for d = 2,
-        # +-i for d = 3) is a root of the factor, where inv is inf or nan
-        exact = U[self.n] == 0
-        with np.errstate(all="ignore"):
-            inv = np.zeros_like(z)
-            for k, e in self.exps:
-                inv = inv + e * (DU[k] / U[k])
-                if k != self.n:
-                    exact &= U[k] != 0
-            return np.where(exact, 0, 1.0 / inv)
 
     def value_deriv(self, z, num):
         # the u_n factor vanishes at the roots, so it enters through the
@@ -427,12 +340,8 @@ class ExactPeriodEvaluator(OrbitEvaluator):
 
 class MisiurewiczEvaluator(OrbitEvaluator):
     """The level-(m, n) factor (m >= 2) by the division-free formula of the
-    module docstring; a + b for d = 2.
-
-    newton_f64 takes raw/raw' from the scale-free rho = u_{m-1}/u_{n-1} and
-    u'_i/u_i, so rescaling far-out points cancels, then for d > 2 folds the
-    cofactor g_q^(d-2) into the log-derivative. At an exact root of g_q,
-    rho is 0/0; such a point is a root of the factor, with Newton step 0.
+    module docstring; a + b for d = 2. No step divides, so an exact root
+    of g_q, a root of the factor too, gets Newton step 0 like any other.
     """
 
     def __init__(self, d: int, m: int, n: int):
@@ -440,31 +349,6 @@ class MisiurewiczEvaluator(OrbitEvaluator):
             raise ValueError("use GleasonEvaluator for m = 1 factors")
         self.d, self.m, self.n = d, m, n
         self.q = math.gcd(n - 1, m - 1)
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        d, m, n = self.d, self.m, self.n
-        U, DU, S = _orbit_f64(d, z, n - 1)
-        ua, dua, sa = U[n - 1], DU[n - 1], S[n - 1]
-        ub, dub, sb = U[m - 1], DU[m - 1], S[m - 1]
-        with np.errstate(all="ignore"):
-            rho = (ub / ua) * np.exp2(np.minimum(sb - sa, 8.0))
-            ra = dua / ua
-            rb = dub / ub
-            val = np.zeros_like(z)
-            der = np.zeros_like(z)
-            rpow = np.ones_like(z)  # rho^(d-1-j) accumulated from j = d-1 down
-            for j in range(d - 1, -1, -1):
-                val = val + rpow
-                der = der + (j * ra + (d - 1 - j) * rb) * rpow
-                if j > 0:
-                    rpow = rpow * rho
-            if d > 2:
-                # val/der is raw/raw' and poly = raw / g_q^(d-2); val is 0 at
-                # exact float roots, so it is never a divisor
-                der = der - (d - 2) * (DU[self.q] / U[self.q]) * val
-            return np.where((ua == 0) & (ub == 0), 0, val / der)
 
     def value_deriv(self, z, num):
         d, m, n, q = self.d, self.m, self.n, self.q

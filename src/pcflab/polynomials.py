@@ -225,8 +225,8 @@ ZERO = IntPolynomial([])
 def horner(coeffs: Sequence, z, acc):
     """sum_i coeffs[i] z^i by Horner's rule, accumulated onto acc (a zero of z's type).
 
-    The one Horner loop of the package: exact here, float64 arrays, mpc
-    numbers and balls in the root finder.
+    The one Horner loop of the package: exact here, and in the root finder
+    on CoefficientEvaluator's ScaledArrays, FixedPoints and FixedBalls.
     """
     for c in reversed(coeffs):
         acc = acc * z + c

@@ -73,8 +73,9 @@ from .fixedball import grid_from_float, isqrt_array
 from .polynomials import IntPolynomial, horner, is_squarefree, lower_hull, serialize
 
 MAX_PRECISION_BITS = 4096
-# widest coefficient CoefficientEvaluator accepts: wider ones do not survive
-# the float64 stage's power-of-two scaling
+# widest coefficient CoefficientEvaluator accepts: the float64 stage holds its
+# start radii and Aberth points as complex128, so it finds only roots below
+# 2^1024 in modulus, and a root of p lies below 2^(MAX_COEFF_BITS + 1)
 MAX_COEFF_BITS = 900
 _START_ANGLE_OFFSET = 0.4  # radians; fixed for reproducibility
 # the float64 Aberth stage: a point freezes after two sweeps in a row whose
@@ -103,27 +104,138 @@ def _log2_abs(c: int) -> float:
     return float(np.log2(abs(c) >> max(0, bits - 64)) + max(0, bits - 64))
 
 
+# a product or quotient moves the lanes whose |m| is above _RENORM down to
+# about 2^8; ** first moves |m| to 1 where |m|^e would leave 2^+-_POW_RANGE,
+# so that the power times an operand (at most about 2^212, a sum of d
+# renormalized terms) and an int factor up to critical_orbit.DEGREE_CAP
+# stays in float64 range
+_RENORM = 2.0**200
+_POW_RANGE = 800
+
+
+def _parts(o):
+    """(m, s) of a ScaledArray, or of the lift of an int of any width."""
+    if not isinstance(o, int):
+        return o.m, o.s
+    bits = abs(o).bit_length()
+    if bits <= 200:
+        return float(o), 0.0
+    return o / (1 << (bits - 8)), float(bits - 8)  # rounded to nearest
+
+
+def _renormalized(m, s) -> "ScaledArray":
+    """m * 2^s, with the lanes whose |m| is above _RENORM moved down."""
+    import numpy as np
+
+    r = np.abs(m)
+    big = r > _RENORM
+    if np.count_nonzero(big):
+        shift = np.where(big, np.ceil(np.log2(r)) - 8, 0.0)
+        m, s = m * np.exp2(-shift), s + shift
+    return ScaledArray(m, s)
+
+
+class ScaledArray:
+    """Complex lanes m * 2^s, the float64 type that newton_f64 runs the
+    evaluator formula on: m is a complex128 array (a float64 scalar for a
+    lift) and s its log2 scale, the float 0.0 until a value leaves range,
+    then a float64 array. A float mantissa with a separate exponent, as in
+    the dpe numbers of MPSolve (Bini and Fiorentino, Numer. Algorithms
+    2000): |z|^deg and the orbit's u^d stay finite far from the roots, for
+    every d up to critical_orbit.DEGREE_CAP.
+
+    + - * / and ** by an int >= 1; an int operand of any width enters as a
+    lift. Callers run it under np.errstate(all="ignore"), as newton_f64 and
+    critical_orbit.lemniscate_starts do: a lane that overflows or divides by
+    0 gives inf or nan, which the Aberth stage nudges away.
+    """
+
+    __slots__ = ("m", "s")
+
+    def __init__(self, m, s=0.0):
+        self.m, self.s = m, s
+
+    @staticmethod
+    def lift(k: int) -> "ScaledArray":
+        """k as a float64 scalar, which, unlike a float, divides by 0 and
+        overflows without raising."""
+        import numpy as np
+
+        m, s = _parts(k)
+        return ScaledArray(np.float64(m), s)
+
+    def complex128(self):
+        """m * 2^s, inf or 0 where it leaves float64 range."""
+        import numpy as np
+
+        return self.m * np.exp2(self.s)
+
+    def _sum(self, om, os) -> "ScaledArray":
+        if type(self.s) is float and type(os) is float and self.s == os:
+            return ScaledArray(self.m + om, os)
+        import numpy as np
+
+        s = np.maximum(self.s, os)
+        return ScaledArray(self.m * np.exp2(self.s - s) + om * np.exp2(os - s), s)
+
+    def __add__(self, o):
+        return self._sum(*_parts(o))
+
+    def __sub__(self, o):
+        om, os = _parts(o)
+        return self._sum(-om, os)
+
+    def __mul__(self, o):
+        om, os = _parts(o)
+        return _renormalized(self.m * om, self.s + os)
+
+    def __truediv__(self, o):
+        om, os = _parts(o)
+        return _renormalized(self.m / om, self.s - os)
+
+    def __pow__(self, e: int):
+        if e == 1:
+            return self
+        import numpy as np
+
+        m, s = self.m, self.s
+        r = np.abs(m)
+        lim = 2.0 ** (_POW_RANGE / e)
+        move = (r > lim) | ((r < 1 / lim) & (r > 0))
+        if np.count_nonzero(move):
+            a = np.where(move, np.log2(r), 0.0)
+            m, s = m * np.exp2(-a), s + a
+        return ScaledArray(m**e, s * e)
+
+
 class Evaluator:
     """(value, derivative) of one polynomial, each formula written once.
 
     Subclasses write value_deriv(z, num) over any scalar type with + - * /
     and ** by an int whose right operand may be an exact integer; num lifts
-    an exact integer into z's type. Both grid forms run it on the fixed-point
-    kernel pcflab.fixedball, taking and returning its types: newton_mp, for
-    polishing and the repair passes' mp Aberth sweeps, maps a FixedPoint to
-    the Newton step value / derivative, a FixedPoint floored on the same grid;
+    an exact integer into z's type. Three forms run it. newton_f64, for the
+    float64 Aberth stage, runs it on ScaledArray lanes and maps a complex128
+    array to the Newton steps value / derivative. Both grid forms run it on
+    the fixed-point kernel pcflab.fixedball, taking and returning its types:
+    newton_mp, for polishing and the repair passes' mp Aberth sweeps, maps a
+    FixedPoint to the Newton step, a FixedPoint floored on the same grid;
     value_deriv_ball, for each root's last step and its disk, maps a
     FixedBall to the value and derivative FixedBalls.
     Polishing and certification pass a whole batch of roots at once, as a
     FixedPointArray or FixedBallArray, and the same formula then runs on
     every lane. The point and ball centers are identical, so polishing pays
-    for no radius.
-    The vectorized float64 form newton_f64 is the one special case written
-    separately; starts_f64(p) gives the float64 starting points of the
-    Aberth stage. The kernel's operation order is the formula's, so the formula
-    fixes the rounding, hence the polished points, the certified disks and the
-    root-cache bytes.
+    for no radius. starts_f64(p) gives the float64 starting points of the
+    Aberth stage. Each type's operation order is the formula's, so the
+    formula fixes the rounding, hence the float64 points, the polished
+    points, the certified disks and the root-cache bytes.
     """
+
+    def newton_f64(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            val, der = self.value_deriv(ScaledArray(z), ScaledArray.lift)
+            return (val / der).complex128()
 
     def newton_mp(self, zf: FixedPoint) -> FixedPoint:
         val, der = self.value_deriv(zf, zf.lift)
@@ -138,10 +250,9 @@ class CoefficientEvaluator(Evaluator):
 
     The one place where input the finder knows nothing about is checked: it
     raises ValueError when a coefficient is wider than MAX_COEFF_BITS, and
-    NonSquarefreeInput when gcd(p, p') is not constant. The float64 path
-    scales the whole polynomial by a power of two (which moves no roots), and
-    coefficients of up to MAX_COEFF_BITS bits survive that scaling, as do
-    their roots, which stay below 2^(MAX_COEFF_BITS + 1) in modulus.
+    NonSquarefreeInput when gcd(p, p') is not constant. The roots of such
+    a p lie below 2^(MAX_COEFF_BITS + 1) in modulus, within the complex128
+    range of the float64 stage's start radii and Aberth points.
     """
 
     def __init__(self, p: IntPolynomial):
@@ -155,13 +266,6 @@ class CoefficientEvaluator(Evaluator):
             raise NonSquarefreeInput("apply squarefree_part before root finding")
         self.poly = p
         self.dpoly = p.derivative()
-        import numpy as np
-
-        shift = max(0, coeff_bits - 500)
-        self._c64, self._d64 = (
-            np.array([float(Fraction(c, 1 << shift)) for c in q.coeffs], dtype=np.float64)
-            for q in (p, self.dpoly)
-        )
 
     def starts_f64(self, p: IntPolynomial) -> np.ndarray:
         """Deterministic float64 starts on root-modulus annuli.
@@ -197,13 +301,6 @@ class CoefficientEvaluator(Evaluator):
             rl = [rmax_log] * n
             ang = [2.0 * np.pi * j / n + _START_ANGLE_OFFSET for j in range(n)]
         return np.exp2(np.clip(np.array(rl), -1000.0, 1000.0)) * np.exp(1j * np.array(ang))
-
-    def newton_f64(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        zero = np.zeros_like(z)
-        with np.errstate(all="ignore"):
-            return horner(self._c64, z, zero) / horner(self._d64, z, zero)
 
     def value_deriv(self, z, num):
         return horner(self.poly.coeffs, z, num(0)), horner(self.dpoly.coeffs, z, num(0))

@@ -17,7 +17,7 @@ from pcflab.critical_orbit import (
     ExactPeriodEvaluator,
     GleasonEvaluator,
     MisiurewiczEvaluator,
-    _orbit_f64,
+    _jets,
     exact_period_factor,
     enumerate_factors,
     factor_evaluator,
@@ -43,7 +43,7 @@ from pcflab.polynomials import (
     resultant,
     serialize,
 )
-from pcflab.rootfinder import CoefficientEvaluator
+from pcflab.rootfinder import CoefficientEvaluator, ScaledArray
 
 from oracles import horner_fraction, naive_divmod, naive_gcd, naive_mul
 
@@ -118,27 +118,81 @@ class TestOrbit:
 
 
 class TestOrbitF64:
-    """The rescaled float64 orbit against mpmath for large d, where |u_k|^d
-    is far outside float64 range: u_2 = 1.2^4096 + 1.2 is about 2^1077."""
+    """The float64 orbit, the jets of ScaledArray lanes, against mpmath for
+    large d, where |u_k|^d is far outside float64 range: u_2 = 1.2^4096 + 1.2
+    is about 2^1077."""
 
     CS = [1.2, 1.05 + 0.3j, -1.3, 0.9 + 0.7j]
 
     @pytest.mark.parametrize("d", [100, 600, 4096])
     def test_log_modulus_and_newton_ratio_match_mpmath(self, d):
-        U, DU, S = _orbit_f64(d, np.array(self.CS, dtype=np.complex128), 4)
-        with mp.workprec(64):
+        with np.errstate(all="ignore"):
+            z = ScaledArray(np.array(self.CS, dtype=np.complex128))
+            jets = _jets(d, z, ScaledArray.lift, 4)
+            # u_0 = 0 has no log and no Newton ratio
+            logs = [None] + [u.v.s + np.log2(np.abs(u.v.m)) for u in jets[1:]]
+            ratios = [None] + [(u.v / u.d).complex128() for u in jets[1:]]
+        # at 64 bits the oracle itself is off by up to 8.8e-13 at d = 4096
+        with mp.workprec(200):
             for i, c in enumerate(self.CS):
                 u = du = mp.mpc(0)
                 for k in range(1, 5):
                     u, du = u**d + c, d * u ** (d - 1) * du + 1
                     want = float(mp.log(abs(u), 2))
-                    assert abs(S[k][i] + np.log2(abs(U[k][i])) - want) <= 1e-12 * max(1, abs(want))
+                    assert abs(logs[k][i] - want) <= 1e-12 * max(1, abs(want))
                     ratio = complex(u / du)
-                    assert abs(U[k][i] / DU[k][i] - ratio) <= 1e-12 * abs(ratio), (c, k)
+                    assert abs(ratios[k][i] - ratio) <= 1e-12 * abs(ratio), (c, k)
 
     def test_gleason_newton_ratio_is_finite_at_d_100(self):
         step = GleasonEvaluator(100, 3).newton_f64(np.array([1.2 + 0j]))
         assert np.isfinite(step).all() and step[0] != 0
+
+
+def _exact_step(poly: IntPolynomial, z: complex) -> complex:
+    """p(z) / p'(z) at 4000 bits, by Horner on the exact coefficients."""
+    with mp.workprec(4000):
+        val, der = mp.polyval(list(reversed(poly.coeffs)), mp.mpc(z), derivative=True)
+        return complex(val / der)
+
+
+class TestNewtonF64Oracle:
+    """The float64 Newton step of every evaluator kind against p/p' from the
+    exact coefficients, near M_d and far out, where |z|^deg leaves float64
+    range (1000^128 for g_8 of d=2)."""
+
+    POINTS = [0.5 + 0.5j, -2.1 + 0.1j, 0.4 - 1.1j, 1.5j, -0.75 + 0.2j, 0.3 + 0.05j,
+              -1.2 + 0.3j, 1000j, -300 + 40j]
+
+    def assert_steps(self, poly, ev, label):
+        got = ev.newton_f64(np.array(self.POINTS, dtype=np.complex128))
+        assert got.dtype == np.complex128
+        for z, step in zip(self.POINTS, got.tolist()):
+            want = _exact_step(poly, z)
+            assert abs(step - want) <= 1e-12 * abs(want), (label, z)
+
+    @pytest.mark.parametrize("d,top", [(2, 8), (3, 5), (4, 4)])
+    def test_orbit_evaluators(self, d, top):
+        for n in range(1, top + 1):
+            self.assert_steps(gleason(d, n), gleason_evaluator(d, n), f"g_{n}")
+        for f in enumerate_factors(d, top):
+            self.assert_steps(f.poly, factor_evaluator(f), f.label)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[-1, -1, 1], [-2, 0, 0, 1], [1, 0, 4], [16411, 16411, 0, 0, 1], [3, -1, 4, 1, 5],
+         # 250-digit coefficients
+         [-(10**250 - 3), 17, 10**249 + 1, 5]],
+        ids=["golden", "cbrt2", "4c2+1", "quartic-16411", "quartic", "wide"],
+    )
+    def test_coefficient_evaluator(self, coeffs):
+        p = P(coeffs)
+        self.assert_steps(p, CoefficientEvaluator(p), coeffs)
+
+    def test_zero_step_at_exact_float_roots(self):
+        period2 = exact_period_factor(2, 2)
+        assert factor_evaluator(period2).newton_f64(np.array([-1 + 0j])).tolist() == [0]
+        mis = misiurewicz_factor(2, 2, 3)
+        assert factor_evaluator(mis).newton_f64(np.array([0j, -2 + 0j])).tolist() == [0, 0]
 
 
 class TestPreperiodic:

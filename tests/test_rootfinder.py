@@ -26,6 +26,7 @@ from pcflab.fixedball import FixedBall, FixedBallArray, FixedPoint
 from pcflab.polynomials import IntPolynomial
 from pcflab.rootfinder import (
     CoefficientEvaluator,
+    ScaledArray,
     all_roots,
     min_pairwise_distance,
     read_roots_cache,
@@ -756,11 +757,12 @@ class TestLemniscateStarts:
         m = 1
         while d ** (m - 1) < degree:
             m += 1
-        U, _, S = critical_orbit._orbit_f64(d, z, m)
-        assert (S[m] == 0).all()
-        assert np.allclose(np.abs(U[m]), 2.0 ** min(2.0, 512 / d), rtol=1e-9)
+        with np.errstate(all="ignore"):
+            g = critical_orbit._jets(d, ScaledArray(z), ScaledArray.lift, m)[m].v.complex128()
+        assert np.isfinite(g).all()
+        assert np.allclose(np.abs(g), 2.0 ** min(2.0, 512 / d), rtol=1e-9)
         turns = (np.arange(degree) + 0.25 / (d - 1)) * d ** (m - 1) / degree
-        assert np.allclose(np.angle(U[m] * np.exp(-2j * np.pi * turns)), 0, atol=1e-8)
+        assert np.allclose(np.angle(g * np.exp(-2j * np.pi * turns)), 0, atol=1e-8)
 
     def test_each_call_returns_its_own_array(self):
         # start sets are kept per (d, degree); a caller that writes into the
@@ -775,6 +777,19 @@ class TestLemniscateStarts:
         for d in (2, 3, 4):
             for f in enumerate_factors(d, 5):
                 assert isinstance(factor_evaluator(f), critical_orbit.OrbitEvaluator), f.label
+
+    def test_newton_f64_is_written_once(self):
+        # every evaluator's float64 step is its value_deriv on ScaledArray
+        # lanes, so no formula has a second, float64 form
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        kinds = [k for k in subclasses(rootfinder.Evaluator) if k.__module__.startswith("pcflab.")]
+        assert {CoefficientEvaluator, critical_orbit.GleasonEvaluator,
+                critical_orbit.ExactPeriodEvaluator, critical_orbit.MisiurewiczEvaluator} <= set(kinds)
+        assert [k.__name__ for k in kinds if "newton_f64" in vars(k)] == []
 
     def test_no_float64_stage_reaches_max_sweeps(self):
         cases = [(f.poly, factor_evaluator(f)) for f in enumerate_factors(2, 8)]
