@@ -374,10 +374,11 @@ def cmd_integral_scan(cfg: RunConfig) -> int:
 
 
 def cmd_equidist(cfg: RunConfig) -> int:
-    alpha = parse_alpha(cfg.alpha_spec)
     # the rational path builds no g_n, but its exact Vieta values grow like
-    # d^(n-1) * h(alpha) bits, so the same cap bounds it
+    # d^(n-1) * h(alpha) bits, so the same cap bounds it; checked first, as
+    # parsing an algebraic alpha isolates its roots
     check_degree_cap(cfg.d, cfg.max_n)
+    alpha = parse_alpha(cfg.alpha_spec)
     levels = range(2, cfg.max_n + 1)
     root_sets = {}
 

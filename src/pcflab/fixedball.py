@@ -18,15 +18,15 @@ runs on it too, with abs_bounds for its bail and tail tests.
 A point is a ball without its radius: the same Gaussian integers on the
 same grid, the same exact + and - and int lifts, the same floored * and /.
 The same operations on points and on balls give bit-for-bit the same
-centers. In the root finder, points carry the polish: a root enters the
-grid once, every Newton step p/p' is a floored point quotient, and the stop
-rule is tested on the integers. Balls carry the last step and the disk: the
-point, floored, is a ball of radius 0; the quotient of the value and
-derivative centers is the point step there, and once that step is small
-enough the inclusion radius comes from abs_bounds of the same two balls, in
-whole grid units rounded up, and the disk leaves as one ComplexBall. A point
-encloses nothing, so it has no conversion to a ComplexBall and no modulus
-bounds.
+centers. In the root finder, points carry the polish and the repair
+sweeps: a root enters the grid once, every Newton and Aberth step is
+floored point arithmetic, and the stop rules are tested on the integers.
+Balls carry the last step and the disk: the point, floored, is a ball of
+radius 0; the quotient of the value and derivative centers is the point
+step there, and once that step is small enough the inclusion radius comes
+from abs_bounds of the same two balls, in whole grid units rounded up, and
+the disk leaves as one ComplexBall. A point encloses nothing, so it has no
+conversion to or from mpmath and no modulus bounds.
 
 Both have an array form, FixedBallArray and FixedPointArray, whose re, im
 and rad are 1-D numpy object arrays of Python ints, one lane per ball or
@@ -39,8 +39,8 @@ Each formula is written once, lane i of a result is the scalar result on
 lane i bit for bit, and the scalar code pays nothing for the array form.
 The array primitives are made on the first call of one, so importing this
 module does not import numpy. The root finder polishes and certifies its
-roots in batches this way; the escape iteration of pcflab.heights stays
-scalar.
+roots in batches this way, and sums each repair step's pairwise terms; the
+escape iteration of pcflab.heights stays scalar.
 """
 
 from __future__ import annotations
@@ -118,13 +118,9 @@ def _to_mpf(x: int, prec: int) -> tuple[tuple, int]:
 
 
 class _OnGrid:
-    """What balls and points share: the center and integer powers."""
+    """What balls and points share: integer powers."""
 
     __slots__ = ()
-
-    def center(self) -> mp.mpc:
-        """The center at the current mpmath precision (floored)."""
-        return mp.mp.make_mpc((_to_mpf(self.re, self.prec)[0], _to_mpf(self.im, self.prec)[0]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -174,9 +170,6 @@ class FixedBall(_OnGrid):
         s = max(0, rad.bit_length() - mp.mp.prec)
         radius = mp.mp.make_mpf(from_man_exp(_ceil_shift(rad, s), s - self.prec))
         return ComplexBall(mp.mp.make_mpc((re, im)), radius)
-
-    def contains_zero(self) -> bool:
-        return self.re * self.re + self.im * self.im <= self.rad * self.rad
 
     def abs_bounds(self) -> tuple[int, int]:
         """Integer lower and upper bounds on |z| over the disk, in units of 2^-prec."""
@@ -243,11 +236,6 @@ class FixedPoint(_OnGrid):
     def __init__(self, re: int, im: int, prec: int):
         self.re, self.im, self.prec = re, im, prec
 
-    @classmethod
-    def from_mpc(cls, z: mp.mpc, prec: int) -> "FixedPoint":
-        """z rounded to the nearest grid point."""
-        return cls(_to_grid(z.real, prec)[0], _to_grid(z.imag, prec)[0], prec)
-
     def lift(self, k: int) -> "FixedPoint":
         """The exact integer k, at this point's precision."""
         return FixedPoint(k << self.prec, 0, self.prec)
@@ -290,9 +278,9 @@ class FixedBallArray(FixedBall):
 
     Every operation is FixedBall's own code, run elementwise, so lane i of a
     result is bit for bit the FixedBall result on lane i. / raises
-    ZeroDivisionError when the divisor ball of any lane may hold 0.
-    contains_zero gives a bool array. The conversions to mpmath (from_mpc,
-    ball, center) are per lane: index the arrays.
+    ZeroDivisionError when the divisor ball of any lane may hold 0. The
+    conversions to and from mpmath (from_mpc, ball) are per lane: index the
+    arrays.
     """
 
     __slots__ = ()

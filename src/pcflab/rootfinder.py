@@ -13,37 +13,40 @@ because p'/p is the sum of reciprocal root distances); when all deg disks are
 pairwise disjoint, each contains exactly one root and the set is a complete
 isolation certificate.
 
-Polishing and certification run on the fixed-point kernel of
-pcflab.fixedball, on the grid 2^-wp for working precision wp, in batches of
-_BATCH roots: each evaluator call takes a batch as one FixedPointArray or
-FixedBallArray, whose lanes give bit for bit the scalar results. all_roots
-holds each root as a Gaussian integer on the grid, from the float64 Aberth
-point, which goes onto the grid rounded to nearest, to the finished disk;
-only a repair pass's mp Aberth sweeps see the points as mpc. Polishing takes
-Newton steps p/p' on points, each floored, in lockstep, until a root's step
-meets the square root of the stop rule |w| <= 2^-(bits+24) * (1 + |z|),
-tested in integers. The root's point is then floored to wp bits, so it is
-the exact center of a ball of radius 0, and its next evaluation is of that
-ball: the quotient of the value and derivative centers is the point step
-there, bit for bit, so one evaluation tests the stop rule and gives the
-disk. When the step meets the rule, the radius deg * |p/p'| * 1.0000001
-comes from the integer modulus bounds of the two balls, rounded up to whole
-grid units, and the target is tested in integers too; otherwise the root
-takes the step and is evaluated again. Each disk leaves the grid once, as a
-ComplexBall, and the set is sorted on exact integer keys. A batch whose
-evaluation raises ZeroDivisionError is split in halves and retried, so only
-the root that raises loses its Newton step or its disk. Points and balls
-floor every product and quotient the same way, so their centers are
-identical, and the order of operations in each evaluator formula fixes the
-rounding, hence the polished points, the disks and the cache bytes, whatever
-the batch size.
+Polishing, certification and repair run on the fixed-point kernel of
+pcflab.fixedball, on the grid 2^-wp for working precision wp, passed to
+each step explicitly. all_roots holds the points of the whole set as two
+object arrays of Python ints, re and im: each root's point is the Gaussian
+integer re[j] + i*im[j], from the float64 Aberth point, which goes onto the
+grid rounded to nearest, to the finished disk, and each doubling of wp
+shifts both arrays in place. Polishing and certification are one lockstep
+loop per batch of _BATCH roots; each evaluator call takes a batch as one
+FixedPointArray or FixedBallArray, whose lanes give bit for bit the scalar
+results. A root takes Newton steps p/p' on its point, each floored, until a
+step meets the square root of the stop rule |w| <= 2^-(bits+24) * (1 + |z|),
+tested in integers. Once no root of the batch takes point steps, each point
+is floored to wp bits, so it is the exact center of a ball of radius 0, and
+its next evaluation is of that ball: the quotient of the value and
+derivative centers is the point step there, bit for bit, so one evaluation
+tests the stop rule and gives the disk. When the step meets the rule, the
+radius deg * |p/p'| * 1.0000001 comes from the integer modulus bounds of the
+two balls, rounded up to whole grid units, and the target is tested in
+integers too; otherwise the root takes the step and is evaluated again. A
+batch whose evaluation raises ZeroDivisionError is split in halves and
+retried, so only the root that raises loses its Newton step or its disk.
+Points and balls floor every product and quotient the same way, so their
+centers are identical, and the order of operations in each evaluator
+formula fixes the rounding, hence the polished points, the disks and the
+cache bytes, whatever the batch size. mpmath enters only where the disks
+leave the grid, as ComplexBalls at wp bits for the disjointness check; the
+set is sorted on its points, which are the disks' centers.
 
 Precision escalates locally: a root whose disk misses the radius target or is
 not proven disjoint from another disk goes to doubled working precision alone,
-gets a few Aberth corrections against the other points held fixed, is
-polished again and gets a new disk. Every other root keeps its disk. The
-pairwise disjointness check runs over the whole set after every round, so the
-set returned has passed it as a whole.
+gets a few Gauss-Seidel Aberth sweeps on the grid against the other points
+held fixed, is polished again and gets a new disk. Every other root keeps its
+disk. The pairwise disjointness check runs over the whole set after every
+round, so the set returned has passed it as a whole.
 
 all_roots takes its evaluator from the caller. Lattice factors get
 division-free orbit-recurrence evaluators from pcflab.critical_orbit; a base
@@ -59,6 +62,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -217,7 +221,7 @@ class Evaluator:
     float64 Aberth stage, runs it on ScaledArray lanes and maps a complex128
     array to the Newton steps value / derivative. Both grid forms run it on
     the fixed-point kernel pcflab.fixedball, taking and returning its types:
-    newton_mp, for polishing and the repair passes' mp Aberth sweeps, maps a
+    newton_mp, for polishing and the repair passes' Aberth sweeps, maps a
     FixedPoint to the Newton step, a FixedPoint floored on the same grid;
     value_deriv_ball, for each root's last step and its disk, maps a
     FixedBall to the value and derivative FixedBalls.
@@ -378,36 +382,39 @@ def _aberth_f64(evaluator, z0: np.ndarray):
     return z
 
 
-def _aberth_mp(evaluator, zs: list, sweeps: int, idx: Sequence[int]) -> list:
-    """Gauss-Seidel Aberth sweeps that move the points in idx, in that order.
+# -- repair, polishing and certification on the grid ----------------------------
+
+
+def _aberth_sweeps(evaluator, re, im, idx, wp: int) -> None:
+    """Four Gauss-Seidel Aberth sweeps on the points re + i*im of the grid
+    2^-wp, in place: the points in idx move, in that order, each step floored.
 
     Every other point stays fixed but still repels, so a sweep costs
-    O(len(idx) * n).
+    O(len(idx) * n); a point on the moving one does not repel it. The sweeps
+    stop after one in which no step w has |w| >= 2^(8-wp) * (1 + |z|).
     """
-    n = len(zs)
-    for _ in range(sweeps):
-        moved = mp.mpf(0)
+    for _ in range(4):
+        settled = True
         for j in idx:
+            z = FixedPoint(re[j], im[j], wp)
             try:
-                nray = evaluator.newton_mp(FixedPoint.from_mpc(zs[j], mp.mp.prec)).center()
+                nray = evaluator.newton_mp(z)
             except ZeroDivisionError:
                 continue
-            s = mp.mpc(0)
-            for k in range(n):
-                if k != j:
-                    diff = zs[j] - zs[k]
-                    if diff != 0:
-                        s += 1 / diff
-            denom = 1 - nray * s
-            w = nray / denom if denom != 0 else nray
-            zs[j] = zs[j] - w
-            moved = max(moved, abs(w) / (1 + abs(zs[j])))
-        if moved < mp.mpf(2) ** (-mp.mp.prec + 8):
-            break
-    return zs
-
-
-# -- polishing and certification ------------------------------------------------
+            dre, dim = re[j] - re, im[j] - im
+            apart = (dre != 0) | (dim != 0)
+            diff = FixedPointArray(dre[apart], dim[apart], wp)
+            inv = diff.lift(1) / diff
+            denom = z.lift(1) - nray * FixedPoint(inv.re.sum(), inv.im.sum(), wp)
+            w = nray / denom if denom.re or denom.im else nray
+            re[j] -= w.re
+            im[j] -= w.im
+            # the relative step, squared, in units of 2^-wp
+            one_plus_z = (1 << wp) + isqrt(re[j] * re[j] + im[j] * im[j])
+            if (w.re * w.re + w.im * w.im) << 2 * wp >= one_plus_z * one_plus_z << 16:
+                settled = False
+        if settled:
+            return
 
 
 def _split_retry(f, lanes: np.ndarray) -> list:
@@ -438,57 +445,52 @@ def _one_plus_abs(re, im, wp: int):
     return (1 << wp) + isqrt_array(re * re + im * im)
 
 
-def _polish_lanes(evaluator, re: np.ndarray, im: np.ndarray, steps: np.ndarray, bits: int):
-    """Newton steps on the points re + i*im of the grid 2^-wp, wp = mp.prec,
-    in place and in lockstep, each counted in steps: a point stops at its
-    first step w with |w| <= 2^-(bits+24)/2 * (1 + |z|), the square root of
-    the stop rule, at its tenth step, or when its step raises
-    ZeroDivisionError."""
-    import numpy as np
+def _certify_lanes(evaluator, re, im, wp: int, degree: int, bits: int) -> list:
+    """Polish the points re + i*im of the grid 2^-wp in place, in lockstep,
+    and return their radii deg*|p/p'|*1.0000001 in units of 2^-wp, rounded
+    up; None where the disk fails. At most 10 Newton steps per root.
 
-    wp = mp.mp.prec
+    A root takes point steps until its step w to z meets the square root of
+    the stop rule, |w| <= 2^-(bits+24)/2 * (1 + |z|), is its tenth, or
+    raises ZeroDivisionError. Once no root takes point steps, each is
+    floored to wp bits and takes ball steps: the quotient of the value and
+    derivative centers at the ball of radius 0 is newton_mp's step there,
+    bit for bit. A root whose ball step meets the stop rule
+    |w| <= 2^-(bits+24) * (1 + |z|), or would be its eleventh, stays and
+    gets its radius, which must meet the 2^-(bits/2) * (1 + |z|) target;
+    the others take the step and are evaluated again. A ball evaluation that
+    raises ZeroDivisionError fails the disk.
+    """
+    import numpy as np
 
     def newton(sub):
         return evaluator.newton_mp(FixedPointArray(re[sub], im[sub], wp))
 
-    active = np.arange(re.size)
-    while active.size:
-        moving = []
-        for sub, w in _split_retry(newton, active):
-            if w is None:
-                continue
-            steps[sub] += 1
-            z = FixedPointArray(re[sub], im[sub], wp) - w
-            re[sub], im[sub] = z.re, z.im
-            # the square-root rule, squared, in units of 2^-wp
-            one_plus_z = _one_plus_abs(z.re, z.im, wp)
-            far = (w.re * w.re + w.im * w.im) << (bits + 24) > one_plus_z * one_plus_z
-            moving.append(sub[far & (steps[sub] < 10)])
-        active = np.concatenate([active[:0]] + moving)
-
-
-def _disk_radii(evaluator, re, im, steps, degree: int, bits: int) -> list:
-    """Per point re + i*im of the grid 2^-wp, wp = mp.prec: the radius
-    deg*|p/p'|*1.0000001 in units of 2^-wp, rounded up, at the first point,
-    left in place, whose ball step meets the stop rule
-    |w| <= 2^-(bits+24) * (1 + |z|) or would be the root's eleventh Newton
-    step; None when the ball evaluation raises ZeroDivisionError, the test
-    fails, or the radius misses the 2^-(bits/2) * (1 + |z|) target.
-    """
-    import numpy as np
-
-    wp = mp.mp.prec
-
-    def balls(sub):
+    def value_deriv(sub):
         return evaluator.value_deriv_ball(FixedBallArray(re[sub], im[sub], 0, wp))
 
+    steps = np.zeros(re.size, dtype=np.int64)
+    balls = np.zeros(re.size, dtype=bool)  # the roots that take ball steps
     radii: list = [None] * re.size
     active = np.arange(re.size)
     while active.size:
+        points = active[~balls[active]]
+        if points.size:
+            for sub, w in _split_retry(newton, points):
+                if w is not None:
+                    steps[sub] += 1
+                    z = FixedPointArray(re[sub], im[sub], wp) - w
+                    re[sub], im[sub] = z.re, z.im
+                    # the square-root rule, squared, in units of 2^-wp
+                    one_plus_z = _one_plus_abs(z.re, z.im, wp)
+                    far = (w.re * w.re + w.im * w.im) << (bits + 24) > one_plus_z * one_plus_z
+                    sub = sub[~far | (steps[sub] >= 10)]
+                balls[sub] = True
+            continue
         re[active] = np.array([_floor_bits(x, wp) for x in re[active]], dtype=object)
         im[active] = np.array([_floor_bits(x, wp) for x in im[active]], dtype=object)
         moving = []
-        for sub, vd in _split_retry(balls, active):
+        for sub, vd in _split_retry(value_deriv, active):
             if vd is None:
                 continue
             val, der = vd
@@ -513,25 +515,6 @@ def _disk_radii(evaluator, re, im, steps, degree: int, bits: int) -> list:
                 radii[sub[k]] = rad[k]
         active = np.concatenate([active[:0]] + moving)
     return radii
-
-
-def _polished_disks(evaluator, res: list, ims: list, batch: Sequence[int], degree: int, bits: int):
-    """Polish the grid points res[j] + i*ims[j], j in batch, in place and
-    return their disks, None where a disk fails, on the grid 2^-wp,
-    wp = mp.prec; at most 10 Newton steps per root, point and ball steps."""
-    import numpy as np
-
-    wp = mp.mp.prec
-    re = np.array([res[j] for j in batch], dtype=object)
-    im = np.array([ims[j] for j in batch], dtype=object)
-    steps = np.zeros(len(batch), dtype=np.int64)
-    _polish_lanes(evaluator, re, im, steps, bits)
-    radii = _disk_radii(evaluator, re, im, steps, degree, bits)
-    disks = []
-    for k, j in enumerate(batch):
-        res[j], ims[j] = re[k], im[k]
-        disks.append(None if radii[k] is None else FixedBall(re[k], im[k], radii[k], wp).ball())
-    return disks
 
 
 # -- disjointness ----------------------------------------------------------------
@@ -590,19 +573,12 @@ def _overlapping(disks: list) -> set[int]:
     return bad
 
 
-def _grid_key(b: bl.ComplexBall, wp: int) -> tuple[int, int]:
-    """The center of b as the Gaussian integer it is on the grid 2^-wp,
-    exactly: its _mpc_ mantissas shifted to that grid. wp is the largest
-    grid a disk of the set was certified on, so no shift is negative."""
-    return tuple((-man if sign else man) << (exp + wp) for sign, man, exp, _ in b.center._mpc_)
-
-
 def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PCFParameterSet:
     """All complex roots of a squarefree p with disjoint certified disks.
 
     Every input of degree >= 2 starts from evaluator.starts_f64(p) and the
-    float64 Aberth stage; the arbitrary-precision sweeps serve only the
-    repair passes. Degree 1 is solved exactly and reads no evaluator. A
+    float64 Aberth stage; the sweeps on the grid serve only the repair
+    passes. Degree 1 is solved exactly and reads no evaluator. A
     lattice factor takes its orbit evaluator from pcflab.critical_orbit,
     whose factor is not checked: deg pairwise disjoint inclusion disks, each
     holding a root, prove deg simple roots. Raises PrecisionExhausted when
@@ -617,48 +593,46 @@ def all_roots(p: IntPolynomial, precision_bits: int, evaluator: Evaluator) -> PC
             root = bl.exact_ball(Fraction(-a0, a1))
         return PCFParameterSet(precision_bits, (root,))
 
+    import numpy as np
+
     z = _aberth_f64(evaluator, evaluator.starts_f64(p))
     wp = precision_bits + 64
-    # each root's current point: the Gaussian integer res[j] + i*ims[j] on
-    # the grid 2^-wp
-    res = [grid_from_float(x, wp) for x in z.real.tolist()]
-    ims = [grid_from_float(y, wp) for y in z.imag.tolist()]
+    # each root's current point: the Gaussian integer re[j] + i*im[j] on the
+    # grid 2^-wp
+    re = np.array([grid_from_float(x, wp) for x in z.real.tolist()], dtype=object)
+    im = np.array([grid_from_float(y, wp) for y in z.imag.tolist()], dtype=object)
     wp_limit = max(MAX_PRECISION_BITS + 64, wp)  # always at least one pass
     disks: list = [None] * degree
-    todo: Sequence[int] = range(degree)
-    repair = False
-    while wp <= wp_limit:
+    todo = np.arange(degree)
+    while True:
+        radii: list = []
+        for b0 in range(0, todo.size, _BATCH):
+            batch = todo[b0 : b0 + _BATCH]
+            bre, bim = re[batch], im[batch]
+            radii += _certify_lanes(evaluator, bre, bim, wp, degree, precision_bits)
+            re[batch], im[batch] = bre, bim
+        # the disks leave the grid; the disjointness check always covers the
+        # whole set, so the set returned has passed it once as a whole
         with mp.workprec(wp):
-            if repair:
-                # only the leftover roots move; the rest keep their points
-                # and their disks
-                zs = [FixedPoint(x, y, wp).center() for x, y in zip(res, ims)]
-                _aberth_mp(evaluator, zs, 4, todo)
-                for j in todo:
-                    pt = FixedPoint.from_mpc(zs[j], wp)
-                    res[j], ims[j] = pt.re, pt.im
-                del zs
-            for b0 in range(0, len(todo), _BATCH):
-                batch = todo[b0 : b0 + _BATCH]
-                for j, disk in zip(
-                    batch, _polished_disks(evaluator, res, ims, batch, degree, precision_bits)
-                ):
-                    disks[j] = disk
-            # the disjointness check always covers the whole set, so the set
-            # returned has passed it once as a whole
-            failed = {j for j, b in enumerate(disks) if b is None}
-            todo = sorted(failed | _overlapping(disks))
-            if not todo:
-                disks.sort(key=lambda b: _grid_key(b, wp))
-                return PCFParameterSet(precision_bits, tuple(disks))
-        # the same points on the grid of the doubled precision
-        res = [x << wp for x in res]
-        ims = [y << wp for y in ims]
+            for j, r in zip(todo, radii):
+                disks[j] = None if r is None else FixedBall(re[j], im[j], r, wp).ball()
+            overlapping = _overlapping(disks)
+        todo = np.array(sorted({j for j, b in enumerate(disks) if b is None} | overlapping))
+        if not todo.size:
+            # a disk's center is its root's point, so this is the order of
+            # the centers
+            order = sorted(range(degree), key=lambda j: (re[j], im[j]))
+            return PCFParameterSet(precision_bits, tuple(disks[j] for j in order))
+        if 2 * wp > wp_limit:
+            raise PrecisionExhausted(
+                f"could not certify {degree} disjoint root disks at {MAX_PRECISION_BITS} bits"
+            )
+        # the same points on the grid of the doubled precision; only the
+        # leftover roots move, the rest keep their points and their disks
+        re <<= wp
+        im <<= wp
         wp *= 2
-        repair = True
-    raise PrecisionExhausted(
-        f"could not certify {degree} disjoint root disks at {MAX_PRECISION_BITS} bits"
-    )
+        _aberth_sweeps(evaluator, re, im, todo, wp)
 
 
 # -- derived queries -------------------------------------------------------------

@@ -196,7 +196,8 @@ class TestExitCodes:
     def test_degree_cap(self, tmp_path, capsys):
         # every command whose work grows with deg g_max_n refuses before doing any work
         for extra in (["enumerate"], ["bounds"], ["integral-scan"], ["plot"],
-                      ["equidist", "--alpha=-1,-1,1:1"], ["equidist", "--alpha", "1"]):
+                      ["equidist", "--alpha=-1,-1,1:1"], ["equidist", "--alpha", "1"],
+                      ["equidist", "--alpha=1,2,1"]):
             cache = tmp_path / extra[0]
             code, _, err = run(extra + ["--d", "3", "--max-n", "20", "--cache", str(cache)], capsys)
             assert code == 3 and "DegreeCapExceeded" in err, extra
@@ -218,6 +219,18 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2 and "900-bit limit" in err
+
+    def test_non_squarefree_alpha(self, tmp_path, capsys):
+        # (c + 1)^2: an invalid --alpha, exit 2 as for any bad value, not
+        # the library's exit 8, and refused before any work
+        for extra in (["integral-scan", "--S", "2"], ["equidist"]):
+            cache = tmp_path / extra[0]
+            code, _, err = run(
+                extra + ["--d", "2", "--max-n", "4", "--alpha=1,2,1", "--cache", str(cache)],
+                capsys,
+            )
+            assert code == 2 and "minimal polynomial must be squarefree" in err, extra
+            assert not cache.exists(), extra
 
     def test_linear_alpha_of_any_width_is_its_rational(self, tmp_path, capsys):
         # the 900-bit refusal is for degree >= 2 only: a linear minimal
@@ -461,6 +474,7 @@ class TestNumpyOnlyWhereArraysRun:
         (["--help"], 0, False),
         (["enumerate", "--max-n", "0"], 2, False),
         (["enumerate", "--d", "2", "--max-n", "14"], 3, False),
+        (["equidist", "--d", "2", "--max-n", "14", "--alpha=-1,-1,1:1"], 3, False),
         (["integral-scan", "--d", "2", "--max-n", "3", "--alpha=3", "--S", "2,5"], 0, False),
         (["enumerate", "--d", "2", "--max-n", "3"], 0, True),
     ])

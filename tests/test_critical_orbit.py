@@ -460,7 +460,7 @@ class TestEvaluatorOracle:
                 for ball, exact in zip(ev.value_deriv_ball(zb), (val, der)):
                     re, im = _grid_fraction(ball.re, prec), _grid_fraction(ball.im, prec)
                     assert (re - exact) ** 2 + im**2 <= _grid_fraction(ball.rad, prec) ** 2, (name, x)
-                step = ev.newton_mp(FixedPoint.from_mpc(z, prec))
+                step = ev.newton_mp(FixedPoint(zb.re, zb.im, prec))
                 ratio = val / der
                 err = abs(_grid_fraction(step.re, prec) - ratio) + abs(_grid_fraction(step.im, prec))
                 assert err <= abs(ratio) * Fraction(2) ** (24 - prec), (name, x)

@@ -338,12 +338,17 @@ def scalars(z):
     return [FixedBall(re, im, r, z.prec) for re, im, r in zip(z.re, z.im, rad)]
 
 
+def grid_complex(z):
+    """The point of a scalar FixedPoint or FixedBall center, as a complex."""
+    return complex(z.re / (1 << z.prec), z.im / (1 << z.prec))
+
+
 class Widening:
-    """Forwards to an evaluator and logs the working precision of each point
+    """Forwards to an evaluator and logs the grid precision of each point
     handed to newton_mp and value_deriv_ball, one entry per point of a batch.
-    While mp.prec < below, the value ball at points within 1e-6 of a target
-    is widened by 1 (2^prec grid units), so that root's inclusion disk misses
-    its radius target; the other points' balls are kept."""
+    While that precision is below below, the value ball at points within 1e-6
+    of a target is widened by 1 (2^prec grid units), so that root's inclusion
+    disk misses its radius target; the other points' balls are kept."""
 
     def __init__(self, inner, targets=(), below=0):
         self.inner = inner
@@ -357,17 +362,17 @@ class Widening:
     def near_target(self, zb):
         """Per point of zb: whether it lies within 1e-6 of a target."""
         return [
-            any(abs(complex(z.center()) - t) < 1e-6 for t in self.targets) for z in scalars(zb)
+            any(abs(grid_complex(z) - t) < 1e-6 for t in self.targets) for z in scalars(zb)
         ]
 
     def newton_mp(self, z):
-        self.calls += [("newton_mp", mp.mp.prec)] * len(scalars(z))
+        self.calls += [("newton_mp", z.prec)] * len(scalars(z))
         return self.inner.newton_mp(z)
 
     def value_deriv_ball(self, zb):
-        self.calls += [("value_deriv_ball", mp.mp.prec)] * len(scalars(zb))
+        self.calls += [("value_deriv_ball", zb.prec)] * len(scalars(zb))
         val, der = self.inner.value_deriv_ball(zb)
-        if mp.mp.prec < self.below:
+        if zb.prec < self.below:
             widen = np.array([n << val.prec for n in self.near_target(zb)], dtype=object)
             val = FixedBallArray(val.re, val.im, val.rad + widen, val.prec)
         return val, der
@@ -470,13 +475,40 @@ class TestLocalizedRepair:
         assert ev.calls_above(self.FIRST_WP)[1] == 2
 
 
+class TestRepairedDisks:
+    """The repair pass end to end. Horner on the coefficients of the d=2
+    exact-period-7 factor leaves 13 of its 63 roots to a repair pass at 384
+    bits; no benchmark workload runs one, so this is that path's guard."""
+
+    def test_against_a_second_isolation(self):
+        desc = exact_period_factor(2, 7)
+        ev = Widening(CoefficientEvaluator(desc.poly))
+        ps = all_roots(desc.poly, 128, ev)
+        assert len(ps) == desc.poly.degree == 63
+        repaired = [wp for name, wp in ev.calls if name == "value_deriv_ball" and wp > 192]
+        assert repaired == [384] * 13
+        # every disk meets exactly one disk of the orbit evaluator's
+        # isolation at 256 bits, and no two meet the same one
+        other = all_roots(desc.poly, 256, factor_evaluator(desc))
+        with mp.workprec(512):
+            met = [
+                [i for i, a in enumerate(other.roots) if not bl.disjoint(b, a)] for b in ps.roots
+            ]
+            for b in ps.roots:
+                assert b.radius * 2**64 <= 1 + abs(b.center)
+        assert all(len(m) == 1 for m in met)
+        assert sorted(i for (i,) in met) == list(range(63))
+        assert_pairwise_disjoint(ps)
+
+
 class Raising(Widening):
-    """Like Widening, but while mp.prec < below, value_deriv_ball raises
-    ZeroDivisionError, as for a divisor ball that may hold 0, on any batch
-    with a point within 1e-6 of a target. Calls that raise are not logged."""
+    """Like Widening, but while the grid precision is below below,
+    value_deriv_ball raises ZeroDivisionError, as for a divisor ball that may
+    hold 0, on any batch with a point within 1e-6 of a target. Calls that
+    raise are not logged."""
 
     def value_deriv_ball(self, zb):
-        if mp.mp.prec < self.below and any(self.near_target(zb)):
+        if zb.prec < self.below and any(self.near_target(zb)):
             raise ZeroDivisionError("a target in the batch")
         return super().value_deriv_ball(zb)
 
@@ -829,10 +861,9 @@ class TestLargeDegree:
         assert rootfinder._overlapping(list(ps.roots)) == set()
 
 
-def ball_ratio(evaluator, z):
+def ball_ratio(evaluator, zb):
     """The center of val / der of the formula run on FixedBalls: the oracle
     for newton_mp, which runs it on FixedPoints."""
-    zb = FixedBall.from_mpc(z, mp.mp.prec)
     val, der = evaluator.value_deriv(zb, zb.lift)
     return val / der
 
@@ -876,11 +907,11 @@ class TestPointKernel:
         roots = [b.center for b in all_roots(p, 128, evaluator=ev).roots]
         assert len(roots) == p.degree
         for wp in (192, 384):
-            with mp.workprec(wp):
-                for z in [mp.mpc(complex(s)) for s in starts] + roots:
-                    got = ev.newton_mp(FixedPoint.from_mpc(z, wp))
-                    want = ball_ratio(ev, z)
-                    assert (got.re, got.im, got.prec) == (want.re, want.im, wp), (wp, z)
+            for z in [mp.mpc(complex(s)) for s in starts] + roots:
+                zb = FixedBall.from_mpc(z, wp)
+                got = ev.newton_mp(FixedPoint(zb.re, zb.im, wp))
+                want = ball_ratio(ev, zb)
+                assert (got.re, got.im, got.prec) == (want.re, want.im, wp), (wp, z)
 
 
 class TestBatches:
