@@ -46,7 +46,10 @@ class ComplexBall:
     radius: mp.mpf
 
     def __post_init__(self):
-        if self.radius < 0 or not mp.isfinite(self.radius):
+        # on the raw tuple: a sign bit, or a zero mantissa with a nonzero
+        # exponent (mpmath's inf, -inf and nan)
+        sign, man, exp, _ = self.radius._mpf_
+        if sign or (not man and exp):
             raise ValueError("ball radius must be finite and nonnegative")
 
     @property

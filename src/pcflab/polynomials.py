@@ -8,9 +8,13 @@ module ever rounds.
 
 Multiplication routes through Kronecker substitution (pack the coefficients
 into one huge integer, multiply once, unpack), which turns polynomial products
-into single big-integer products on plain Python ints.
+into single big-integer products on plain Python ints; a square packs once and
+takes CPython's squaring path, and a power never multiplies by 1. Exact
+division by a monic divisor (every lattice factor is one) skips the
+divisibility test and touches only the divisor's nonzero coefficients.
 gcd and resultants use the subresultant pseudo-remainder sequence, which keeps
-intermediate coefficient growth polynomial instead of exponential.
+intermediate coefficient growth polynomial instead of exponential. The F_p
+section (gcd degrees mod a prime of any size) runs Euclid on lists of ints.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
-    return tuple(int(c) for c in coeffs[:end])
+    return tuple(map(int, coeffs[:end]))
 
 
 def _pack(coeffs: Sequence[int], stride_bytes: int) -> int:
@@ -49,34 +53,50 @@ def _unpack(value: int, stride_bytes: int, count: int) -> list[int]:
     ]
 
 
-def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Coefficient convolution; Kronecker substitution above the cutoff."""
+def _pack_signed(coeffs: Sequence[int], stride_bytes: int) -> tuple[int, int]:
+    """(P, N) with P - N the packed coefficients: P packs the positive ones and
+    N the negated negative ones; a part with no coefficient is 0, unpacked."""
+    pos = [c if c > 0 else 0 for c in coeffs]
+    neg = [-c if c < 0 else 0 for c in coeffs]
+    return (
+        _pack(pos, stride_bytes) if any(pos) else 0,
+        _pack(neg, stride_bytes) if any(neg) else 0,
+    )
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficient convolution, untrimmed; Kronecker substitution above the cutoff.
+
+    The same tuple twice is a square: packed once, and CPython's squaring
+    path multiplies the pack by itself.
+    """
     if not a or not b:
-        return ()
+        return []
     if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF // 16:
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return _trim(out)
+        return out
 
     amax = max(abs(c) for c in a)
     bmax = max(abs(c) for c in b)
     stride = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
     stride_bytes = (stride + 7) // 8
-    apos = [c if c > 0 else 0 for c in a]
-    aneg = [-c if c < 0 else 0 for c in a]
-    bpos = [c if c > 0 else 0 for c in b]
-    bneg = [-c if c < 0 else 0 for c in b]
-    ap, an = _pack(apos, stride_bytes), _pack(aneg, stride_bytes)
-    bp, bn = _pack(bpos, stride_bytes), _pack(bneg, stride_bytes)
-    plus = ap * bp + an * bn
-    minus = ap * bn + an * bp
+    ap, an = _pack_signed(a, stride_bytes)
+    if a is b:
+        plus = ap * ap + an * an
+        minus = 2 * ap * an
+    else:
+        bp, bn = _pack_signed(b, stride_bytes)
+        plus = ap * bp + an * bn
+        minus = ap * bn + an * bp
     count = len(a) + len(b) - 1
     up = _unpack(plus, stride_bytes, count)
-    um = _unpack(minus, stride_bytes, count)
-    return _trim([x - y for x, y in zip(up, um)])
+    if not minus:
+        return up
+    return [x - y for x, y in zip(up, _unpack(minus, stride_bytes, count))]
 
 
 class IntPolynomial:
@@ -174,16 +194,14 @@ class IntPolynomial:
     def __pow__(self, n: int) -> IntPolynomial:
         if n < 0:
             raise ValueError("negative polynomial powers are not defined here")
-        result = IntPolynomial([1])
-        base = self
-        while n:
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return ONE if result is None else result
+            base = base * base
 
     def derivative(self) -> IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -262,7 +280,9 @@ def divmod_exact(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, Int
     Works top-down; each quotient coefficient must divide exactly, otherwise
     the quotient is not an integer polynomial and NotDivisible is raised.
     (Over Q the quotient coefficients are unique, so a stepwise integrality
-    failure already certifies non-divisibility over Z.)
+    failure already certifies non-divisibility over Z.) A monic q needs no
+    such test, and each step touches only q's nonzero lower coefficients:
+    the step's own top coefficient becomes 0 by construction.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -271,18 +291,20 @@ def divmod_exact(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, Int
     lq = q.lead
     if p.degree < dq:
         return ZERO, p
+    lower = [(i, c) for i, c in enumerate(q.coeffs[:dq]) if c]
     quot = [0] * (p.degree - dq + 1)
     for k in range(p.degree - dq, -1, -1):
-        top = rem[k + dq]
-        if top == 0:
+        f = rem[k + dq]
+        if f == 0:
             continue
-        if top % lq != 0:
-            raise NotDivisible(f"leading step {top} not divisible by {lq}")
-        f = top // lq
+        if lq != 1:
+            if f % lq != 0:
+                raise NotDivisible(f"leading step {f} not divisible by {lq}")
+            f //= lq
         quot[k] = f
-        for i, c in enumerate(q.coeffs):
+        for i, c in lower:
             rem[k + i] -= f * c
-    return IntPolynomial(quot), IntPolynomial(rem)
+    return IntPolynomial(quot), IntPolynomial(rem[:dq])
 
 
 def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -364,40 +386,38 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
 _SQFREE_WITNESS_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
 
 
+# -- F_p: polynomials as lists of residues, ascending, no trailing zeros ------
+
+
+def _rem_mod(a: list[int], b: list[int], prime: int) -> list[int]:
+    """a mod b over F_prime, in place on a; b nonzero."""
+    inv = pow(b[-1], -1, prime)
+    db = len(b) - 1
+    while len(a) > db:
+        f = a.pop() * inv % prime
+        if f:
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - f * b[i]) % prime
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
 def gcd_degree_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> int:
     """deg gcd(p mod prime, q mod prime); -1 when either reduces to zero.
 
-    Vectorized Euclid over F_prime: int64 arithmetic for prime < 2^31, whose
-    products fit, and Python integers (object arrays) for any larger prime.
-    For a prime dividing neither leading coefficient, deg gcd mod prime >=
-    deg gcd over Q, so a *trivial* modular gcd proves the rational gcd trivial.
+    Euclid on lists of Python ints, for a prime of any size. For a prime
+    dividing neither leading coefficient, deg gcd mod prime >= deg gcd over
+    Q, so a *trivial* modular gcd proves the rational gcd trivial.
     """
-    import numpy as np
-
-    dtype = np.int64 if prime < 2**31 else object
-    a = np.array([c % prime for c in p.coeffs], dtype=dtype)
-    b = np.array([c % prime for c in q.coeffs], dtype=dtype)
-
-    def trim(v):
-        nz = np.nonzero(v)[0]
-        return v[: nz[-1] + 1] if nz.size else v[:0]
-
-    a, b = trim(a), trim(b)
-    if a.size == 0 or b.size == 0:
+    a = list(_trim([c % prime for c in p.coeffs]))
+    b = list(_trim([c % prime for c in q.coeffs]))
+    if not a or not b:
         return -1
-    if a.size < b.size:
-        a, b = b, a
-    while b.size > 1:
-        inv = pow(int(b[-1]), prime - 2, prime)
-        while a.size >= b.size:
-            f = (int(a[-1]) * inv) % prime
-            if f:
-                a[a.size - b.size :] = (a[a.size - b.size :] - f * b) % prime
-            a = trim(a[:-1]) if a[-1] == 0 else trim(a)
-        if a.size == 0:
-            return b.size - 1
-        a, b = b, a
-    return 0 if b.size else a.size - 1
+    while b:
+        a, b = b, _rem_mod(a, b, prime)
+    return len(a) - 1
 
 
 def _witnessed_squarefree(p: IntPolynomial, dp: IntPolynomial) -> bool:

@@ -60,6 +60,7 @@ certificate proves it again.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -67,7 +68,7 @@ from pathlib import Path
 from typing import Sequence
 
 import mpmath as mp
-from mpmath import libmp
+from mpmath.libmp import MPZ, fzero
 
 from . import balls as bl
 from .cacheio import atomic_write_text
@@ -677,11 +678,19 @@ def _mpf_token(x: mp.mpf) -> str:
     return f"{sign}:{man:x}:{exp}"
 
 
-def _mpf_from_token(tok: str) -> tuple:
-    """The exact _mpf_ value of a token, whatever the working precision."""
-    sign, man_hex, exp = tok.split(":")
-    man = int(man_hex, 16)
-    return libmp.from_man_exp(-man if sign == "1" else man, int(exp))
+# the writer's token, mpmath's normal form: sign 0 or 1, an odd lowercase hex
+# mantissa and a plain decimal exponent, or 0:0:0 for zero; a root line is
+# three tokens, one space apart
+_TOKEN = r"(?:([01]):((?:[1-9a-f][0-9a-f]*)?[13579bdf]):(0|-?[1-9][0-9]*)|0:0:0)"
+_ROOT_LINE = re.compile(" ".join([_TOKEN] * 3))
+
+
+def _mpf_from_token(sign, man_hex, exp) -> tuple:
+    """The exact _mpf_ tuple of a canonical token's fields (all None for 0:0:0)."""
+    if sign is None:
+        return fzero
+    man = MPZ(man_hex, 16)
+    return (int(sign), man, int(exp), man.bit_length())
 
 
 def roots_cache_path(root: Path, d: int, n: int, bits: int) -> Path:
@@ -714,7 +723,9 @@ def write_roots_cache(path: Path, poly: IntPolynomial, pset: PCFParameterSet) ->
 
 def read_roots_cache(path: Path, poly: IntPolynomial, bits: int):
     """The cached root set, or None when the file is missing, is not a v2
-    file for this polynomial and precision, or fails its root-line digest."""
+    file for this polynomial and precision, fails its root-line digest, or
+    has a root line the writer would not write (_ROOT_LINE). Each token goes
+    straight to its exact _mpf_ tuple."""
     path = Path(path)
     if not path.exists():
         return None
@@ -737,9 +748,12 @@ def read_roots_cache(path: Path, poly: IntPolynomial, bits: int):
         # built from the exact tokens: a center or radius longer than the
         # working precision, as a repaired root's is, is not rounded
         for ln in body:
-            re_t, im_t, r_t = ln.split()
-            center = mp.mp.make_mpc((_mpf_from_token(re_t), _mpf_from_token(im_t)))
-            balls.append(bl.ComplexBall(center, mp.mp.make_mpf(_mpf_from_token(r_t))))
+            m = _ROOT_LINE.fullmatch(ln)
+            if m is None:
+                return None
+            g = m.groups()
+            center = mp.mp.make_mpc((_mpf_from_token(*g[:3]), _mpf_from_token(*g[3:6])))
+            balls.append(bl.ComplexBall(center, mp.mp.make_mpf(_mpf_from_token(*g[6:]))))
     except ValueError:
         return None
     return PCFParameterSet(bits, tuple(balls))

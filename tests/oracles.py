@@ -234,3 +234,35 @@ def mp_avg_log_distance(disks, alpha):
         total += (llo + lhi) / 2
         halfwidth += (lhi - llo) / 2
     return total / len(disks), halfwidth / len(disks)
+
+
+def numpy_gcd_degree_mod(p: list[int], q: list[int], prime: int) -> int:
+    """deg gcd(p mod prime, q mod prime), -1 when either reduces to zero, by
+    vectorized Euclid on numpy arrays: int64 below 2^31, objects above. The
+    package's earlier F_p gcd, kept to check the list version against."""
+    import numpy as np
+
+    dtype = np.int64 if prime < 2**31 else object
+    a = np.array([c % prime for c in p], dtype=dtype)
+    b = np.array([c % prime for c in q], dtype=dtype)
+
+    def trim(v):
+        nz = np.nonzero(v)[0]
+        return v[: nz[-1] + 1] if nz.size else v[:0]
+
+    a, b = trim(a), trim(b)
+    if a.size == 0 or b.size == 0:
+        return -1
+    if a.size < b.size:
+        a, b = b, a
+    while b.size > 1:
+        inv = pow(int(b[-1]), prime - 2, prime)
+        while a.size >= b.size:
+            f = (int(a[-1]) * inv) % prime
+            if f:
+                a[a.size - b.size :] = (a[a.size - b.size :] - f * b) % prime
+            a = trim(a[:-1]) if a[-1] == 0 else trim(a)
+        if a.size == 0:
+            return b.size - 1
+        a, b = b, a
+    return 0 if b.size else a.size - 1

@@ -8,6 +8,17 @@ import pytest
 import pcflab.balls as bl
 
 
+class TestRadiusCheck:
+    @pytest.mark.parametrize("radius", [-mp.mpf(2) ** -300, mp.inf, -mp.inf, mp.nan])
+    def test_negative_or_nonfinite_radius_raises(self, radius):
+        with pytest.raises(ValueError):
+            bl.ComplexBall(mp.mpc(1, 2), radius)
+
+    @pytest.mark.parametrize("radius", [mp.mpf(0), mp.mpf(2) ** -300])
+    def test_zero_or_tiny_radius_passes(self, radius):
+        assert bl.ComplexBall(mp.mpc(1, 2), radius).radius == radius
+
+
 class TestContainment:
     def test_abs_bounds_order(self):
         with mp.workprec(64):

@@ -476,6 +476,7 @@ class TestNumpyOnlyWhereArraysRun:
         (["enumerate", "--d", "2", "--max-n", "14"], 3, False),
         (["equidist", "--d", "2", "--max-n", "14", "--alpha=-1,-1,1:1"], 3, False),
         (["integral-scan", "--d", "2", "--max-n", "3", "--alpha=3", "--S", "2,5"], 0, False),
+        (["integral-scan", "--d", "2", "--max-n", "6", "--alpha=7/3", "--S", "2,3,5"], 0, False),
         (["enumerate", "--d", "2", "--max-n", "3"], 0, True),
     ])
     def test_numpy_loaded_only_by_a_run_that_isolates(self, args, code, loaded, tmp_path):

@@ -351,6 +351,44 @@ class TestMisiurewiczOracle:
             assert len(naive_gcd(strict, list(exact_period_factor(d, j).poly.coeffs))) == 1
 
 
+class _Schoolbook:
+    """Integer polynomials as coefficient lists whose products are naive_mul:
+    orbit run on them builds each g_n with no packed product."""
+
+    def __init__(self, coeffs: list):
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        return _Schoolbook(_naive_add(self.coeffs, other.coeffs))
+
+    def __pow__(self, k: int):
+        return _Schoolbook(_naive_pow(self.coeffs, k))
+
+
+class TestSchoolbookOrbit:
+    """gleason and the Misiurewicz factors for d = 3 and 4, above the
+    Kronecker cutoff, against the orbit run on schoolbook products and
+    divided over Q."""
+
+    @pytest.mark.parametrize("d,max_n", [(3, 6), (4, 5)])
+    def test_gleason_and_misiurewicz_factors(self, d, max_n):
+        g = [u.coeffs for u in islice(orbit(d, _Schoolbook([0, 1]), _Schoolbook([])), max_n + 1)]
+        assert [list(gleason(d, n).coeffs) for n in range(max_n + 1)] == g
+        for n in range(2, max_n + 1):
+            for m in range(1, n):
+                a, b, gq = g[n - 1], g[m - 1], g[math.gcd(n - 1, m - 1)]
+                raw = []
+                for j in range(d):
+                    raw = _naive_add(raw, naive_mul(_naive_pow(a, j), _naive_pow(b, d - 1 - j)))
+                poly, rem = naive_divmod(raw, _naive_pow(gq, d - 2))
+                assert not rem
+                strict, rem = naive_divmod(poly, gq)
+                assert not rem
+                desc = misiurewicz_factor(d, m, n)
+                assert list(desc.poly.coeffs) == poly
+                assert list(desc.strict_poly.coeffs) == strict
+
+
 class TestLatticeInvariants:
     """What the factor construction guarantees by theorem, checked here once
     instead of on every run: Gleason's lemma (g_n squarefree, monic of degree

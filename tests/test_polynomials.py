@@ -10,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcflab import critical_orbit, polynomials
 from pcflab.critical_orbit import enumerate_factors
 from pcflab.errors import NotDivisible
 from pcflab.polynomials import (
+    _SCHOOLBOOK_CUTOFF,
     IntPolynomial,
     divide_exact,
+    divmod_exact,
     evaluate_exact,
     gcd,
+    gcd_degree_mod,
     resultant,
     serialize,
     squarefree_part,
@@ -27,6 +31,7 @@ from oracles import (
     naive_divmod,
     naive_gcd,
     naive_mul,
+    numpy_gcd_degree_mod,
     sylvester_resultant,
 )
 
@@ -70,6 +75,117 @@ class TestBasics:
         assert (p**4).coeffs == (1, 4, 6, 4, 1)
         assert (P([]) ** 0).coeffs == (1,)
         assert (p**0).coeffs == (1,)
+
+
+def packed(length: int) -> bool:
+    """Whether a product of two polynomials of this many coefficients is packed."""
+    return length * length > _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF // 16
+
+
+SIGNED_RANGES = {"positive": (1, 10**15), "negative": (-(10**15), -1), "mixed": (-(10**15), 10**15)}
+
+
+class TestPackedProducts:
+    """Squares, powers and exact division above the Kronecker cutoff,
+    against schoolbook arithmetic."""
+
+    @pytest.mark.parametrize("signs", sorted(SIGNED_RANGES))
+    def test_square_of_one_object(self, signs):
+        rng = random.Random(signs)
+        for size in (13, 40, 97):
+            c = [rng.randint(*SIGNED_RANGES[signs]) for _ in range(size)]
+            p = P(c)
+            assert packed(size)
+            assert (p * p).coeffs == tuple(naive_mul(c, c))
+            assert (p * P(c)).coeffs == (p * p).coeffs  # an equal copy takes the product path
+
+    @pytest.mark.parametrize("signs", sorted(SIGNED_RANGES))
+    @pytest.mark.parametrize("k", range(7))
+    def test_pow(self, signs, k):
+        rng = random.Random(f"{signs}{k}")
+        c = [rng.randint(*SIGNED_RANGES[signs]) for _ in range(20)]
+        expected = [1]
+        for _ in range(k):
+            expected = naive_mul(expected, c)
+        assert packed(20) and (P(c) ** k).coeffs == tuple(expected)
+
+    @pytest.mark.parametrize("q", [
+        [3, -1, 4, 1, -5, 9, 2, -6, 1],  # monic
+        [3, -1, 4, 1, -5, 9, 2, -6, -7],  # non-monic
+        [5, 0, 0, 0, 0, 0, 0, -2, 0, 0, 1],  # sparse, monic
+        [-4, 0, 0, 0, 0, 0, 3],  # sparse, non-monic
+        [0, 1],  # c
+        [2, 1],  # c + 2
+    ])
+    def test_divide_exact(self, q):
+        rng = random.Random(str(q))
+        quot = [rng.randint(-(10**9), 10**9) for _ in range(60)]
+        prod = naive_mul(quot, q)
+        assert packed(len(quot)) and divide_exact(P(prod), P(q)).coeffs == tuple(quot)
+        # a remainder of lower degree leaves the quotient as it was
+        rem = [rng.randint(-50, 50) for _ in range(len(q) - 1)]
+        rem[0] = rem[0] or 1
+        off = [a + (rem[i] if i < len(rem) else 0) for i, a in enumerate(prod)]
+        assert divmod_exact(P(off), P(q)) == (P(quot), P(rem))
+        assert list(P(rem).coeffs) == naive_divmod(off, q)[1]
+        with pytest.raises(NotDivisible):
+            divide_exact(P(off), P(q))
+        if abs(q[-1]) > 1:  # a top coefficient the divisor's lead does not divide
+            with pytest.raises(NotDivisible):
+                divide_exact(P(prod[:-1] + [prod[-1] + 1]), P(q))
+
+    def test_gleason_table_squares_once_per_level(self, monkeypatch):
+        # g_{k+1} = g_k**2 + c: one packed square of g_k's 2^(k-1) + 1 positive
+        # coefficients at each level above the cutoff, and no product by 1
+        sizes = []
+        pack = polynomials._pack
+
+        def counted(coeffs, stride_bytes):
+            sizes.append(len(coeffs))
+            return pack(coeffs, stride_bytes)
+
+        monkeypatch.setattr(polynomials, "_pack", counted)
+        monkeypatch.setattr(critical_orbit, "_tables", {})
+        critical_orbit.gleason(2, 11)
+        squared = [2 ** (k - 1) + 1 for k in range(1, 11)]
+        assert sizes == [n for n in squared if packed(n)]
+        assert len(sizes) == 6
+
+
+PRIMES = (2, 3, 7, 2147483647, 2147483659, 2**61 - 1, 2**89 - 1)
+
+
+class TestGcdDegreeMod:
+    """Euclid on lists against the earlier numpy version (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(PRIMES),
+        st.lists(st.integers(-(10**30), 10**30), max_size=8),
+        st.lists(st.integers(-(10**30), 10**30), max_size=8),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_matches_numpy_version(self, prime, a, b, shared, vanish):
+        # a shared factor gives gcds of positive degree; vanish makes p a
+        # multiple of the prime, so it reduces to zero
+        p, q = naive_mul(a, shared), naive_mul(b, shared)
+        if vanish:
+            p = [c * prime for c in p]
+        assert gcd_degree_mod(P(p), P(q), prime) == numpy_gcd_degree_mod(p, q, prime)
+
+    def test_census_shapes(self):
+        for desc in enumerate_factors(2, 6):
+            f = list(desc.poly.coeffs)
+            for g, prime in (([-7, 3], 3), ([4, 0, 9], 3), ([-1, -2, 2], 2), ([-1, 2], 2**31 + 11)):
+                assert gcd_degree_mod(desc.poly, P(g), prime) == numpy_gcd_degree_mod(f, g, prime)
+
+    def test_zero_reductions(self):
+        assert gcd_degree_mod(P([7, 14]), P([1, 1]), 7) == -1
+        assert gcd_degree_mod(P([1, 1]), P([2**61 - 1]), 2**61 - 1) == -1
+        assert gcd_degree_mod(P([]), P([1]), 3) == -1
+        assert gcd_degree_mod(P([1, 0, 1]), P([1, 1]), 2) == 1  # (x + 1)^2 and x + 1 mod 2
+        assert gcd_degree_mod(P([5]), P([1, 1]), 3) == 0
 
 
 class TestEvaluate:

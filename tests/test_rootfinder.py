@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -295,6 +296,30 @@ class TestRootCache:
         man = int(man, 16)
         lines[5] = f"{sign}:{man + (man >> 8):x}:{exp} {rest}"
         path.write_text("\n".join(lines) + "\n")
+        assert read_roots_cache(path, p, 128) is None
+
+    @pytest.mark.parametrize("bad", [
+        "2:3:0", "-1:3:0", "0:-3:0",  # sign other than 0 or 1, signed mantissa
+        "0:0x3:0", "0:1_1:0", "0:3:1_0", "0:3:+1", "0:3:01", "0:3:-0",  # other spellings
+        "0:3: 0", "0:3:0 ", "0:3:\t0",  # spaces
+        "0:6:0", "0:B:0", "0:03:0",  # even, upper-case, leading zero
+        "1:0:0", "0:0:5", "0:0:-456",  # zeros other than 0:0:0
+    ])
+    def test_cache_rejects_noncanonical_token(self, tmp_path, bad):
+        # the first center's real part respelled, with the roots-sha256 line
+        # recomputed, so only the token's form can make the miss
+        p, path = self.written(tmp_path)
+        lines = path.read_text().splitlines()
+        first, rest = lines[5].split(" ", 1)
+
+        def rewrite(token):
+            body = [f"{token} {rest}"] + lines[6:]
+            digest = hashlib.sha256("".join(ln + "\n" for ln in body).encode()).hexdigest()
+            path.write_text("\n".join(lines[:4] + [f"# roots-sha256={digest}"] + body) + "\n")
+
+        rewrite(first)
+        assert read_roots_cache(path, p, 128) is not None
+        rewrite(bad)
         assert read_roots_cache(path, p, 128) is None
 
     def test_repaired_roots_read_back_exactly(self, tmp_path):
