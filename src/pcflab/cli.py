@@ -45,17 +45,7 @@ from .critical_orbit import (
     write_gleason_cache,
 )
 from .equidist import TSV_HEADER, discrepancy_report, fitted_min_constant
-from .errors import (
-    DegreeCapExceeded,
-    FactorizationStructureViolated,
-    HypothesisUndecided,
-    HypothesisViolated,
-    KernelSingular,
-    NonSquarefreeInput,
-    NotDivisible,
-    PcfLabError,
-    PrecisionExhausted,
-)
+from .errors import PcfLabError
 from .heights import AlgebraicNumber
 from .integrality import PrimeSet, census
 from .bounds import (
@@ -75,19 +65,6 @@ from .rootfinder import (
 )
 
 CONFIG_VERSION = "1"
-CONFIG_KEYS = ("version", "d", "max_n", "bits", "alpha", "S", "tau", "C", "plot", "cache", "format")
-
-_EXIT_CODES = [
-    (DegreeCapExceeded, 3),
-    (HypothesisViolated, 4),
-    (PrecisionExhausted, 5),
-    (FactorizationStructureViolated, 6),
-    (KernelSingular, 7),
-    (NotDivisible, 8),
-    (NonSquarefreeInput, 8),
-    (HypothesisUndecided, 9),
-    (PcfLabError, 10),
-]
 
 
 @dataclass(frozen=True)
@@ -119,7 +96,28 @@ class RunConfig:
             raise ValueError("--C must be > 0")
         if self.out_format not in ("tsv", "text"):
             raise ValueError("format must be tsv or text")
+        # every command writes under the cache; refused here, before any work
+        existing = next(p for p in (self.cache_dir, *self.cache_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--cache: {existing} is not a directory")
         return self
+
+
+# config-file key, which is also its flag's argparse dest -> (RunConfig field,
+# cast); RunConfig holds the defaults. The casts run in this order, so of two
+# bad values the first one here is the one named.
+CONFIG_FIELDS = {
+    "S": ("s_primes", lambda v: tuple(int(tok) for tok in v.split(",") if tok.strip())),
+    "d": ("d", int),
+    "max_n": ("max_n", int),
+    "bits": ("bits", int),
+    "alpha": ("alpha_spec", str),
+    "tau": ("tau", float),
+    "C": ("C", float),
+    "plot": ("plot", lambda v: str(v).lower() in ("1", "true", "yes")),
+    "cache": ("cache_dir", Path),
+    "format": ("out_format", str),  # file only: no flag
+}
 
 
 def parse_alpha(spec: str) -> AlgebraicNumber:
@@ -150,7 +148,7 @@ def load_config_file(path: Path) -> dict:
             raise ValueError(f"config line without '=': {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key != "version" and key not in CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = val.strip()
     if values.get("version") != CONFIG_VERSION:
@@ -167,13 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pcf-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("enumerate", "generate polynomial/factor/root caches"),
-        ("integral-scan", "S-integrality census of PCF factors"),
-        ("equidist", "equidistribution discrepancy table"),
-        ("bounds", "evaluate and check the explicit bound family"),
-        ("plot", "escape-time raster with PCF parameters overlaid"),
-    ]:
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--d", type=int, default=None, help="family degree (>= 2)")
         p.add_argument("--max-n", type=int, default=None, help="largest orbit level")
@@ -202,29 +194,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         file_vals = load_config_file(Path(args.config))
 
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return cast(flag)
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
-
-    s_raw = pick(args.S, "S", str, "")
-    primes = tuple(int(tok) for tok in s_raw.split(",") if tok.strip()) if s_raw else ()
-    cfg = RunConfig(
-        command=args.command,
-        d=pick(args.d, "d", int, 2),
-        max_n=pick(args.max_n, "max_n", int, 5),
-        bits=pick(args.bits, "bits", int, 256),
-        alpha_spec=pick(args.alpha, "alpha", str, "1"),
-        s_primes=primes,
-        tau=pick(args.tau, "tau", float, 0.5),
-        C=pick(args.C, "C", float, 1.0),
-        plot=bool(pick(args.plot, "plot", lambda v: str(v).lower() in ("1", "true", "yes"), False)),
-        cache_dir=Path(pick(args.cache, "cache", str, "cache")),
-        out_format=pick(None, "format", str, "tsv"),
-    )
-    return cfg.validate()
+    fields = {}
+    for key, (field, cast) in CONFIG_FIELDS.items():
+        # a flag overrides the file; what neither sets keeps RunConfig's default
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_vals.get(key)
+        if value is not None:
+            fields[field] = cast(value)
+    return RunConfig(command=args.command, **fields).validate()
 
 
 # -- shared cache-backed root lookup ---------------------------------------------
@@ -322,11 +300,17 @@ def _gleason_jobs(cfg: RunConfig, levels, bits: int) -> list:
     ]
 
 
+def _report(cfg: RunConfig, name: str, tsv: str, shown: Optional[str] = None) -> None:
+    """Print the report, or shown, its text form, and write the report to
+    reports/<name>-d<d>-n<max_n>.tsv under the cache."""
+    print(tsv if shown is None else shown, end="")
+    atomic_write_text(cfg.cache_dir / "reports" / f"{name}-d{cfg.d}-n{cfg.max_n}.tsv", tsv)
+
+
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    check_degree_cap(cfg.d, cfg.max_n)
+def cmd_enumerate(cfg: RunConfig) -> None:
     lines = [f"# enumerate d={cfg.d} max-n={cfg.max_n} bits={cfg.bits}"]
     levels = range(1, cfg.max_n + 1)
     for n in levels:
@@ -344,11 +328,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             )
         lines.append(f"factor\t{desc.label}\tdeg={desc.poly.degree}")
     print("\n".join(lines))
-    return 0
 
 
-def cmd_integral_scan(cfg: RunConfig) -> int:
-    check_degree_cap(cfg.d, cfg.max_n)
+def cmd_integral_scan(cfg: RunConfig) -> None:
     alpha = parse_alpha(cfg.alpha_spec)
     result = census(cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes))
     body = result.to_tsv()
@@ -357,27 +339,19 @@ def cmd_integral_scan(cfg: RunConfig) -> int:
         f" S-integral={result.s_integral_count}/{len(result.rows)}"
         f" orbit-threshold={result.threshold:g}\n"
     )
+    shown = None
     if cfg.out_format == "text":
-        text = summary
+        shown = summary
         for r in result.rows:
             primes = ",".join(map(str, r.meeting_primes)) or "-"
-            text += (
+            shown += (
                 f"{r.label}: degree {r.degree}, meeting primes {primes}, "
                 f"{'S-integral' if r.is_S_integral else 'not S-integral'}\n"
             )
-    else:
-        text = summary + body
-    print(text, end="")
-    report_path = cfg.cache_dir / "reports" / f"census-d{cfg.d}-n{cfg.max_n}.tsv"
-    atomic_write_text(report_path, summary + body)
-    return 0
+    _report(cfg, "census", summary + body, shown)
 
 
-def cmd_equidist(cfg: RunConfig) -> int:
-    # the rational path builds no g_n, but its exact Vieta values grow like
-    # d^(n-1) * h(alpha) bits, so the same cap bounds it; checked first, as
-    # parsing an algebraic alpha isolates its roots
-    check_degree_cap(cfg.d, cfg.max_n)
+def cmd_equidist(cfg: RunConfig) -> None:
     alpha = parse_alpha(cfg.alpha_spec)
     levels = range(2, cfg.max_n + 1)
     root_sets = {}
@@ -395,21 +369,17 @@ def cmd_equidist(cfg: RunConfig) -> int:
     lines = [TSV_HEADER]
     lines.extend(r.tsv_row() for r in reports)
     lines.append(f"# fitted-min-C\t{fit:.6g}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    report_path = cfg.cache_dir / "reports" / f"equidist-d{cfg.d}-n{cfg.max_n}.tsv"
-    atomic_write_text(report_path, text)
+    _report(cfg, "equidist", "\n".join(lines) + "\n")
     if cfg.plot:
         svg = _discrepancy_svg(reports)
         atomic_write_text(
             cfg.cache_dir / "plots" / f"equidist-d{cfg.d}-n{cfg.max_n}.svg", svg
         )
-    return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    check_degree_cap(cfg.d, cfg.max_n)
+def cmd_bounds(cfg: RunConfig) -> None:
     alpha = parse_alpha(cfg.alpha_spec)
+    S = PrimeSet.of(cfg.s_primes)
     lines = ["name\tbound\tempirical\tsatisfied"]
     for n in range(1, cfg.max_n + 1):
         lines.append(degree_lower_bound_check(cfg.d, n, 1).line())
@@ -425,14 +395,10 @@ def cmd_bounds(cfg: RunConfig) -> int:
     )
     lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
     lines.extend(rep.line() for rep in separation_check(descs, root_sets))
-    s_size = max(1, len(cfg.s_primes) + 1)
     lines.append(
-        f"thm15-threshold\t{thm15_threshold(cfg.C, s_size, alpha.degree):g}\t-\t-"
+        f"thm15-threshold\t{thm15_threshold(cfg.C, S.place_count, alpha.degree):g}\t-\t-"
     )
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    atomic_write_text(cfg.cache_dir / "reports" / f"bounds-d{cfg.d}-n{cfg.max_n}.tsv", text)
-    return 0
+    _report(cfg, "bounds", "\n".join(lines) + "\n")
 
 
 # -- plotting --------------------------------------------------------------------------
@@ -559,8 +525,7 @@ def _discrepancy_svg(reports) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    check_degree_cap(cfg.d, cfg.max_n)
+def cmd_plot(cfg: RunConfig) -> None:
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
     levels = range(1, cfg.max_n + 1)
@@ -576,15 +541,15 @@ def cmd_plot(cfg: RunConfig) -> int:
     svg_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.svg"
     atomic_write_text(svg_path, svg)
     print(f"wrote {ppm_path}\nwrote {svg_path}")
-    return 0
 
 
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "integral-scan": cmd_integral_scan,
-    "equidist": cmd_equidist,
-    "bounds": cmd_bounds,
-    "plot": cmd_plot,
+# command -> (help, function); feeds both the subparsers and the dispatch
+COMMANDS = {
+    "enumerate": ("generate polynomial/factor/root caches", cmd_enumerate),
+    "integral-scan": ("S-integrality census of PCF factors", cmd_integral_scan),
+    "equidist": ("equidistribution discrepancy table", cmd_equidist),
+    "bounds": ("evaluate and check the explicit bound family", cmd_bounds),
+    "plot": ("escape-time raster with PCF parameters overlaid", cmd_plot),
 }
 
 
@@ -597,17 +562,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"pcf-lab: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command](cfg)
+        # every command's work grows with deg g_max_n, even equidist's exact
+        # Vieta values for a rational alpha (d^(n-1) * h(alpha) bits): refused
+        # before any of it, as parsing an algebraic alpha isolates its roots
+        check_degree_cap(cfg.d, cfg.max_n)
+        COMMANDS[cfg.command][1](cfg)
     except ValueError as exc:
         # bad --alpha / --S values surface here
         print(f"pcf-lab: invalid value: {exc}", file=sys.stderr)
         return 2
     except PcfLabError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"pcf-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
-                return code
-        raise
+        print(f"pcf-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

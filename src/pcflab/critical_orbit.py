@@ -99,8 +99,12 @@ def orbit(d: int, c, start):
 
 
 def check_degree_cap(d: int, n: int) -> None:
-    """Raise DegreeCapExceeded when deg g_n = d^(n-1) exceeds DEGREE_CAP."""
-    if d ** (n - 1) > DEGREE_CAP:
+    """Raise DegreeCapExceeded when deg g_n = d^(n-1) exceeds DEGREE_CAP.
+
+    With d >= 2, d^(n-1) >= 2^(n-1) is over the cap once n - 1 reaches the
+    cap's bit length, so a huge n is refused before the power is formed.
+    """
+    if n - 1 >= DEGREE_CAP.bit_length() or d ** (n - 1) > DEGREE_CAP:
         raise DegreeCapExceeded(f"deg g_{n} = {d}^{n - 1} exceeds cap {DEGREE_CAP}")
 
 

@@ -46,8 +46,10 @@ class PrimeSet:
     def __contains__(self, p: int) -> bool:
         return p in self.primes
 
-    def __len__(self) -> int:
-        return len(self.primes)
+    @property
+    def place_count(self) -> int:
+        """|S|: the finite primes plus the archimedean place."""
+        return len(self.primes) + 1
 
 
 @dataclass(frozen=True)
@@ -178,5 +180,5 @@ def census(
         alpha_label=alpha.label,
         S=S,
         rows=tuple(rows),
-        threshold=thm15_threshold(1.0, max(1, len(S) + 1), field_degree),
+        threshold=thm15_threshold(1.0, S.place_count, field_degree),
     )

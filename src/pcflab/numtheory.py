@@ -19,9 +19,7 @@ Each piece of work is done once. What fails on n fails on its divisors, so
 the parts of an ECM split skip rho and go on at the next curve. Stage 1 takes
 one gcd per chunk of about 256 bits, from a base point made affine after each
 chunk; stage 2 multiplies in x(mD*Q) - x(j*Q) once for both primes mD +- j,
-from a plan built once per (B1, B2) as bytes. census(3, 5, 3, [2, 3]) makes 5
-rho passes and 8 curves (6 and 10 before), a curve costs about 13 % less, and
-the census benchmark's wall time fell by about 15 %.
+from a plan built once per (B1, B2) as bytes.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The public names and the benchmark's traced entry points exist, the
-README's library quick start runs, and the Horner evaluator is built in one
-place.
+README's library quick start runs, the Horner evaluator is built in one
+place, and the exit codes agree wherever they are listed.
 
 perfbench/tracer.py wraps the entry points it lists by name and reports a
 per-layer metric as null when one is missing, so a deletion or rename here
@@ -11,23 +11,26 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pcflab
+import pcflab.cli
+import pcflab.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def tracer_constant(name):
-    """Literal value of a module-level assignment in perfbench/tracer.py."""
-    tree = ast.parse(TRACER.read_text())
+def tracer_constant(name, path=TRACER):
+    """Literal value of a module-level assignment in perfbench/tracer.py (or path)."""
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise LookupError(f"{name} not assigned in {TRACER}")
+    raise LookupError(f"{name} not assigned in {path}")
 
 
 def test_all_names_resolve():
@@ -68,3 +71,24 @@ def test_coefficient_evaluator_is_built_only_in_heights():
                 if name == "CoefficientEvaluator":
                     sites.add(path.name)
     assert sites == {"heights.py"}
+
+
+def test_exit_codes_agree_everywhere():
+    # each package error states its code once, as exit_code; the table that
+    # --help prints and the benchmark's EXIT_CODES must list the same codes
+    listed = {
+        int(m.group(1)): m.group(2)
+        for m in re.finditer(r"^ *(\d+)  (\S.*)$", pcflab.cli.__doc__.split("Exit codes:")[1], re.M)
+    }
+    errors = [
+        cls for cls in vars(pcflab.errors).values()
+        if isinstance(cls, type) and issubclass(cls, pcflab.errors.PcfLabError)
+    ]
+    assert len(errors) >= 9
+    missing = [cls.__name__ for cls in errors if "exit_code" not in vars(cls)]
+    assert missing == []
+    assert {cls.exit_code for cls in errors} == set(listed) - {0, 2}
+    assert listed[pcflab.errors.PcfLabError.exit_code] == "other package error"
+    bench = tracer_constant("EXIT_CODES", ROOT / "perfbench" / "run.py")
+    # the benchmark adds 1, an uncaught exception, and needs no 0
+    assert set(bench) - {1} == set(listed) - {0}

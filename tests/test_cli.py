@@ -342,6 +342,33 @@ class TestExitCodes:
         assert code == 2 and "config error" in err and "'max-n'" in err
         assert out == "" and not cache.exists()
 
+    @pytest.mark.parametrize("command", [["enumerate"], ["integral-scan", "--alpha", "1", "--S", "2,5"]])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_cache_that_is_not_a_directory(self, tmp_path, capsys, command, below):
+        # a regular file as --cache, or as one of its ancestors, is refused
+        # before any work, not after it in mkdir; nothing is created
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = blocker / "sub" if below else blocker
+        code, out, err = run(command + ["--d", "2", "--max-n", "3", "--cache", str(cache)], capsys)
+        assert code == 2 and "config error" in err and "not a directory" in err
+        assert out == "" and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_bounds_checks_S(self, tmp_path, capsys):
+        # --S is a prime set for bounds as for integral-scan: a non-prime is
+        # refused, and a repeated prime counts once in |S|
+        base = ["bounds", "--d", "2", "--max-n", "2", "--cache", str(tmp_path / "c")]
+        code, out, err = run(base + ["--S", "4"], capsys)
+        assert code == 2 and "invalid value" in err and "4 is not prime" in err
+        assert out == ""
+        thresholds = []
+        for primes in ("2", "2,2"):
+            code, out, _ = run(base + ["--S", primes], capsys)
+            assert code == 0
+            thresholds.append([line for line in out.splitlines() if line.startswith("thm15-threshold\t")])
+        assert thresholds[0] == thresholds[1] == [thresholds[0][0]]
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):

@@ -14,10 +14,12 @@ import pytest
 import mpmath as mp
 
 from pcflab.critical_orbit import (
+    DEGREE_CAP,
     ExactPeriodEvaluator,
     GleasonEvaluator,
     MisiurewiczEvaluator,
     _jets,
+    check_degree_cap,
     exact_period_factor,
     enumerate_factors,
     factor_evaluator,
@@ -79,6 +81,19 @@ class TestGleason:
             gleason(3, 20)
         with pytest.raises(DegreeCapExceeded):
             gleason(2, 20)
+
+    def test_degree_cap_refuses_a_huge_level_before_the_power(self):
+        # d^(n-1) at n in the tens of millions takes minutes and memory linear
+        # in n; from n - 1 = bit length of the cap on, no power is formed
+        class NoPower(int):
+            def __pow__(self, *args):
+                raise AssertionError("d ** (n - 1) was formed")
+
+        for d, n in ((7, 30_000_000), (2, DEGREE_CAP.bit_length() + 1)):
+            with pytest.raises(DegreeCapExceeded):
+                check_degree_cap(NoPower(d), n)
+        check_degree_cap(2, DEGREE_CAP.bit_length())  # 2^12 = DEGREE_CAP itself
+        check_degree_cap(DEGREE_CAP, 2)
 
     def test_recurrence_against_evaluation(self):
         # g_{k+1}(a) = g_k(a)^d + a at a rational point, exactly
