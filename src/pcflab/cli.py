@@ -333,7 +333,6 @@ def cmd_enumerate(cfg: RunConfig) -> None:
 def cmd_integral_scan(cfg: RunConfig) -> None:
     alpha = parse_alpha(cfg.alpha_spec)
     result = census(cfg.d, cfg.max_n, alpha, PrimeSet.of(cfg.s_primes))
-    body = result.to_tsv()
     summary = (
         f"# alpha={result.alpha_label} S={{{','.join(map(str, result.S.primes))}}}"
         f" S-integral={result.s_integral_count}/{len(result.rows)}"
@@ -348,7 +347,7 @@ def cmd_integral_scan(cfg: RunConfig) -> None:
                 f"{r.label}: degree {r.degree}, meeting primes {primes}, "
                 f"{'S-integral' if r.is_S_integral else 'not S-integral'}\n"
             )
-    _report(cfg, "census", summary + body, shown)
+    _report(cfg, "census", summary + result.to_tsv(), shown)
 
 
 def cmd_equidist(cfg: RunConfig) -> None:

@@ -342,7 +342,9 @@ class TestExitCodes:
         assert code == 2 and "config error" in err and "'max-n'" in err
         assert out == "" and not cache.exists()
 
-    @pytest.mark.parametrize("command", [["enumerate"], ["integral-scan", "--alpha", "1", "--S", "2,5"]])
+    @pytest.mark.parametrize(
+        "command", [["enumerate"], ["integral-scan", "--alpha", "1", "--S", "2,5"]]
+    )
     @pytest.mark.parametrize("below", [False, True])
     def test_cache_that_is_not_a_directory(self, tmp_path, capsys, command, below):
         # a regular file as --cache, or as one of its ancestors, is refused
@@ -366,7 +368,7 @@ class TestExitCodes:
         for primes in ("2", "2,2"):
             code, out, _ = run(base + ["--S", primes], capsys)
             assert code == 0
-            thresholds.append([line for line in out.splitlines() if line.startswith("thm15-threshold\t")])
+            thresholds.append([ln for ln in out.splitlines() if ln.startswith("thm15-threshold\t")])
         assert thresholds[0] == thresholds[1] == [thresholds[0][0]]
 
 
