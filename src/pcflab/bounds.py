@@ -129,14 +129,29 @@ def pcf_modulus_bound(d: int) -> mp.mpf:
         return mp.mpf(2) ** (mp.mpf(1) / (d - 1))
 
 
+def root_set_bounds(ps) -> tuple:
+    """What the bound checks read of one root set, as exact _mpf_ tuples:
+    max |c| + r over its roots, and its min_pairwise_distance (None below
+    two roots)."""
+    worst = mp.mpf(0)
+    for b in ps.roots:
+        worst = max(worst, abs(b.center) + b.radius)
+    sep = min_pairwise_distance(ps)._mpf_ if len(ps.roots) >= 2 else None
+    return worst._mpf_, sep
+
+
 def pcf_modulus_check(d: int, max_n: int, root_sets) -> BoundReport:
     """Batch check: every root of the given level-<=max_n factor root sets
     obeys the bound, with _MODULUS_TOL of slack."""
+    return pcf_modulus_report(d, max_n, map(root_set_bounds, root_sets))
+
+
+def pcf_modulus_report(d: int, max_n: int, summaries) -> BoundReport:
+    """pcf_modulus_check from the root_set_bounds of the root sets."""
     bound = pcf_modulus_bound(d) + mp.mpf(_MODULUS_TOL)
     worst = mp.mpf(0)
-    for ps in root_sets:
-        for b in ps.roots:
-            worst = max(worst, abs(b.center) + b.radius)
+    for modulus, _ in summaries:
+        worst = max(worst, mp.mp.make_mpf(modulus))
     return BoundReport(
         name=f"pcf-modulus-d{d}-n{max_n}",
         bound_value=bound,
@@ -158,12 +173,17 @@ def separation_check(descs, root_sets) -> list[BoundReport]:
     root_sets[i] holds the roots of the FactorDescriptor descs[i]; factors of
     degree < 2 have no pair to check and are skipped.
     """
+    return separation_reports(descs, map(root_set_bounds, root_sets))
+
+
+def separation_reports(descs, summaries) -> list[BoundReport]:
+    """separation_check from the root_set_bounds of the root sets."""
     out = []
-    for desc, ps in zip(descs, root_sets, strict=True):
+    for desc, (_, distance) in zip(descs, summaries, strict=True):
         if desc.poly.degree < 2:
             continue
         sep = mahler_separation_bound(desc.poly.degree, desc.poly.max_abs_coeff())
-        actual = min_pairwise_distance(ps)
+        actual = mp.mp.make_mpf(distance)
         out.append(
             BoundReport(
                 name=f"separation-{desc.label}",

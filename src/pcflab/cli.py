@@ -5,9 +5,10 @@ atomically with content-hash headers, reports use fixed-format numeric
 printing, and plot bytes are pure functions of the config. Reruns leave
 byte-identical files behind.
 
-Root-cache misses are isolated on this process plus one forked child, when
-two or more CPUs are usable; outputs, caches and exit codes are those of a
-serial run, and there is no flag for it.
+Root sets are read from their caches, or isolated on a miss, and summarised
+on this process plus one forked child, when two or more CPUs are usable;
+outputs, caches and exit codes are those of a serial run, and there is no
+flag for it.
 
 Exit codes:
   0  success
@@ -44,15 +45,16 @@ from .critical_orbit import (
     gleason_evaluator,
     write_gleason_cache,
 )
-from .equidist import TSV_HEADER, discrepancy_report, fitted_min_constant
+from .equidist import TSV_HEADER, avg_log_distance_roots, discrepancy_report, fitted_min_constant
 from .errors import PcfLabError
 from .heights import AlgebraicNumber
 from .integrality import PrimeSet, census
 from .bounds import (
     degree_lower_bound_check,
     pcf_modulus_bound,
-    pcf_modulus_check,
-    separation_check,
+    pcf_modulus_report,
+    root_set_bounds,
+    separation_reports,
     thm15_threshold,
 )
 from .polynomials import serialize
@@ -208,88 +210,117 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- shared cache-backed root lookup ---------------------------------------------
 
 
-def cached_root_sets(jobs):
-    """Root sets of jobs (path, poly, bits, evaluator), in job order.
+def cached_root_sets(jobs, summarise) -> list:
+    """summarise(root set) of each job (path, poly, bits, evaluator), in job
+    order. A job's root set is read from its cache, or on a miss isolated
+    and cached.
 
-    Every cache is read first. With two or more misses and two or more usable
-    CPUs (one where os.sched_getaffinity does not exist, as on macOS and
-    Windows), the misses are split in two shares by degree, and a forked
-    child isolates one share; the caches it writes are its only output. This
-    process isolates the other share, reads the child's caches back exactly,
-    and isolates here whatever the child left unwritten: every job is
-    deterministic, so a job that failed there fails here with the same error.
-    Each job runs even after another fails; the error raised is that of the
-    lowest-indexed failing job, the one a serial loop raises.
+    With two or more jobs and two or more usable CPUs (one where
+    os.sched_getaffinity does not exist, as on macOS and Windows), the hits
+    (the cache file exists) and the misses are each split in two shares by
+    degree, and a forked child reads or isolates one share and summarises
+    it. Once its share is done, it sends this process {index: summary} of
+    the jobs that succeeded, pickled, over a pipe: a summary holds exact
+    values only (ints, floats, _mpf_ tuples). This process does the other
+    share, then every job the child did not report: every job is
+    deterministic, so a job that failed there fails here with the same
+    error. Each job runs even after another fails; the error raised is that
+    of the lowest-indexed failing job, the one a serial loop raises.
     """
-    jobs = list(jobs)
-    sets = [read_roots_cache(path, poly, bits) for path, poly, bits, _ in jobs]
-    misses = [i for i, ps in enumerate(sets) if ps is None]
-    mine, theirs, pid = misses, [], 0
-    if len(misses) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        mine, theirs = _split_by_degree(jobs, misses)
-        # both sides isolate on numpy: imported once here, the child
-        # inherits it rather than paying its 0.1 s of CPU again
-        import numpy
+    import pickle
 
+    jobs = list(jobs)
+    mine, theirs, pid = range(len(jobs)), [], 0
+    if len(jobs) >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        hits = [i for i, job in enumerate(jobs) if os.path.exists(job[0])]
+        misses = sorted(set(mine).difference(hits))
+        (hits0, hits1), (misses0, misses1) = (_split_by_degree(jobs, k) for k in (hits, misses))
+        # the child takes the largest hit and this process the largest miss,
+        # so that one hit and one miss go to different processes too
+        share = sorted(hits0 + misses1)
+        if misses:
+            # both sides isolate on numpy: imported once here, the child
+            # inherits it rather than paying its 0.1 s of CPU again
+            import numpy
+        readable, writable = os.pipe()
         try:
             # fork, not spawn: the CLI runs no threads, and a spawned child
             # would pay the 0.17 s set-up again and rebuild the polynomials
             pid = os.fork()
         except OSError:  # no process to spare: a serial run
-            mine, theirs = misses, []
+            os.close(readable)
+            os.close(writable)
         else:
             if pid == 0:
+                code = 1
                 try:
-                    _isolate(jobs, theirs, sets)
+                    os.close(readable)
+                    with open(writable, "wb") as pipe:
+                        pickle.dump(_summarise(jobs, share, summarise)[0], pipe)
+                    code = 0
                 finally:
                     # no atexit hooks, and no flush of the buffers inherited
-                    # from this process; the child's errors are raised here
-                    os._exit(0)
-    child = pid
+                    # from this process
+                    os._exit(code)
+            os.close(writable)
+            pipe = open(readable, "rb")
+            mine, theirs = sorted(hits1 + misses0), share
+    child, reported = pid, {}
     try:
-        errors = _isolate(jobs, mine, sets)
+        summaries, errors = _summarise(jobs, mine, summarise)
         if pid:
-            os.waitpid(pid, 0)
+            sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
             pid = 0
+            # a child that did not finish sent nothing, or part of a pickle
+            if status == 0 and sent:
+                reported = pickle.loads(sent)
     finally:
         if pid:
             import signal  # here, so that a run that forks nothing imports nothing new
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        # a child killed inside os.replace leaves its temp file behind
-        for i in theirs:
-            remove_temp_files(jobs[i][0], child)
-    for i in theirs:
-        path, poly, bits, _ = jobs[i]
-        sets[i] = read_roots_cache(path, poly, bits)
-    errors.update(_isolate(jobs, [i for i in theirs if sets[i] is None], sets))
+        if child:
+            pipe.close()
+            if not reported:
+                # a child killed inside os.replace leaves its temp file behind
+                for i in theirs:
+                    remove_temp_files(jobs[i][0], child)
+    summaries.update(reported)
+    more, late = _summarise(jobs, [i for i in theirs if i not in reported], summarise)
+    summaries.update(more)
+    errors.update(late)
     if errors:
         raise errors[min(errors)]
-    return sets
+    return [summaries[i] for i in range(len(jobs))]
 
 
-def _split_by_degree(jobs, misses):
-    """Two shares of misses, largest degree first, each to the lighter share."""
+def _split_by_degree(jobs, indices):
+    """Two shares of jobs, largest degree first, each to the lighter share."""
     shares, loads = ([], []), [0, 0]
-    for i in sorted(misses, key=lambda i: -jobs[i][1].degree):
+    for i in sorted(indices, key=lambda i: -jobs[i][1].degree):
         side = 0 if loads[0] <= loads[1] else 1
         shares[side].append(i)
         loads[side] += jobs[i][1].degree
-    return sorted(shares[0]), sorted(shares[1])
+    return shares
 
 
-def _isolate(jobs, indices, sets) -> dict:
-    """Isolate and cache jobs[i] into sets[i]; returns {i: error} of the failures."""
-    errors = {}
+def _summarise(jobs, indices, summarise) -> tuple[dict, dict]:
+    """({i: summary}, {i: error}) of jobs[i], i in indices: each root set is
+    read from its cache, or isolated and cached, then summarised."""
+    summaries, errors = {}, {}
     for i in indices:
         path, poly, bits, evaluator = jobs[i]
         try:
-            sets[i] = all_roots(poly, bits, evaluator=evaluator)
-            write_roots_cache(path, poly, sets[i])
+            ps = read_roots_cache(path, poly, bits)
+            if ps is None:
+                ps = all_roots(poly, bits, evaluator=evaluator)
+                write_roots_cache(path, poly, ps)
+            summaries[i] = summarise(ps)
         except Exception as exc:
             errors[i] = exc
-    return errors
+    return summaries, errors
 
 
 def _gleason_jobs(cfg: RunConfig, levels, bits: int) -> list:
@@ -315,10 +346,8 @@ def cmd_enumerate(cfg: RunConfig) -> None:
     levels = range(1, cfg.max_n + 1)
     for n in levels:
         write_gleason_cache(cfg.cache_dir, cfg.d, n)
-    for n, ps in zip(levels, cached_root_sets(_gleason_jobs(cfg, levels, cfg.bits))):
-        lines.append(
-            f"gleason\tn={n}\tdeg={gleason(cfg.d, n).degree}\troots={len(ps.roots)}"
-        )
+    for n, count in zip(levels, cached_root_sets(_gleason_jobs(cfg, levels, cfg.bits), len)):
+        lines.append(f"gleason\tn={n}\tdeg={gleason(cfg.d, n).degree}\troots={count}")
     for desc in enumerate_factors(cfg.d, cfg.max_n):
         fdir = cfg.cache_dir / "factors" / f"d{cfg.d}"
         atomic_write_text(fdir / f"n{desc.n}-{desc.label}.poly", serialize(desc.poly))
@@ -353,16 +382,16 @@ def cmd_integral_scan(cfg: RunConfig) -> None:
 def cmd_equidist(cfg: RunConfig) -> None:
     alpha = parse_alpha(cfg.alpha_spec)
     levels = range(2, cfg.max_n + 1)
-    root_sets = {}
 
-    def roots(n):
-        # the first call, after the PCF gate, isolates every level at once
-        if not root_sets:
-            root_sets.update(zip(levels, cached_root_sets(_gleason_jobs(cfg, levels, cfg.bits))))
-        return root_sets[n]
+    def averages(ball):
+        summaries = cached_root_sets(
+            _gleason_jobs(cfg, levels, cfg.bits),
+            lambda ps: avg_log_distance_roots(ps, ball).value._mpf_,
+        )
+        return [mp.mp.make_mpf(value) for value in summaries]
 
     reports = discrepancy_report(
-        cfg.d, levels, alpha, tau=cfg.tau, C=cfg.C, precision_bits=cfg.bits, roots=roots
+        cfg.d, levels, alpha, tau=cfg.tau, C=cfg.C, precision_bits=cfg.bits, averages=averages
     )
     fit = fitted_min_constant(reports)
     lines = [TSV_HEADER]
@@ -387,13 +416,19 @@ def cmd_bounds(cfg: RunConfig) -> None:
     )
     bits = min(cfg.bits, 128)
     descs = [desc for desc in enumerate_factors(cfg.d, cfg.max_n) if desc.poly.degree >= 1]
-    root_sets = cached_root_sets(
-        (factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
-         desc.poly, bits, factor_evaluator(desc))
-        for desc in descs
+    if any(desc.poly.degree >= 2 for desc in descs):
+        # min_pairwise_distance runs on numpy in both processes, hits too:
+        # imported once here, before the fork, the child inherits it; two
+        # imports side by side took longer than one
+        import numpy
+    summaries = cached_root_sets(
+        ((factor_roots_cache_path(cfg.cache_dir, cfg.d, desc.n, desc.label, bits),
+          desc.poly, bits, factor_evaluator(desc))
+         for desc in descs),
+        root_set_bounds,
     )
-    lines.append(pcf_modulus_check(cfg.d, cfg.max_n, root_sets).line())
-    lines.extend(rep.line() for rep in separation_check(descs, root_sets))
+    lines.append(pcf_modulus_report(cfg.d, cfg.max_n, summaries).line())
+    lines.extend(rep.line() for rep in separation_reports(descs, summaries))
     lines.append(
         f"thm15-threshold\t{thm15_threshold(cfg.C, S.place_count, alpha.degree):g}\t-\t-"
     )
@@ -528,11 +563,11 @@ def cmd_plot(cfg: RunConfig) -> None:
     size, max_iter = 800, 96
     counts, extent = escape_time_grid(cfg.d, size, max_iter)
     levels = range(1, cfg.max_n + 1)
-    centers = [
-        (float(b.center.real), float(b.center.imag))
-        for ps in cached_root_sets(_gleason_jobs(cfg, levels, min(cfg.bits, 128)))
-        for b in ps.roots
-    ]
+    summaries = cached_root_sets(
+        _gleason_jobs(cfg, levels, min(cfg.bits, 128)),
+        lambda ps: [(float(b.center.real), float(b.center.imag)) for b in ps.roots],
+    )
+    centers = [c for level in summaries for c in level]
     ppm = _ppm_bytes(counts, max_iter, _root_pixels(centers, extent, size))
     ppm_path = cfg.cache_dir / "plots" / f"mandel-d{cfg.d}.ppm"
     atomic_write_bytes(ppm_path, ppm)

@@ -44,11 +44,10 @@ from itertools import islice
 from pathlib import Path
 from typing import Optional
 
-from .cacheio import atomic_write_text
 from .errors import DegreeCapExceeded, FactorizationStructureViolated, NotDivisible
 from .numtheory import divisors, mobius
-from .polynomials import ZERO, IntPolynomial, X, divide_exact, serialize
-from .rootfinder import Evaluator, ScaledArray
+from .polynomials import ZERO, IntPolynomial, X, divide_exact
+from .rootfinder import Evaluator, ScaledArray, write_poly_cache
 
 DEGREE_CAP = 4096  # largest deg g_n = d^(n-1) any command builds
 
@@ -205,7 +204,7 @@ def gleason_cache_path(root: Path, d: int, n: int) -> Path:
 
 def write_gleason_cache(root: Path, d: int, n: int) -> Path:
     path = gleason_cache_path(root, d, n)
-    atomic_write_text(path, serialize(gleason(d, n)))
+    write_poly_cache(path, gleason(d, n))
     return path
 
 

@@ -127,24 +127,24 @@ def discrepancy_report(
     tau: float = 0.5,
     C: float = 1.0,
     precision_bits: int = 256,
-    roots: Optional[Callable[[int], PCFParameterSet]] = None,
+    averages: Optional[Callable[[bl.ComplexBall], Sequence[mp.mpf]]] = None,
 ) -> list[DiscrepancyReport]:
     """Empirical kernel average at each level n vs the escape rate of alpha,
     against the rate shape C (log N / N)^(1/2) (log^+|alpha| + 1/tau).
 
     The PCF gate, the escape rate and the alpha ball depend on (d, alpha)
     only, so they are computed once for the whole table. For an irrational
-    alpha, roots(n) returns the certified root set of g_n (default: isolate
-    it); it is called one level at a time, after the gate.
+    alpha, averages(alpha_ball) returns, in level order, the average of
+    log|x - alpha| over the certified roots of each level's g_n (default:
+    avg_log_distance_roots on the isolated roots); it is called once, after
+    the gate, at the table's working precision.
     """
     if not 0 < tau < 1:
         raise ValueError("need 0 < tau < 1")
+    levels = list(levels)
     alg = as_algebraic(alpha)
     if is_pcf_parameter(d, alg):
         raise HypothesisViolated("alpha is a PCF parameter")
-    roots = roots or (
-        lambda n: all_roots(gleason(d, n), precision_bits, evaluator=gleason_evaluator(d, n))
-    )
     reports = []
     with mp.workprec(max(64, precision_bits) + 16):
         if alg.is_rational:
@@ -152,24 +152,25 @@ def discrepancy_report(
             alpha_ball = bl.exact_ball(a)
             green = escape_rate_arch(d, a, target_error=1e-14, precision_bits=precision_bits)
             path = "vieta-exact"
-
-            def empirical_at(n):
-                return avg_log_distance_vieta(d, n, a, precision_bits)
-
+            empiricals = [avg_log_distance_vieta(d, n, a, precision_bits) for n in levels]
         else:
             alpha_ball = alg.selected_conjugate(precision_bits)
             green = escape_rate_arch(
                 d, alpha_ball, target_error=1e-14, precision_bits=precision_bits
             )
             path = "roots-numeric"
-
-            def empirical_at(n):
-                return avg_log_distance_roots(roots(n), alpha_ball).value
+            averages = averages or (lambda ball: [
+                avg_log_distance_roots(
+                    all_roots(gleason(d, n), precision_bits, evaluator=gleason_evaluator(d, n)),
+                    ball,
+                ).value
+                for n in levels
+            ])
+            empiricals = averages(alpha_ball)
 
         logplus = max(mp.mpf(0), mp.log(max(abs(alpha_ball.center), mp.mpf(1))))
-        for n in levels:
+        for n, empirical in zip(levels, empiricals, strict=True):
             big_n = d ** (n - 1)
-            empirical = empirical_at(n)
             disc = abs(empirical - green.value)
             rhs = mp.mpf(C) * mp.sqrt(mp.log(big_n) / big_n) * (logplus + 1 / mp.mpf(tau))
             reports.append(

@@ -668,8 +668,22 @@ def min_pairwise_distance(roots: PCFParameterSet | Sequence[bl.ComplexBall]) -> 
 # -- cache files ------------------------------------------------------------------
 
 
+# the poly_hash of every polynomial write_poly_cache exported, by id; an
+# entry holds its polynomial, so that no other polynomial takes its id
+_exported: dict[int, tuple[IntPolynomial, str]] = {}
+
+
 def poly_hash(p: IntPolynomial) -> str:
-    return hashlib.sha256(serialize(p).encode()).hexdigest()
+    hit = _exported.get(id(p))
+    return hit[1] if hit else hashlib.sha256(serialize(p).encode()).hexdigest()
+
+
+def write_poly_cache(path: Path, p: IntPolynomial) -> None:
+    """Export serialize(p) to path and keep its hash for poly_hash, so that
+    a root-cache read after the export serializes p no second time."""
+    text = serialize(p)
+    atomic_write_text(path, text)
+    _exported[id(p)] = (p, hashlib.sha256(text.encode()).hexdigest())
 
 
 def _mpf_token(x: mp.mpf) -> str:

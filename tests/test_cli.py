@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import filecmp
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,17 +24,6 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    # root isolation forks; every child must be reaped before a command returns
-    yield
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"the test left an unreaped child process (waitpid: {pid})")
 
 
 class TestParseAlpha:
@@ -509,6 +499,16 @@ class TestNumpyOnlyWhereArraysRun:
         (["enumerate", "--d", "2", "--max-n", "3"], 0, True),
     ])
     def test_numpy_loaded_only_by_a_run_that_isolates(self, args, code, loaded, tmp_path):
+        self.assert_probe(args, code, loaded, tmp_path)
+
+    def test_warm_run_loads_no_numpy(self, tmp_path):
+        # the second run reads every root set from its cache, on both cores
+        args = ["enumerate", "--d", "2", "--max-n", "3"]
+        self.assert_probe(args, 0, True, tmp_path)
+        self.assert_probe(args, 0, False, tmp_path)
+
+    @staticmethod
+    def assert_probe(args, code, loaded, tmp_path):
         src = str(Path(pcflab.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -548,22 +548,37 @@ def cpus(monkeypatch):
 
 def run_in(cwd: Path, args, capsys, monkeypatch):
     """run() with cwd as working directory and a relative cache path, so that
-    runs in different directories print the same paths."""
-    cwd.mkdir()
+    runs in different directories print the same paths; cwd is made unless
+    it exists."""
+    cwd.mkdir(exist_ok=True)
     monkeypatch.chdir(cwd)
     return run(args + ["--cache", "cache"], capsys)
 
 
-class TestForkedIsolation:
-    # cache misses are isolated on this process and one forked child; every
-    # output, cache byte and exit code is that of a serial run
+def warm_copies(tmp_path, args, capsys, monkeypatch, cpus, names):
+    """Fill a cache with one serial run of args, then copy it to tmp_path/name
+    for each name."""
+    cpus(1)
+    assert run_in(tmp_path / "cold", args, capsys, monkeypatch)[0] == 0
+    for name in names:
+        shutil.copytree(tmp_path / "cold", tmp_path / name)
 
-    @pytest.mark.parametrize("args", [
-        ["enumerate", "--d", "2", "--max-n", "9", "--bits", "128"],
-        ["bounds", "--d", "2", "--max-n", "6"],
-        ["plot", "--d", "2", "--max-n", "3"],
-        ["equidist", "--d", "2", "--max-n", "7", "--alpha=-1,-1,1:1"],
-    ], ids=lambda args: args[0])
+
+# every command that looks up root sets
+ROOT_COMMANDS = [
+    ["enumerate", "--d", "2", "--max-n", "9", "--bits", "128"],
+    ["bounds", "--d", "2", "--max-n", "6"],
+    ["plot", "--d", "2", "--max-n", "3"],
+    ["equidist", "--d", "2", "--max-n", "7", "--alpha=-1,-1,1:1"],
+]
+
+
+class TestForkedIsolation:
+    # root sets are read or isolated, and summarised, on this process and one
+    # forked child; every output, cache byte and exit code is that of a
+    # serial run
+
+    @pytest.mark.parametrize("args", ROOT_COMMANDS, ids=lambda args: args[0])
     def test_identical_to_serial(self, tmp_path, capsys, monkeypatch, cpus, args):
         forks = cpus(2)
         forked = run_in(tmp_path / "forked", args, capsys, monkeypatch)
@@ -585,19 +600,39 @@ class TestForkedIsolation:
         assert missing == serial and missing[0] == 0
         assert tree_bytes(tmp_path / "missing" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
 
-    def test_warm_run_forks_nothing(self, tmp_path, capsys, cpus):
-        args = ["bounds", "--d", "2", "--max-n", "5", "--cache", str(tmp_path / "cache")]
-        assert run(args, capsys)[0] == 0
+    @pytest.mark.parametrize("args", ROOT_COMMANDS, ids=lambda args: args[0])
+    def test_warm_run_identical_to_serial(self, tmp_path, capsys, monkeypatch, cpus, args):
+        # every root set is a cache hit, and the child reads and summarises
+        # its share of them
+        warm_copies(tmp_path, args, capsys, monkeypatch, cpus, ["forked", "serial"])
         forks = cpus(2)
-        assert run(args, capsys)[0] == 0
+        forked = run_in(tmp_path / "forked", args, capsys, monkeypatch)
+        assert len(forks) == 1
+        forks = cpus(1)
+        serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
         assert forks == []
+        assert forked == serial and forked[0] == 0
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "cold" / "cache")
 
-    @pytest.mark.parametrize("error", [
+    FORK_REFUSALS = pytest.mark.parametrize("error", [
         BlockingIOError(errno.EAGAIN, "fork refused"),
         OSError(errno.ENOMEM, "fork refused"),
     ], ids=["fork-EAGAIN", "fork-ENOMEM"])
+
+    @FORK_REFUSALS
     def test_no_child_to_spare_runs_serial(self, tmp_path, capsys, monkeypatch, cpus, error):
+        self.assert_refused_fork_runs_serial(tmp_path, capsys, monkeypatch, cpus, error)
+
+    @FORK_REFUSALS
+    def test_no_child_to_spare_warm_runs_serial(self, tmp_path, capsys, monkeypatch, cpus, error):
+        self.assert_refused_fork_runs_serial(tmp_path, capsys, monkeypatch, cpus, error, warm=True)
+
+    @staticmethod
+    def assert_refused_fork_runs_serial(tmp_path, capsys, monkeypatch, cpus, error, warm=False):
         args = ["enumerate", "--d", "2", "--max-n", "7", "--bits", "128"]
+        if warm:
+            warm_copies(tmp_path, args, capsys, monkeypatch, cpus, ["serial", "refused"])
         cpus(1)
         serial = run_in(tmp_path / "serial", args, capsys, monkeypatch)
         cpus(2)
@@ -698,3 +733,60 @@ class TestForkedIsolation:
             monkeypatch.setattr(os, "replace", kill_self)  # in the child only
 
         self.assert_child_fault_runs_as_serial(tmp_path, capsys, monkeypatch, cpus, fault)
+
+    # bounds --d 2 --max-n 4 has 10 factor jobs; warm, the child reads and
+    # summarises the five of degrees 1, 1, 6, 2, 4 (indices 0, 1, 3, 5, 9),
+    # this process those of degrees 3, 1, 2, 4, 4
+    BOUNDS = ["bounds", "--d", "2", "--max-n", "4"]
+
+    def warm_bounds_as_serial(self, tmp_path, capsys, monkeypatch, cpus, summary):
+        """The warm BOUNDS run with summary in place of root_set_bounds, forked
+        and serial; asserts they agree and returns the forked run."""
+        warm_copies(tmp_path, self.BOUNDS, capsys, monkeypatch, cpus, ["forked", "serial"])
+        monkeypatch.setattr(cli, "root_set_bounds", summary)
+        forks = cpus(2)
+        forked = run_in(tmp_path / "forked", self.BOUNDS, capsys, monkeypatch)
+        assert len(forks) == 1
+        forks = cpus(1)
+        serial = run_in(tmp_path / "serial", self.BOUNDS, capsys, monkeypatch)
+        assert forks == []
+        assert forked == serial
+        assert tree_bytes(tmp_path / "forked" / "cache") == tree_bytes(tmp_path / "serial" / "cache")
+        return forked
+
+    @pytest.mark.parametrize("degrees", [{6}, {3}, {1}], ids=["child", "parent", "both"])
+    def test_failing_summary_exits_as_serial(self, tmp_path, capsys, monkeypatch, cpus, degrees):
+        real = cli.root_set_bounds
+
+        def root_set_bounds(ps):
+            if len(ps) in degrees:
+                raise PrecisionExhausted(f"degree {len(ps)} failed")
+            return real(ps)
+
+        code, out, err = self.warm_bounds_as_serial(
+            tmp_path, capsys, monkeypatch, cpus, root_set_bounds
+        )
+        # the lowest-indexed failing job's error wins
+        assert code == 5 and out == ""
+        assert f"PrecisionExhausted: degree {min(degrees)} failed" in err
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "signal"])
+    def test_warm_child_fault_runs_as_serial(self, tmp_path, capsys, monkeypatch, cpus, fault):
+        # a summary that raises only in the child, and a child that exits or
+        # is killed before it reports: this process does the child's share
+        parent_pid = os.getpid()
+        real = cli.root_set_bounds
+
+        def root_set_bounds(ps):
+            if os.getpid() != parent_pid:
+                if fault == "raise":
+                    raise PrecisionExhausted("only in the child")
+                if fault == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return real(ps)
+
+        code, out, _ = self.warm_bounds_as_serial(
+            tmp_path, capsys, monkeypatch, cpus, root_set_bounds
+        )
+        assert code == 0 and out.startswith("name\tbound\tempirical\tsatisfied\n")

@@ -169,7 +169,7 @@ class TestDiscrepancyReport:
         period3 = AlgebraicNumber.from_min_poly([1, 1, 2, 1], 0)
         looked_up = []
         with pytest.raises(HypothesisViolated):
-            discrepancy_report(2, range(2, 5), period3, roots=looked_up.append)
+            discrepancy_report(2, range(2, 5), period3, averages=looked_up.append)
         assert looked_up == []
 
     def test_algebraic_alpha_numeric_path(self):
@@ -180,16 +180,19 @@ class TestDiscrepancyReport:
         assert abs(rep.green_value - want) < 1e-9
         assert rep.passed
 
-    def test_roots_looked_up_once_per_level(self):
+    def test_averages_asked_once_for_every_level(self):
         golden = AlgebraicNumber.from_min_poly([-1, -1, 1], 1)
         looked_up = []
 
-        def roots(n):
-            looked_up.append(n)
-            return all_roots(gleason(2, n), 128, gleason_evaluator(2, n))
+        def averages(ball):
+            looked_up.append(ball)
+            return [
+                avg_log_distance_roots(all_roots(gleason(2, n), 128, gleason_evaluator(2, n)), ball).value
+                for n in (3, 4)
+            ]
 
-        reports = discrepancy_report(2, [3, 4], golden, precision_bits=128, roots=roots)
-        assert looked_up == [3, 4]
+        reports = discrepancy_report(2, [3, 4], golden, precision_bits=128, averages=averages)
+        assert len(looked_up) == 1
         assert [r.n for r in reports] == [3, 4]
         default = discrepancy_report(2, [3, 4], golden, precision_bits=128)
         assert [r.tsv_row() for r in reports] == [r.tsv_row() for r in default]

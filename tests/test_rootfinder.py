@@ -30,8 +30,10 @@ from pcflab.rootfinder import (
     ScaledArray,
     all_roots,
     min_pairwise_distance,
+    poly_hash,
     read_roots_cache,
     roots_cache_path,
+    write_poly_cache,
     write_roots_cache,
 )
 
@@ -240,6 +242,22 @@ class TestDerivedQueries:
 
 
 class TestRootCache:
+    def test_exported_polynomial_is_serialized_once(self, tmp_path, monkeypatch):
+        p = IntPolynomial([2, -3, 0, 5])  # an object no other test exports
+        want = hashlib.sha256(polynomials.serialize(p).encode()).hexdigest()
+        assert poly_hash(p) == want
+        write_poly_cache(tmp_path / "p.poly", p)
+        assert (tmp_path / "p.poly").read_text() == polynomials.serialize(p)
+
+        def serialize(q):
+            raise AssertionError("serialized again")
+
+        monkeypatch.setattr(rootfinder, "serialize", serialize)
+        assert poly_hash(p) == want
+        # an equal polynomial that was not exported has no hash kept
+        with pytest.raises(AssertionError, match="serialized again"):
+            poly_hash(IntPolynomial([2, -3, 0, 5]))
+
     def test_roundtrip_and_determinism(self, tmp_path):
         p = exact_period_factor(2, 4).poly
         ps = all_roots(p, 128, CoefficientEvaluator(p))
@@ -347,8 +365,7 @@ class TestRootCache:
         assert lines[0] == "# pcf-lab roots v2" and lines[4].startswith("# roots-sha256=")
         path.write_text("\n".join(["# pcf-lab roots v1"] + lines[1:4] + lines[5:]) + "\n")
         assert read_roots_cache(path, p, 128) is None
-        ps = cached_root_sets([(path, p, 128, CoefficientEvaluator(p))])[0]
-        assert len(ps) == p.degree
+        assert cached_root_sets([(path, p, 128, CoefficientEvaluator(p))], len) == [p.degree]
         assert path.read_bytes() == v2
 
 
